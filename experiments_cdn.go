@@ -591,15 +591,11 @@ func runFig14(ctx context.Context, w *World, seed int64) (Result, error) {
 		return regs[i].id < regs[j].id
 	})
 	corrNear, corrFar := []float64{}, []float64{}
+	frontEnds := geo.NewIndex(big.SiteLocs)
 	for i, rr := range regs {
 		a := byRegion[rr.id]
 		rel := (a.lat / a.users) / maxLat
-		minD := 1e18
-		for _, s := range big.SiteLocs {
-			if d := geo.DistanceKm(w.Regions()[rr.id].Center, s); d < minD {
-				minD = d
-			}
-		}
+		_, minD := frontEnds.Nearest(w.Regions()[rr.id].Center)
 		if minD < 500 {
 			corrNear = append(corrNear, rel)
 		} else {

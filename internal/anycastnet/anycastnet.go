@@ -29,6 +29,23 @@ type Deployment struct {
 	Sites []bgp.Site
 
 	resolver *bgp.Resolver
+	// global indexes the global sites' locations for ClosestGlobalSite;
+	// globalIDs[i] is the site ID at index position i.
+	global    *geo.Index
+	globalIDs []int
+}
+
+// newDeployment wraps sites and their resolver, indexing the global sites.
+func newDeployment(name string, sites []bgp.Site, res *bgp.Resolver) *Deployment {
+	var locs []geo.Coord
+	var ids []int
+	for _, s := range sites {
+		if s.Global {
+			locs = append(locs, s.Loc)
+			ids = append(ids, s.ID)
+		}
+	}
+	return &Deployment{Name: name, Sites: sites, resolver: res, global: geo.NewIndex(locs), globalIDs: ids}
 }
 
 // NumGlobalSites returns the count of globally announced sites.
@@ -102,7 +119,7 @@ func Derive(base *Deployment, g *topology.Graph, name string, sites []bgp.Site,
 	// not leak into this deployment's route decisions.
 	res.EnsureTables()
 	res.SeedFrom(base.resolver, remap, keep)
-	return &Deployment{Name: name, Sites: sites, resolver: res}, nil
+	return newDeployment(name, sites, res), nil
 }
 
 // AppendRouteState persists the deployment's resolved route state for
@@ -117,28 +134,25 @@ func (d *Deployment) RestoreRouteState(r *artifact.Reader) error {
 	return d.resolver.RestoreState(r)
 }
 
-// Renamed returns a view of d under a different name, sharing d's sites
-// and resolver (and therefore its route cache). Scenario letter swaps
-// use it: the deployment at a position changes while the position keeps
-// its letter name.
+// Renamed returns a view of d under a different name, sharing d's sites,
+// global-site index and resolver (and therefore its route cache).
+// Scenario letter swaps use it: the deployment at a position changes
+// while the position keeps its letter name.
 func Renamed(d *Deployment, name string) *Deployment {
-	return &Deployment{Name: name, Sites: d.Sites, resolver: d.resolver}
+	r := *d
+	r.Name = name
+	return &r
 }
 
 // ClosestGlobalSite returns the ID and great-circle distance (km) of the
-// global site nearest to loc, or (-1, 0) if the deployment has none.
+// global site nearest to loc (the lowest ID on ties), or (-1, 0) if the
+// deployment has none.
 func (d *Deployment) ClosestGlobalSite(loc geo.Coord) (int, float64) {
-	best, bestD := -1, 0.0
-	for _, s := range d.Sites {
-		if !s.Global {
-			continue
-		}
-		dd := geo.DistanceKm(loc, s.Loc)
-		if best == -1 || dd < bestD {
-			best, bestD = s.ID, dd
-		}
+	i, km := d.global.Nearest(loc)
+	if i < 0 {
+		return -1, 0
 	}
-	return best, bestD
+	return d.globalIDs[i], km
 }
 
 // LetterSpec describes one root letter's deployment.
@@ -256,7 +270,7 @@ func buildLetter(g *topology.Graph, spec LetterSpec, rng *rand.Rand, regions []g
 	if err != nil {
 		return nil, fmt.Errorf("anycastnet: letter %s: %w", spec.Letter, err)
 	}
-	return &Deployment{Name: spec.Letter, Sites: sites, resolver: res}, nil
+	return newDeployment(spec.Letter, sites, res), nil
 }
 
 // BuildLetters builds all letters in spec order.
@@ -283,7 +297,7 @@ func NewDeployment(g *topology.Graph, name string, sites []bgp.Site) (*Deploymen
 	// Scenario applies construct deployments mid-mutation-sequence; pin
 	// the tables so later graph mutations cannot shift earlier results.
 	res.EnsureTables()
-	return &Deployment{Name: name, Sites: sites, resolver: res}, nil
+	return newDeployment(name, sites, res), nil
 }
 
 // NearbyUpstreams picks the provider mix BuildLetter gives site hosts:

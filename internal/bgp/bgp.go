@@ -120,6 +120,10 @@ type cachedRoute struct {
 type Resolver struct {
 	g     *topology.Graph
 	sites []Site
+	// hostOf[siteID] numbers the site's host AS densely in [0, numHosts),
+	// so route resolution caches per-host work in a slice.
+	hostOf   []int
+	numHosts int
 	// transitDist[p][siteID] = AS hops from transit/tier-1 p to the site's
 	// host (1 = adjacent, 2 = via one intermediate, 3 = via tier-1 mesh).
 	// Computed lazily on the first route resolution (or seeded from a
@@ -149,7 +153,17 @@ func NewResolver(g *topology.Graph, sites []Site) (*Resolver, error) {
 			return nil, fmt.Errorf("bgp: site %d has ID %d; IDs must be dense and ordered", i, s.ID)
 		}
 	}
-	r := &Resolver{g: g, sites: sites}
+	r := &Resolver{g: g, sites: sites, hostOf: make([]int, len(sites))}
+	hostNum := make(map[topology.ASN]int)
+	for i, s := range sites {
+		h, ok := hostNum[s.Host]
+		if !ok {
+			h = len(hostNum)
+			hostNum[s.Host] = h
+		}
+		r.hostOf[i] = h
+	}
+	r.numHosts = len(hostNum)
 	for i := range r.cache {
 		r.cache[i].m = make(map[topology.ASN]cachedRoute)
 	}
@@ -381,22 +395,23 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, bool) {
 	best := Route{SiteID: -1}
 	bestKey := 0.0
 	type hostEntry struct {
+		seen   bool
 		peered bool
 		entry  geo.Coord
 		dEntry float64
 	}
-	hostCache := make(map[topology.ASN]hostEntry, 4)
+	hosts := make([]hostEntry, r.numHosts)
 	for _, s := range r.sites {
 		if !r.visible(S, s) {
 			continue
 		}
-		he, ok := hostCache[s.Host]
-		if !ok {
+		he := &hosts[r.hostOf[s.ID]]
+		if !he.seen {
+			he.seen = true
 			he.peered = r.g.Peered(src, s.Host)
 			if he.peered {
 				he.entry, he.dEntry = r.g.AS(s.Host).NearestPresence(S.Loc)
 			}
-			hostCache[s.Host] = he
 		}
 		if !he.peered {
 			continue

@@ -112,15 +112,10 @@ func CoverageCurve(siteLocs []geo.Coord, locs []cdn.Location, radiiKm []float64)
 		return nil
 	}
 	var total float64
+	sites := geo.NewIndex(siteLocs)
 	minDists := make([]float64, len(locs))
 	for i, l := range locs {
-		best := geo.DistanceKm(l.Loc, siteLocs[0])
-		for _, s := range siteLocs[1:] {
-			if d := geo.DistanceKm(l.Loc, s); d < best {
-				best = d
-			}
-		}
-		minDists[i] = best
+		_, minDists[i] = sites.Nearest(l.Loc)
 		total += l.Users
 	}
 	out := make([]stats.Point, len(radiiKm))

@@ -147,17 +147,13 @@ func LatencyInflationAllRoots(c *ditl.Campaign, j *ditl.Join, usable map[string]
 // logs, weighted by location users (Fig 5a).
 func CDNGeoInflation(rows []cdn.ServerLogRow, ring *cdn.Ring) []stats.WeightedValue {
 	out := make([]stats.WeightedValue, 0, len(rows))
+	sites := geo.NewIndex(ring.SiteLocs)
 	for _, r := range rows {
 		if r.Ring != ring.Name {
 			continue
 		}
 		chosen := geo.DistanceKm(r.Location.Loc, ring.SiteLocs[r.FrontEnd])
-		minD := math.Inf(1)
-		for _, loc := range ring.SiteLocs {
-			if d := geo.DistanceKm(r.Location.Loc, loc); d < minD {
-				minD = d
-			}
-		}
+		_, minD := sites.Nearest(r.Location.Loc)
 		gi := geo.GeoRTTMs(chosen - minD)
 		if gi < 0 {
 			gi = 0
@@ -174,18 +170,14 @@ func CDNGeoInflation(rows []cdn.ServerLogRow, ring *cdn.Ring) []stats.WeightedVa
 // that renumber rings — the scenario engine's before/after deltas use it.
 func CDNGeoInflationRoutes(ring *cdn.Ring, locs []cdn.Location) []stats.WeightedValue {
 	out := make([]stats.WeightedValue, 0, len(locs))
+	sites := geo.NewIndex(ring.SiteLocs)
 	for _, l := range locs {
 		rt, ok := ring.Deployment.Route(l.ASN)
 		if !ok {
 			continue
 		}
 		chosen := geo.DistanceKm(l.Loc, ring.SiteLocs[rt.SiteID])
-		minD := math.Inf(1)
-		for _, loc := range ring.SiteLocs {
-			if d := geo.DistanceKm(l.Loc, loc); d < minD {
-				minD = d
-			}
-		}
+		_, minD := sites.Nearest(l.Loc)
 		gi := geo.GeoRTTMs(chosen - minD)
 		if gi < 0 {
 			gi = 0
@@ -199,16 +191,12 @@ func CDNGeoInflationRoutes(ring *cdn.Ring, locs []cdn.Location) []stats.Weighted
 // logs (Fig 5b).
 func CDNLatencyInflation(rows []cdn.ServerLogRow, ring *cdn.Ring) []stats.WeightedValue {
 	out := make([]stats.WeightedValue, 0, len(rows))
+	sites := geo.NewIndex(ring.SiteLocs)
 	for _, r := range rows {
 		if r.Ring != ring.Name {
 			continue
 		}
-		minD := math.Inf(1)
-		for _, loc := range ring.SiteLocs {
-			if d := geo.DistanceKm(r.Location.Loc, loc); d < minD {
-				minD = d
-			}
-		}
+		_, minD := sites.Nearest(r.Location.Loc)
 		li := r.MedianRTTMs - geo.RTTLowerBoundMs(minD)
 		if li < 0 {
 			li = 0

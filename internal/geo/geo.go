@@ -45,8 +45,12 @@ func (c Coord) Valid() bool {
 }
 
 // DistanceKm returns the great-circle distance between a and b in
-// kilometers, computed with the haversine formula.
+// kilometers, computed with the haversine formula. Identical points
+// return 0 without trigonometry, which is what the formula gives for them.
 func DistanceKm(a, b Coord) float64 {
+	if a == b {
+		return 0
+	}
 	const degToRad = math.Pi / 180
 	lat1 := a.Lat * degToRad
 	lat2 := b.Lat * degToRad
@@ -60,18 +64,6 @@ func DistanceKm(a, b Coord) float64 {
 		h = 1
 	}
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
-}
-
-// UnitVec returns c's unit vector on the sphere. Dot products of unit
-// vectors order points by great-circle distance (larger dot = closer)
-// without per-pair trigonometry, so nearest-point scans can precompute
-// vectors once and call DistanceKm only for the winner.
-func UnitVec(c Coord) (x, y, z float64) {
-	const degToRad = math.Pi / 180
-	lat := c.Lat * degToRad
-	lon := c.Lon * degToRad
-	cosLat := math.Cos(lat)
-	return cosLat * math.Cos(lon), cosLat * math.Sin(lon), math.Sin(lat)
 }
 
 // RTTLowerBoundMs returns the minimum credible round-trip time in
@@ -92,24 +84,6 @@ func GeoRTTMs(distKm float64) float64 {
 // distance correspond to a given round-trip milliseconds value.
 func KmForGeoRTTMs(ms float64) float64 {
 	return ms * FiberKmPerMs / 2
-}
-
-// Midpoint returns the spherical midpoint of a and b. It is used to place
-// aggregate locations (e.g. the mean location of users in a region).
-func Midpoint(a, b Coord) Coord {
-	const degToRad = math.Pi / 180
-	const radToDeg = 180 / math.Pi
-	lat1 := a.Lat * degToRad
-	lon1 := a.Lon * degToRad
-	lat2 := b.Lat * degToRad
-	dLon := (b.Lon - a.Lon) * degToRad
-
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return Coord{Lat: lat * radToDeg, Lon: normalizeLon(lon * radToDeg)}
 }
 
 func normalizeLon(lon float64) float64 {

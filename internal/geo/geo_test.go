@@ -96,26 +96,6 @@ func TestLatencyConversions(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	m := Midpoint(Coord{0, 0}, Coord{0, 90})
-	if math.Abs(m.Lat) > 1e-6 || math.Abs(m.Lon-45) > 1e-6 {
-		t.Errorf("Midpoint equator = %v, want (0, 45)", m)
-	}
-	// Midpoint should be equidistant to both endpoints.
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 200; i++ {
-		a, b := randCoord(rng), randCoord(rng)
-		if DistanceKm(a, b) > 15000 {
-			continue // skip near-antipodal where midpoints are unstable
-		}
-		m := Midpoint(a, b)
-		da, db := DistanceKm(m, a), DistanceKm(m, b)
-		if math.Abs(da-db) > 1 {
-			t.Fatalf("midpoint of %v,%v not equidistant: %f vs %f", a, b, da, db)
-		}
-	}
-}
-
 func TestJitterStaysInBoundsAndNear(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
@@ -185,19 +165,6 @@ func TestGenerateRegionsSmallCounts(t *testing.T) {
 	regions := GenerateRegions(map[Continent]int{Europe: 3, Asia: 1}, rng)
 	if len(regions) != 4 {
 		t.Fatalf("len = %d, want 4", len(regions))
-	}
-}
-
-func TestNearestRegion(t *testing.T) {
-	regions := []Region{
-		{ID: 0, Name: "a", Center: Coord{0, 0}},
-		{ID: 1, Name: "b", Center: Coord{50, 50}},
-	}
-	if got := NearestRegion(regions, Coord{49, 49}); got != 1 {
-		t.Errorf("NearestRegion = %d, want 1", got)
-	}
-	if got := NearestRegion(nil, Coord{0, 0}); got != -1 {
-		t.Errorf("NearestRegion(nil) = %d, want -1", got)
 	}
 }
 

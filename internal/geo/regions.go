@@ -259,16 +259,3 @@ func allocateProportionally(n int, local []anchor, totalW float64) []int {
 	}
 	return alloc
 }
-
-// NearestRegion returns the index in regions of the region whose center is
-// closest to c, or -1 if regions is empty.
-func NearestRegion(regions []Region, c Coord) int {
-	best, bestD := -1, 0.0
-	for i, r := range regions {
-		d := DistanceKm(c, r.Center)
-		if best == -1 || d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}

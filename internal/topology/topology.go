@@ -78,29 +78,11 @@ type AS struct {
 	// (eyeballs only; 0 elsewhere). Sums to 1 over all eyeballs.
 	UserWeight float64
 
-	// pidx caches the presence points' unit vectors for NearestPresence.
-	// Built lazily (racing builders store identical values, so the atomic
-	// swap is safe); InvalidatePresence must be called after mutating
-	// Presence.
-	pidx atomic.Pointer[presenceIndex]
-}
-
-// presenceIndex is the unit-vector form of AS.Presence, in the same order.
-type presenceIndex struct {
-	x, y, z []float64
-}
-
-func (a *AS) presenceIndex() *presenceIndex {
-	if idx := a.pidx.Load(); idx != nil {
-		return idx
-	}
-	n := len(a.Presence)
-	idx := &presenceIndex{x: make([]float64, n), y: make([]float64, n), z: make([]float64, n)}
-	for i, p := range a.Presence {
-		idx.x[i], idx.y[i], idx.z[i] = geo.UnitVec(p)
-	}
-	a.pidx.Store(idx)
-	return idx
+	// pidx caches the nearest-point index over Presence for
+	// NearestPresence. Built lazily (racing builders store identical
+	// values, so the atomic swap is safe); InvalidatePresence must be
+	// called after mutating Presence.
+	pidx atomic.Pointer[geo.Index]
 }
 
 // InvalidatePresence drops the cached presence index; callers that mutate
@@ -109,24 +91,20 @@ func (a *AS) presenceIndex() *presenceIndex {
 func (a *AS) InvalidatePresence() { a.pidx.Store(nil) }
 
 // NearestPresence returns the AS presence point closest to c and its
-// distance in km. The scan compares precomputed unit-vector dot products
-// (monotone in great-circle distance, first-wins on ties like the direct
-// haversine scan) and prices only the winning point, which keeps this hot
-// path — every BGP route resolution calls it per candidate AS — free of
-// per-point trigonometry.
+// distance in km, first-wins on ties (geo.Index). Every BGP route
+// resolution calls it per candidate AS. Single-presence ASes, most of the
+// graph, skip building an index.
 func (a *AS) NearestPresence(c geo.Coord) (geo.Coord, float64) {
 	if len(a.Presence) == 1 {
 		return a.Presence[0], geo.DistanceKm(c, a.Presence[0])
 	}
-	idx := a.presenceIndex()
-	cx, cy, cz := geo.UnitVec(c)
-	best, bestDot := 0, idx.x[0]*cx+idx.y[0]*cy+idx.z[0]*cz
-	for i := 1; i < len(a.Presence); i++ {
-		if dot := idx.x[i]*cx + idx.y[i]*cy + idx.z[i]*cz; dot > bestDot {
-			best, bestDot = i, dot
-		}
+	idx := a.pidx.Load()
+	if idx == nil {
+		idx = geo.NewIndex(a.Presence)
+		a.pidx.Store(idx)
 	}
-	return a.Presence[best], geo.DistanceKm(c, a.Presence[best])
+	i, d := idx.Nearest(c)
+	return a.Presence[i], d
 }
 
 // Config controls graph generation.
@@ -197,11 +175,9 @@ type Graph struct {
 	nextASN  ASN
 	rng      *rand.Rand
 
-	// ridx caches region-center unit vectors for AddHostAS's home-region
-	// scan. Regions never change after construction, so the index is built
-	// once, lazily (racing builders store identical values); Clone starts
-	// with a fresh zero field and rebuilds on first use.
-	ridx atomic.Pointer[presenceIndex]
+	// regionIdx indexes the region centers for AddHostAS's home-region
+	// lookup. Regions never change after New, so clones share it.
+	regionIdx *geo.Index
 }
 
 // New generates the hierarchy: tier-1 clique, regional transits (each a
@@ -220,6 +196,11 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 		nextASN:  100,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
+	centers := make([]geo.Coord, len(regions))
+	for i, r := range regions {
+		centers[i] = r.Center
+	}
+	g.regionIdx = geo.NewIndex(centers)
 
 	anchorList := geo.Anchors()
 
@@ -472,37 +453,11 @@ func (g *Graph) All() []ASN { return g.order }
 // Len returns the number of ASes.
 func (g *Graph) Len() int { return len(g.order) }
 
-// nearestRegion is geo.NearestRegion over g.Regions, sharing the
-// dot-product scan NearestPresence uses: region-center unit vectors are
-// cached for the graph's lifetime, so each lookup costs one UnitVec plus
-// n multiply-adds instead of n haversines. Same first-wins ordering.
-func (g *Graph) nearestRegion(c geo.Coord) int {
-	if len(g.Regions) == 0 {
-		return -1
-	}
-	idx := g.ridx.Load()
-	if idx == nil {
-		n := len(g.Regions)
-		idx = &presenceIndex{x: make([]float64, n), y: make([]float64, n), z: make([]float64, n)}
-		for i, r := range g.Regions {
-			idx.x[i], idx.y[i], idx.z[i] = geo.UnitVec(r.Center)
-		}
-		g.ridx.Store(idx)
-	}
-	cx, cy, cz := geo.UnitVec(c)
-	best, bestDot := 0, idx.x[0]*cx+idx.y[0]*cy+idx.z[0]*cz
-	for i := 1; i < len(g.Regions); i++ {
-		if dot := idx.x[i]*cx + idx.y[i]*cy + idx.z[i]*cz; dot > bestDot {
-			best, bestDot = i, dot
-		}
-	}
-	return best
-}
-
-// AddHostAS creates a host AS at loc (home region inferred) with the given
-// upstream providers and peering richness, registering it in the graph.
+// AddHostAS creates a host AS at loc (home region: the nearest region
+// center) with the given upstream providers and peering richness,
+// registering it in the graph.
 func (g *Graph) AddHostAS(name string, loc geo.Coord, providers []ASN, richness float64) *AS {
-	ri := g.nearestRegion(loc)
+	ri, _ := g.regionIdx.Nearest(loc)
 	as := &AS{
 		ASN:             g.allocASN(),
 		Class:           ClassHost,
@@ -554,15 +509,16 @@ func (g *Graph) AddCDNAS(name string, pops []geo.Coord) *AS {
 // randomness, and New is never re-run on a clone.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		Regions:  g.Regions,
-		byASN:    make(map[ASN]*AS, len(g.byASN)),
-		order:    append([]ASN(nil), g.order...),
-		tier1s:   append([]ASN(nil), g.tier1s...),
-		transits: append([]ASN(nil), g.transits...),
-		eyeballs: append([]ASN(nil), g.eyeballs...),
-		peers:    make(map[[2]ASN]bool, len(g.peers)),
-		peerSalt: g.peerSalt,
-		nextASN:  g.nextASN,
+		Regions:   g.Regions,
+		byASN:     make(map[ASN]*AS, len(g.byASN)),
+		order:     append([]ASN(nil), g.order...),
+		tier1s:    append([]ASN(nil), g.tier1s...),
+		transits:  append([]ASN(nil), g.transits...),
+		eyeballs:  append([]ASN(nil), g.eyeballs...),
+		peers:     make(map[[2]ASN]bool, len(g.peers)),
+		peerSalt:  g.peerSalt,
+		nextASN:   g.nextASN,
+		regionIdx: g.regionIdx,
 	}
 	for k, v := range g.peers {
 		c.peers[k] = v
@@ -618,11 +574,15 @@ func (g *Graph) Peered(a, b ASN) bool {
 	if A.Class == ClassTier1 || B.Class == ClassTier1 {
 		return false
 	}
-	p := g.implicitPeerProb(A, B)
-	if p <= 0 {
+	// implicitPeerProb only scales the richness product by a co-presence
+	// factor ≤ 1, and an IEEE product with such a factor never exceeds the
+	// value it scales, so a deviate at or above the product cannot peer:
+	// skip the co-presence lookup.
+	u := g.PairUnit(a, b)
+	if u >= A.PeeringRichness*B.PeeringRichness {
 		return false
 	}
-	return g.PairUnit(a, b) < p
+	return u < g.implicitPeerProb(A, B)
 }
 
 // implicitPeerProb returns the probability that A and B peer.

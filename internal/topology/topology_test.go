@@ -187,6 +187,66 @@ func TestPeeredSymmetricAndIrreflexive(t *testing.T) {
 	}
 }
 
+// refPeered is Peered before its PairUnit short-circuit: the co-presence
+// probability first, then the pair's deviate.
+func refPeered(g *Graph, a, b ASN) bool {
+	if a == b {
+		return false
+	}
+	if g.HasExplicitPeering(a, b) {
+		return true
+	}
+	A, B := g.AS(a), g.AS(b)
+	if A == nil || B == nil || A.Class == ClassTier1 || B.Class == ClassTier1 {
+		return false
+	}
+	p := A.PeeringRichness * B.PeeringRichness
+	_, d := B.NearestPresence(A.Loc)
+	if A.Class != ClassEyeball && B.Class == ClassEyeball {
+		_, d = A.NearestPresence(B.Loc)
+	}
+	switch {
+	case d < 500:
+	case d < 1500:
+		p *= 0.6
+	case d < 3000:
+		p *= 0.25
+	default:
+		p *= 0.02
+	}
+	if p <= 0 {
+		return false
+	}
+	return g.PairUnit(a, b) < p
+}
+
+func TestPeeredMatchesReferenceFormula(t *testing.T) {
+	g, err := New(smallConfig(), testRegions(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.AddHostAS("host", geo.Coord{Lat: 48.86, Lon: 2.35}, []ASN{g.Transits()[0]}, 0.9)
+	g.AddHostAS("host-zero", geo.Coord{Lat: -33.9, Lon: 151.2}, []ASN{g.Transits()[1]}, 0)
+	cdn := g.AddCDNAS("cdn", []geo.Coord{{Lat: 40.71, Lon: -74.01}, {Lat: 51.51, Lon: -0.13}, {Lat: 35.68, Lon: 139.69}})
+	g.Peer(g.Eyeballs()[0], cdn.ASN)
+	peered := 0
+	all := g.All()
+	for _, a := range all {
+		for _, b := range all {
+			got, want := g.Peered(a, b), refPeered(g, a, b)
+			if got != want {
+				t.Fatalf("Peered(%d, %d) = %v, reference %v", a, b, got, want)
+			}
+			if got {
+				peered++
+			}
+		}
+	}
+	if peered == 0 {
+		t.Fatal("no pair peered; the comparison is vacuous")
+	}
+}
+
 func TestAddHostAS(t *testing.T) {
 	g, err := New(smallConfig(), testRegions(t))
 	if err != nil {
