@@ -113,6 +113,7 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 	cdnDirty := map[topology.ASN]bool{}
 	cdnPeer := false
 	surge := 0.0
+	surged := false
 
 	for mi, m := range spec.Mutations {
 		switch m.Kind {
@@ -205,6 +206,11 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 			if li < 0 || lj < 0 || li == lj {
 				return nil, fmt.Errorf("scenario %s: swap_letters: bad pair %q/%q", spec.Name, m.Target, m.With)
 			}
+			for _, l := range []int{li, lj} {
+				if letter(l).swapWith >= 0 {
+					return nil, fmt.Errorf("scenario %s: letter %s swapped twice", spec.Name, base.Letters()[l].Name)
+				}
+			}
 			letter(li).swapWith = lj
 			letter(lj).swapWith = li
 
@@ -212,6 +218,10 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 			if !(m.Factor > 0) {
 				return nil, fmt.Errorf("scenario %s: traffic_surge: factor %g must be > 0", spec.Name, m.Factor)
 			}
+			if surged {
+				return nil, fmt.Errorf("scenario %s: traffic_surge given twice", spec.Name)
+			}
+			surged = true
 			if m.Factor != 1 {
 				surge = m.Factor
 			}

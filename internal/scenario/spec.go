@@ -16,11 +16,12 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
-	"strings"
 )
 
 // Kind names one mutation type.
@@ -102,13 +103,18 @@ type Spec struct {
 }
 
 // Parse decodes a JSON spec, rejecting unknown fields so a typo'd key
-// fails loudly instead of silently evaluating the base world.
+// fails loudly instead of silently evaluating the base world, and
+// rejecting anything after the spec object so a file holding two specs
+// is not silently evaluated as its first.
 func Parse(data []byte) (Spec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("scenario: parsing spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("scenario: parsing spec: trailing data after the spec object")
 	}
 	if s.Name == "" {
 		return Spec{}, fmt.Errorf("scenario: spec has no name")
