@@ -29,31 +29,31 @@ func init() {
 	register(Experiment{
 		ID:         "abl-size",
 		Title:      "Ablation: deployment size sweep",
-		PaperClaim: "larger deployments: lower latency, lower efficiency (§7.2)",
+		PaperClaim: "bigger: lower latency, lower efficiency",
 		Run:        runAblSize,
 	})
 	register(Experiment{
 		ID:         "abl-peering",
 		Title:      "Ablation: CDN peering breadth sweep",
-		PaperClaim: "peering investment is what keeps CDN inflation low (§7.1)",
+		PaperClaim: "wide peering drives direct paths and low inflation",
 		Run:        runAblPeering,
 	})
 	register(Experiment{
 		ID:         "abl-routing",
-		Title:      "Ablation: BGP vs optimal vs unicast baselines",
-		PaperClaim: "BGP leaves latency on the table, but anycast still beats the best single site",
+		Title:      "Ablation: BGP vs optimal vs unicast",
+		PaperClaim: "anycast beats unicast even with BGP's inefficiency",
 		Run:        runAblRouting,
 	})
 	register(Experiment{
 		ID:         "abl-tau",
-		Title:      "Ablation: recursive letter-preference strength",
-		PaperClaim: "preferential querying is why All-Roots per-query inflation beats per-letter inflation (§3)",
+		Title:      "Ablation: recursive letter preference",
+		PaperClaim: "preferential querying suppresses per-query inflation",
 		Run:        runAblTau,
 	})
 	register(Experiment{
 		ID:         "abl-localroot",
-		Title:      "Ablation: RFC 8806 local root vs normal resolution",
-		PaperClaim: "serving the root locally reaches the paper's Ideal querying behavior (§4.1)",
+		Title:      "Ablation: RFC 8806 local root",
+		PaperClaim: "local root reaches the Ideal line: user-visible root queries vanish",
 		Needs:      []stage.ID{stage.Zone},
 		Run:        runAblLocalRoot,
 	})
@@ -119,9 +119,6 @@ func runAblSize(ctx context.Context, w *World, _ int64) (Result, error) {
 		last = point{n, rc.ActualMedianMs, rc.AtOptimalShare}
 	}
 	return Result{
-		ID:         "abl-size",
-		Title:      "Ablation: deployment size sweep",
-		PaperClaim: "bigger: lower latency, lower efficiency",
 		Measured: fmt.Sprintf("%d→%d sites: median RTT %.0f→%.0f ms, at-closest %.0f%%→%.0f%%",
 			first.n, last.n, first.med, last.med, 100*first.eff, 100*last.eff),
 		Output: t.Render(),
@@ -184,9 +181,6 @@ func runAblPeering(ctx context.Context, w *World, _ int64) (Result, error) {
 		hi = point{direct / total, eff}
 	}
 	return Result{
-		ID:         "abl-peering",
-		Title:      "Ablation: CDN peering breadth sweep",
-		PaperClaim: "wide peering drives direct paths and low inflation",
 		Measured: fmt.Sprintf("direct paths %.0f%%→%.0f%%, zero-inflation %.0f%%→%.0f%% as peering grows",
 			100*lo.direct, 100*hi.direct, 100*lo.eff, 100*hi.eff),
 		Output: t.Render(),
@@ -227,11 +221,8 @@ func runAblRouting(ctx context.Context, w *World, _ int64) (Result, error) {
 		}
 	}
 	return Result{
-		ID:         "abl-routing",
-		Title:      "Ablation: BGP vs optimal vs unicast",
-		PaperClaim: "anycast beats unicast even with BGP's inefficiency",
-		Measured:   headline,
-		Output:     t.Render(),
+		Measured: headline,
+		Output:   t.Render(),
 	}, nil
 }
 
@@ -280,9 +271,6 @@ func runAblTau(ctx context.Context, w *World, _ int64) (Result, error) {
 		flat = cdf.Median()
 	}
 	return Result{
-		ID:         "abl-tau",
-		Title:      "Ablation: recursive letter preference",
-		PaperClaim: "preferential querying suppresses per-query inflation",
 		Measured: fmt.Sprintf("All-Roots median inflation %.1f ms with sharp preference vs %.1f ms with none",
 			sharp, flat),
 		Output: t.Render(),
@@ -323,9 +311,6 @@ func runAblLocalRoot(ctx context.Context, w *World, seed int64) (Result, error) 
 	t.AddRow("redundant root queries", fmt.Sprintf("%d", normal.RootQueriesRedundant),
 		fmt.Sprintf("%d", local.RootQueriesRedundant))
 	return Result{
-		ID:         "abl-localroot",
-		Title:      "Ablation: RFC 8806 local root",
-		PaperClaim: "local root reaches the Ideal line: user-visible root queries vanish",
 		Measured: fmt.Sprintf("root queries %d → %d; zone refreshes %d",
 			normal.RootQueries(), local.RootQueries(), local.ZoneRefreshes),
 		Output: t.Render(),

@@ -10,11 +10,12 @@
 //
 //	w, err := anycastctx.BuildWorld(anycastctx.Config{Seed: 1})
 //	...
-//	res, err := anycastctx.RunExperiment(w, "fig2a")
+//	res, err := anycastctx.RunExperimentCtx(context.Background(), w, "fig2a")
 //	fmt.Println(res.Output)
 //
 // Every experiment in the paper's evaluation (Figures 1–14, Tables 1–5,
-// and the appendix studies) has an entry in Experiments().
+// and the appendix studies) has an entry in Experiments(); RunAllCtx runs
+// them all.
 package anycastctx
 
 import (
@@ -50,13 +51,6 @@ func NewWorld(cfg Config) (*World, error) {
 // configurations produce byte-identical worlds.
 func BuildWorld(cfg Config) (*World, error) {
 	return world.Build(context.Background(), cfg)
-}
-
-// BuildWorldCtx is BuildWorld with the caller's span context: when tracing
-// is enabled the "world.build" phase tree is parented under the caller's
-// span. The built world is byte-identical to BuildWorld's.
-func BuildWorldCtx(ctx context.Context, cfg Config) (*World, error) {
-	return world.Build(ctx, cfg)
 }
 
 // TestScaleConfig returns a configuration small enough for fast tests and

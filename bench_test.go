@@ -60,7 +60,7 @@ func benchExperiment(b *testing.B, id string) {
 	var res Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = RunExperiment(w, id)
+		res, err = RunExperimentCtx(context.Background(), w, id)
 		if err != nil {
 			b.Fatal(err)
 		}

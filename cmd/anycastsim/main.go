@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -151,7 +152,7 @@ func dumpDatasets(w *anycastctx.World, dir string) error {
 	}
 
 	// CDN server-side logs.
-	logs := w.CDN().ServerSideLogs(w.Locations(), w.Cfg.Seed*13)
+	logs := w.CDN().ServerSideLogsCtx(context.Background(), w.Locations(), w.Cfg.Seed*13)
 	var lg []byte
 	lg = append(lg, "ring,asn,region,front_end,path_len,direct,median_rtt_ms,users\n"...)
 	for _, r := range logs {

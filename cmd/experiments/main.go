@@ -225,12 +225,7 @@ func main() {
 	var results []anycastctx.Result
 	var runErr error
 	if *run == "all" {
-		workers := resolveWorkers(*jobs)
-		if workers > 1 {
-			results, runErr = anycastctx.RunAllParallelCtx(ctx, w, workers)
-		} else {
-			results, runErr = anycastctx.RunAllCtx(ctx, w)
-		}
+		results, runErr = anycastctx.RunAllCtx(ctx, w, resolveWorkers(*jobs))
 	} else {
 		var res anycastctx.Result
 		res, runErr = anycastctx.RunExperimentCtx(ctx, w, *run)

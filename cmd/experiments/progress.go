@@ -33,7 +33,7 @@ type progressSnapshot struct {
 }
 
 // progressTracker aggregates ProgressEvents into the /progress resource.
-// It only observes the run (RunAllParallel workers call the hook
+// It only observes the run (parallel RunAllCtx workers call the hook
 // concurrently), so serving it can never change experiment output.
 type progressTracker struct {
 	mu      sync.Mutex

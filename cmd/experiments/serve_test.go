@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -60,7 +61,7 @@ func TestServedRunIsByteIdentical(t *testing.T) {
 		}
 		out := make(map[string]anycastctx.Result, 2)
 		for _, id := range []string{"fig2a", "tab4"} {
-			res, err := anycastctx.RunExperiment(w, id)
+			res, err := anycastctx.RunExperimentCtx(context.Background(), w, id)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,8 +21,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	logs := w.CDN().ServerSideLogs(w.Locations(), 99)
-	client := w.CDN().ClientMeasurements(w.Locations(), 99)
+	ctx := context.Background()
+	logs := w.CDN().ServerSideLogsCtx(ctx, w.Locations(), 99)
+	client := w.CDN().ClientMeasurementsCtx(ctx, w.Locations(), 99)
 
 	fmt.Println("per-ring latency and inflation (user-weighted):")
 	fmt.Printf("  %-6s %6s %14s %16s %12s %12s\n",

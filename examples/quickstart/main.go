@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,9 @@ func main() {
 
 	// Root DNS: geographic inflation per query, averaged over each
 	// recursive's letter preference (Fig 2a's All Roots line).
-	rootObs := core.GeoInflationAllRoots(w.Campaign(), w.Join())
+	ctx := context.Background()
+	join := w.JoinCtx(ctx)
+	rootObs := core.GeoInflationAllRoots(w.Campaign(), join)
 	rootCDF, err := stats.NewCDF(rootObs)
 	if err != nil {
 		log.Fatal(err)
@@ -35,7 +38,7 @@ func main() {
 	fmt.Printf("  users above 20 ms:           %5.1f%%\n\n", 100*rootCDF.FractionAbove(20))
 
 	// CDN: the same methodology over the largest ring's server-side logs.
-	logs := w.CDN().ServerSideLogs(w.Locations(), w.Cfg.Seed)
+	logs := w.CDN().ServerSideLogsCtx(ctx, w.Locations(), w.Cfg.Seed)
 	r110 := w.CDN().Rings[len(w.CDN().Rings)-1]
 	cdnObs := core.CDNGeoInflation(logs, r110)
 	cdnCDF, err := stats.NewCDF(cdnObs)
@@ -49,7 +52,7 @@ func main() {
 
 	// ...but context matters: how often does each system's latency reach
 	// a user? (queries/day for roots vs ~10 RTTs per page load for CDN)
-	q, err := stats.NewCDF(core.QueriesPerUserCDN(w.Campaign(), w.Join(), core.ValidOnly))
+	q, err := stats.NewCDF(core.QueriesPerUserCDN(w.Campaign(), join, core.ValidOnly))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	j := w.Join()
+	j := w.JoinCtx(context.Background())
 
 	fmt.Println("per-letter geographic inflation (Eq. 1), user-weighted:")
 	fmt.Printf("  %-8s %6s %12s %12s %12s\n", "letter", "sites", "zero-infl", "median(ms)", ">20ms")

@@ -26,77 +26,77 @@ func init() {
 	register(Experiment{
 		ID:         "fig1",
 		Title:      "Fig 1: CDN rings and user populations",
-		PaperClaim: "front-ends concentrate where users concentrate",
+		PaperClaim: "front-ends deployed at user concentrations",
 		Needs:      []stage.ID{stage.CDN, stage.Locations, stage.Regions},
 		Run:        runFig1,
 	})
 	register(Experiment{
 		ID:         "fig4a",
-		Title:      "Fig 4a: CDN latency per page load per ring (Atlas)",
-		PaperClaim: "R28 vs R110 median gap ~100 ms/page; rings group as {R28,R47} vs {R74,R95,R110}",
+		Title:      "Fig 4a: CDN latency per page load (Atlas probes)",
+		PaperClaim: "R28-R110 median gap ~100 ms per page load",
 		Needs:      []stage.ID{stage.Atlas, stage.CDN},
 		Run:        runFig4a,
 	})
 	register(Experiment{
 		ID:         "fig4b",
-		Title:      "Fig 4b: latency change between consecutive rings",
-		PaperClaim: "larger rings almost never hurt: 90% of locations regress <= a few ms, 99% <10 ms per RTT",
+		Title:      "Fig 4b: latency change per page load between rings",
+		PaperClaim: "90% of locations regress <= a few ms per RTT, 99% <10 ms",
 		Needs:      []stage.ID{stage.CDN, stage.ClientRows},
 		Run:        runFig4b,
 	})
 	register(Experiment{
 		ID:         "fig5a",
 		Title:      "Fig 5a: CDN geographic inflation per RTT",
-		PaperClaim: "most users zero inflation; 85% <10 ms; far better than the roots' 97%-inflated",
+		PaperClaim: "85% of CDN users <10 ms; 97% of root users see some inflation",
 		Needs:      []stage.ID{stage.CDN, stage.Campaign, stage.Join, stage.ServerLogs},
 		Run:        runFig5a,
 	})
 	register(Experiment{
 		ID:         "fig5b",
 		Title:      "Fig 5b: CDN latency inflation per RTT",
-		PaperClaim: "<30 ms for 70% and <60 ms for 90% of users; 99% <100 ms; All-Roots per-query is comparable",
+		PaperClaim: "70% of users <30 ms, 90% <60 ms, 99% <100 ms; All-Roots per-query comparable",
 		Needs:      []stage.ID{stage.CDN, stage.Campaign, stage.Join, stage.ServerLogs},
 		Run:        runFig5b,
 	})
 	register(Experiment{
 		ID:         "fig6a",
-		Title:      "Fig 6a: AS path length distributions",
-		PaperClaim: "69% of CDN paths are 2 ASes; letters span 5-44%",
+		Title:      "Fig 6a: AS path lengths to CDN vs roots",
+		PaperClaim: "69% of CDN paths 2-AS; letters 5-44%",
 		Needs:      []stage.ID{stage.Atlas, stage.CDN, stage.Letters},
 		Run:        runFig6a,
 	})
 	register(Experiment{
 		ID:         "fig6b",
-		Title:      "Fig 6b: geographic inflation vs AS path length",
-		PaperClaim: "shorter AS paths are less inflated",
+		Title:      "Fig 6b: inflation vs AS path length",
+		PaperClaim: "paths traversing fewer ASes are less inflated",
 		Needs:      []stage.ID{stage.Atlas, stage.CDN, stage.Letters},
 		Run:        runFig6b,
 	})
 	register(Experiment{
 		ID:         "fig7a",
-		Title:      "Fig 7a: median latency and efficiency vs deployment size",
-		PaperClaim: "bigger deployments: lower latency, lower efficiency; F bucks the efficiency trend",
+		Title:      "Fig 7a: latency and efficiency vs deployment size",
+		PaperClaim: "larger deployments have lower latency but lower efficiency",
 		Needs:      []stage.ID{stage.Atlas, stage.CDN, stage.Campaign, stage.Join, stage.Letters, stage.ServerLogs},
 		Run:        runFig7a,
 	})
 	register(Experiment{
 		ID:         "fig7b",
-		Title:      "Fig 7b: coverage radius of sites",
-		PaperClaim: "All-Roots covers 91% of users within 500 km; large letters rival R110",
+		Title:      "Fig 7b: coverage radius",
+		PaperClaim: "All Roots: 91% of users within 500 km",
 		Needs:      []stage.ID{stage.CDN, stage.Letters, stage.Locations},
 		Run:        runFig7b,
 	})
 	register(Experiment{
 		ID:         "fig14",
-		Title:      "Fig 14: relative latency to R110 by region",
-		PaperClaim: "latency falls with proximity to a front-end",
+		Title:      "Fig 14: relative latency map for R110",
+		PaperClaim: "latency falls near front-ends; front-ends sit near large populations",
 		Needs:      []stage.ID{stage.CDN, stage.ClientRows, stage.Regions},
 		Run:        runFig14,
 	})
 	register(Experiment{
 		ID:         "appc",
 		Title:      "Appendix C: RTTs per page load",
-		PaperClaim: "few loads fit in 10 RTTs; ~90% fit in 20; 10 is a sound lower bound",
+		PaperClaim: "few loads within 10 RTTs, ~90% within 20; 10 RTTs is the lower bound",
 		Run:        runAppC,
 	})
 }
@@ -142,11 +142,8 @@ func runFig1(ctx context.Context, w *World, seed int64) (Result, error) {
 	big := w.CDN().Rings[len(w.CDN().Rings)-1]
 	curve := core.CoverageCurve(big.SiteLocs, w.Locations(), []float64{500})
 	return Result{
-		ID:         "fig1",
-		Title:      "Fig 1: CDN rings and user populations",
-		PaperClaim: "front-ends deployed at user concentrations",
-		Measured:   fmt.Sprintf("largest ring covers %.1f%% of users within 500 km", 100*curve[0].P),
-		Output:     t.Render() + "\n" + cont.Render(),
+		Measured: fmt.Sprintf("largest ring covers %.1f%% of users within 500 km", 100*curve[0].P),
+		Output:   t.Render() + "\n" + cont.Render(),
 	}, nil
 }
 
@@ -170,9 +167,6 @@ func runFig4a(ctx context.Context, w *World, seed int64) (Result, error) {
 		medians[ring.Name] = cdf.Median()
 	}
 	return Result{
-		ID:         "fig4a",
-		Title:      "Fig 4a: CDN latency per page load (Atlas probes)",
-		PaperClaim: "R28-R110 median gap ~100 ms per page load",
 		Measured: fmt.Sprintf("medians per page load: R28 %.0f ms vs R110 %.0f ms (gap %.0f ms)",
 			medians["R28"], medians["R110"], medians["R28"]-medians["R110"]),
 		Output: report.RenderCDFs("Fig 4a: CDF of probes vs per-page-load latency (ms)",
@@ -215,9 +209,6 @@ func runFig4b(ctx context.Context, w *World, seed int64) (Result, error) {
 		return Result{}, err
 	}
 	return Result{
-		ID:         "fig4b",
-		Title:      "Fig 4b: latency change per page load between rings",
-		PaperClaim: "90% of locations regress <= a few ms per RTT, 99% <10 ms",
 		Measured: fmt.Sprintf("per-RTT regression: p90 %.1f ms, p99 %.1f ms",
 			allCDF.Quantile(0.90), allCDF.Quantile(0.99)),
 		Output: report.RenderCDFs("Fig 4b: CDF of locations vs latency change per page load (ms; smaller-bigger)",
@@ -257,9 +248,6 @@ func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
 	}
 	series = append(series, report.Series{Name: "RootDNS", CDF: rootCDF})
 	return Result{
-		ID:         "fig5a",
-		Title:      "Fig 5a: CDN geographic inflation per RTT",
-		PaperClaim: "85% of CDN users <10 ms; 97% of root users see some inflation",
 		Measured: fmt.Sprintf("R110: %.1f%% of users at zero inflation; roots: %.1f%%",
 			100*r110Eff, 100*core.Efficiency(rootObs, 1)),
 		Output: report.RenderCDFs("Fig 5a: CDF of users vs geographic inflation per RTT (ms)",
@@ -290,9 +278,6 @@ func runFig5b(ctx context.Context, w *World, seed int64) (Result, error) {
 	}
 	series = append(series, report.Series{Name: "RootDNS", CDF: rootCDF})
 	return Result{
-		ID:         "fig5b",
-		Title:      "Fig 5b: CDN latency inflation per RTT",
-		PaperClaim: "70% of users <30 ms, 90% <60 ms, 99% <100 ms; All-Roots per-query comparable",
 		Measured: fmt.Sprintf("R110: %.0f%% <30 ms, %.0f%% <60 ms, %.0f%% <100 ms; roots <100 ms: %.0f%%",
 			100*r110.P(30), 100*r110.P(60), 100*r110.P(100), 100*rootCDF.P(100)),
 		Output: report.RenderCDFs("Fig 5b: CDF of users vs latency inflation per RTT (ms)",
@@ -376,9 +361,6 @@ func runFig6a(ctx context.Context, w *World, seed int64) (Result, error) {
 		}
 	}
 	return Result{
-		ID:         "fig6a",
-		Title:      "Fig 6a: AS path lengths to CDN vs roots",
-		PaperClaim: "69% of CDN paths 2-AS; letters 5-44%",
 		Measured: fmt.Sprintf("CDN 2-AS share %.0f%%; letters span %.0f%%-%.0f%%",
 			100*cdnDist[2], 100*minL, 100*maxL),
 		Output: t.Render(),
@@ -443,11 +425,8 @@ func runFig6b(ctx context.Context, w *World, seed int64) (Result, error) {
 	t.AddRow("All Roots", med(rootAgg[2]), med(rootAgg[3]), med(rootAgg[4]))
 	m2, m4 := stats.Median(rootAgg[2]), stats.Median(rootAgg[4])
 	return Result{
-		ID:         "fig6b",
-		Title:      "Fig 6b: inflation vs AS path length",
-		PaperClaim: "paths traversing fewer ASes are less inflated",
-		Measured:   fmt.Sprintf("root median inflation: %.1f ms at 2 ASes vs %.1f ms at 4+ ASes", m2, m4),
-		Output:     t.Render(),
+		Measured: fmt.Sprintf("root median inflation: %.1f ms at 2 ASes vs %.1f ms at 4+ ASes", m2, m4),
+		Output:   t.Render(),
 	}, nil
 }
 
@@ -497,9 +476,6 @@ func runFig7a(ctx context.Context, w *World, seed int64) (Result, error) {
 	}
 	small, large := rows[0], rows[len(rows)-1]
 	return Result{
-		ID:         "fig7a",
-		Title:      "Fig 7a: latency and efficiency vs deployment size",
-		PaperClaim: "larger deployments have lower latency but lower efficiency",
 		Measured: fmt.Sprintf("%s(%d sites): %.0f ms / %.0f%% eff vs %s(%d): %.0f ms / %.0f%% eff",
 			small.name, small.n, small.med, 100*small.eff, large.name, large.n, large.med, 100*large.eff),
 		Output: t.Render(),
@@ -535,11 +511,8 @@ func runFig7b(ctx context.Context, w *World, seed int64) (Result, error) {
 		}
 	}
 	return Result{
-		ID:         "fig7b",
-		Title:      "Fig 7b: coverage radius",
-		PaperClaim: "All Roots: 91% of users within 500 km",
-		Measured:   fmt.Sprintf("All Roots covers %.0f%% of users within 500 km", 100*allCurve[1].P),
-		Output:     t.Render(),
+		Measured: fmt.Sprintf("All Roots covers %.0f%% of users within 500 km", 100*allCurve[1].P),
+		Output:   t.Render(),
 	}, nil
 }
 
@@ -607,9 +580,6 @@ func runFig14(ctx context.Context, w *World, seed int64) (Result, error) {
 		}
 	}
 	return Result{
-		ID:         "fig14",
-		Title:      "Fig 14: relative latency map for R110",
-		PaperClaim: "latency falls near front-ends; front-ends sit near large populations",
 		Measured: fmt.Sprintf("mean relative latency %.2f near front-ends (<500 km) vs %.2f far",
 			stats.Mean(corrNear), stats.Mean(corrFar)),
 		Output: t.Render(),
@@ -631,9 +601,6 @@ func runAppC(ctx context.Context, w *World, seed int64) (Result, error) {
 		"RTTs", []float64{5, 10, 12, 14, 16, 18, 20, 25, 30}, []report.Series{{Name: "loads", CDF: cdf}}))
 	sb.WriteString(fmt.Sprintf("\nchosen lower bound: %d RTTs per page load\n", res.LowerBound))
 	return Result{
-		ID:         "appc",
-		Title:      "Appendix C: RTTs per page load",
-		PaperClaim: "few loads within 10 RTTs, ~90% within 20; 10 RTTs is the lower bound",
 		Measured: fmt.Sprintf("%.0f%% of loads within 10 RTTs, %.0f%% within 20 (median %.0f)",
 			100*res.FracWithin10, 100*res.FracWithin20, cdf.Median()),
 		Output: sb.String(),

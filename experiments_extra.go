@@ -22,15 +22,15 @@ import (
 func init() {
 	register(Experiment{
 		ID:         "affinity",
-		Title:      "§8: anycast site affinity over the capture window",
-		PaperClaim: "site affinity is high over the DITL window (confirming Ballani & Francis)",
+		Title:      "§8: anycast site affinity",
+		PaperClaim: "affinity is high over the DITL window",
 		Needs:      []stage.ID{stage.Campaign},
 		Run:        runAffinity,
 	})
 	register(Experiment{
 		ID:         "growth",
-		Title:      "§7.3: deployment growth, 516→1367 root sites over five years",
-		PaperClaim: "growth more than doubled site counts; latency falls and coverage rises with growth",
+		Title:      "§7.3: root deployment growth",
+		PaperClaim: "sites 516→1367 over five years; more sites buy latency and coverage",
 		Run:        runGrowth,
 	})
 }
@@ -55,11 +55,8 @@ func runAffinity(ctx context.Context, w *World, seed int64) (Result, error) {
 		}
 	}
 	return Result{
-		ID:         "affinity",
-		Title:      "§8: anycast site affinity",
-		PaperClaim: "affinity is high over the DITL window",
-		Measured:   fmt.Sprintf("worst letter keeps %.0f%% of /24s fully stable over 48h", 100*worstStable),
-		Output:     t.Render(),
+		Measured: fmt.Sprintf("worst letter keeps %.0f%% of /24s fully stable over 48h", 100*worstStable),
+		Output:   t.Render(),
 	}, nil
 }
 
@@ -119,9 +116,6 @@ func runGrowth(ctx context.Context, w *World, _ int64) (Result, error) {
 		last = point{rc.ActualMedianMs, cov[0].P}
 	}
 	return Result{
-		ID:         "growth",
-		Title:      "§7.3: root deployment growth",
-		PaperClaim: "sites 516→1367 over five years; more sites buy latency and coverage",
 		Measured: fmt.Sprintf("2016→2021: median RTT %.0f→%.0f ms, 500km coverage %.0f%%→%.0f%%",
 			first.med, last.med, 100*first.cov, 100*last.cov),
 		Output: t.Render(),
@@ -137,15 +131,15 @@ func growthLocations(g *topology.Graph) []cdn.Location {
 func init() {
 	register(Experiment{
 		ID:         "apps",
-		Title:      "§2.2: regulatory rings and application latency",
-		PaperClaim: "applications are pinned to the largest allowed ring; performance differences are not taken into account",
+		Title:      "§2.2: regulatory rings",
+		PaperClaim: "ring choice follows compliance, not performance",
 		Needs:      []stage.ID{stage.CDN, stage.Locations},
 		Run:        runApps,
 	})
 }
 
 func runApps(ctx context.Context, w *World, seed int64) (Result, error) {
-	rows, err := w.CDN().AppLatencies(w.Locations(), cdn.PaperApps(), seed)
+	rows, err := w.CDN().AppLatencies(ctx, w.Locations(), cdn.PaperApps(), seed)
 	if err != nil {
 		return Result{}, err
 	}
@@ -165,9 +159,6 @@ func runApps(ctx context.Context, w *World, seed int64) (Result, error) {
 	}
 	mix := cdn.TrafficWeightedMedianMs(rows)
 	return Result{
-		ID:         "apps",
-		Title:      "§2.2: regulatory rings",
-		PaperClaim: "ring choice follows compliance, not performance",
 		Measured: fmt.Sprintf("strictest class pays %.1f ms/RTT over R110; traffic-weighted median %.1f ms",
 			worst, mix),
 		Output: t.Render(),
@@ -177,8 +168,8 @@ func runApps(ctx context.Context, w *World, seed int64) (Result, error) {
 func init() {
 	register(Experiment{
 		ID:         "continents",
-		Title:      "Appendix F: inflation and latency by continent",
-		PaperClaim: "latency falls near front-ends; performance varies regionally with infrastructure density",
+		Title:      "Appendix F: per-continent breakdown",
+		PaperClaim: "regional variation follows infrastructure density",
 		Needs:      []stage.ID{stage.CDN, stage.Campaign, stage.Join, stage.Locations, stage.ServerLogs},
 		Run:        runContinents,
 	})
@@ -255,10 +246,7 @@ func runContinents(ctx context.Context, w *World, seed int64) (Result, error) {
 		}
 	}
 	return Result{
-		ID:         "continents",
-		Title:      "Appendix F: per-continent breakdown",
-		PaperClaim: "regional variation follows infrastructure density",
-		Measured:   fmt.Sprintf("CDN mean RTT spans %.0f-%.0f ms across continents", best, worst),
-		Output:     t.Render(),
+		Measured: fmt.Sprintf("CDN mean RTT spans %.0f-%.0f ms across continents", best, worst),
+		Output:   t.Render(),
 	}, nil
 }

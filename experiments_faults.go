@@ -81,9 +81,6 @@ func runRobust1(ctx context.Context, w *World, seed int64) (Result, error) {
 	t.AddRow("summary", "responses", fmt.Sprintf("%d", sum.Responses))
 
 	return Result{
-		ID:         "robust1",
-		Title:      "Robustness: capture pipeline under seeded fault injection",
-		PaperClaim: "the DITL pipeline survives hostile input (§2.1 discards ~64% of 51.9B raw queries before analysis)",
 		Measured: fmt.Sprintf("%d records emitted, %d damaged/lost, %d analyzed; every fault skipped and counted, zero aborts",
 			st.Records, st.Injected()+sum.DroppedRecords, sum.Packets),
 		Output: t.Render(),

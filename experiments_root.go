@@ -18,97 +18,97 @@ import (
 func init() {
 	register(Experiment{
 		ID:         "fig2a",
-		Title:      "Fig 2a: geographic inflation per root query",
-		PaperClaim: "larger deployments inflate more users; All-Roots intercept lowest (>95% of users see some inflation); ~10.8% of users >20 ms",
+		Title:      "Fig 2a: geographic inflation per root query (ms)",
+		PaperClaim: "y-intercepts fall with deployment size; All-Roots lowest; 10.8% of users >20 ms",
 		Needs:      []stage.ID{stage.Campaign, stage.Join},
 		Run:        runFig2a,
 	})
 	register(Experiment{
 		ID:         "fig2b",
-		Title:      "Fig 2b: latency inflation per root query (TCP)",
-		PaperClaim: "20-40% of users >100 ms to individual letters; All-Roots ~10% >100 ms",
+		Title:      "Fig 2b: latency inflation per root query (ms, TCP RTTs)",
+		PaperClaim: "20-40% of users >100 ms to individual letters; All-Roots ~10%",
 		Needs:      []stage.ID{stage.Campaign, stage.Join},
 		Run:        runFig2b,
 	})
 	register(Experiment{
 		ID:         "fig3",
 		Title:      "Fig 3: root queries per user per day",
-		PaperClaim: "median ~1 query/user/day for CDN and APNIC user counts; Ideal median ~0.007",
+		PaperClaim: "median ~1/day on both user datasets; Ideal ~0.007",
 		Needs:      []stage.ID{stage.Campaign, stage.UserCounts, stage.Join},
 		Run:        runFig3,
 	})
 	register(Experiment{
 		ID:         "fig8",
-		Title:      "Fig 8: queries per user per day including invalid TLDs",
-		PaperClaim: "counting junk raises the CDN-line median ~20x (to ~22/day) and APNIC ~6x",
+		Title:      "Fig 8: daily queries per user including invalid TLDs",
+		PaperClaim: "median rises ~20x (CDN) / ~6x (APNIC) when junk is counted",
 		Needs:      []stage.ID{stage.Campaign, stage.UserCounts, stage.Join},
 		Run:        runFig8,
 	})
 	register(Experiment{
 		ID:         "fig9",
-		Title:      "Fig 9: queries per user per day without the /24 join",
-		PaperClaim: "exact-IP joining drops the median ~30x (to ~0.036/day)",
+		Title:      "Fig 9: daily queries per user without the /24 join",
+		PaperClaim: "exact-IP median ~30x below the /24-joined estimate",
 		Needs:      []stage.ID{stage.Campaign, stage.UserCounts, stage.Join},
 		Run:        runFig9,
 	})
 	register(Experiment{
 		ID:         "fig10",
-		Title:      "Fig 10: fraction of /24 queries missing the favorite site",
-		PaperClaim: ">80% of /24s send all queries to one site per letter",
+		Title:      "Fig 10: fraction of /24 queries not reaching the favorite site",
+		PaperClaim: ">80% of /24s single-site for every letter",
 		Needs:      []stage.ID{stage.Campaign},
 		Run:        runFig10,
 	})
 	register(Experiment{
 		ID:         "fig11",
-		Title:      "Fig 11: 2020 DITL re-run (queries/user/day and inflation)",
-		PaperClaim: "conclusions unchanged in 2020: ~1 query/user/day; ~10% of users >20 ms inflation",
+		Title:      "Fig 11: 2020 DITL re-run",
+		PaperClaim: "2020 conclusions match 2018: ~1 query/user/day; ~10% of users >20 ms geographic inflation",
 		Run:        runFig11,
 	})
 	register(Experiment{
 		ID:         "fig12",
-		Title:      "Fig 12: resolver query latency CDF (ISI-style)",
-		PaperClaim: "three regimes: >50% sub-millisecond cache hits, a low-latency band, and a distant tail",
+		Title:      "Fig 12: resolver query latency CDF",
+		PaperClaim: "three regimes; >50% of queries answered sub-millisecond from cache",
 		Needs:      []stage.ID{stage.Atlas, stage.Letters, stage.Zone},
 		Run:        runFig12,
 	})
 	register(Experiment{
 		ID:         "fig13",
-		Title:      "Fig 13: root DNS latency per user query (ISI-style)",
-		PaperClaim: "<1% of user queries generate a root query; <0.1% wait >100 ms on roots",
+		Title:      "Fig 13: root DNS latency per user query",
+		PaperClaim: "<1% of queries generate a root request; <0.1% wait >100 ms",
 		Needs:      []stage.ID{stage.Atlas, stage.Letters, stage.Zone},
 		Run:        runFig13,
 	})
 	register(Experiment{
 		ID:         "tab1",
 		Title:      "Table 1: root operator survey",
-		PaperClaim: "latency (8 orgs) and DDoS resilience (9 orgs) drove growth; growth expected to slow",
+		PaperClaim: "latency (8) and DDoS resilience (9) drove growth",
 		Run:        runTab1,
 	})
 	register(Experiment{
 		ID:         "tab23",
 		Title:      "Tables 2-3: dataset inventory",
-		PaperClaim: "multiple datasets with complementary strengths (global DITL, CDN telemetry, local traces)",
+		PaperClaim: "complementary datasets with different tradeoffs",
 		Needs:      []stage.ID{stage.Campaign, stage.UserCounts, stage.Atlas, stage.CDN, stage.Locations, stage.Join},
 		Run:        runTab23,
 	})
 	register(Experiment{
 		ID:         "tab4",
-		Title:      "Table 4: DITL∩CDN overlap with and without the /24 join",
-		PaperClaim: "join lifts DITL recursive overlap 2.45%→29.3% and volume 8.4%→72.2%",
+		Title:      "Table 4: DITL∩CDN overlap",
+		PaperClaim: "joining by /24 lifts DITL volume coverage 8.4%→72.2%",
 		Needs:      []stage.ID{stage.Campaign, stage.UserCounts},
 		Run:        runTab4,
 	})
 	register(Experiment{
 		ID:         "tab5",
-		Title:      "Table 5: redundant root query trace (BIND bug)",
-		PaperClaim: "a timed-out authoritative triggers redundant root AAAA queries for each out-of-glue NS name",
+		Title:      "Table 5: redundant root query trace",
+		PaperClaim: "timeout triggers redundant AAAA root queries for out-of-glue NS names",
 		Needs:      []stage.ID{stage.Letters, stage.Zone},
 		Run:        runTab5,
 	})
 	register(Experiment{
 		ID:         "local",
-		Title:      "§4.3 local perspective: cache miss rates and latency shares",
-		PaperClaim: "ISI miss rate ~0.5% (shared cache), personal ~1.5%; root latency ~1.6% of page-load time, ~0.05% of browsing",
+		Title:      "§4.3 local perspective",
+		PaperClaim: "miss rates 0.5% shared / 1.5% personal; root latency 1.6% of page-load, 0.05% of browsing",
 		Needs:      []stage.ID{stage.Atlas, stage.Letters, stage.Zone},
 		Run:        runLocal,
 	})
@@ -136,10 +136,6 @@ func runFig2a(ctx context.Context, w *World, seed int64) (Result, error) {
 	series = append(series, report.Series{Name: "AllRoots", CDF: all})
 	allRootsAbove20 = all.FractionAbove(20)
 	return Result{
-		ID:    "fig2a",
-		Title: "Fig 2a: geographic inflation per root query (ms)",
-		PaperClaim: "y-intercepts fall with deployment size; All-Roots lowest; " +
-			"10.8% of users >20 ms",
 		Measured: fmt.Sprintf("All-Roots zero-inflation share %.1f%%; %.1f%% of users >20 ms",
 			100*core.Efficiency(core.GeoInflationAllRoots(w.Campaign(), j), 1), 100*allRootsAbove20),
 		Output: report.RenderCDFs("Fig 2a: CDF of users vs geographic inflation (ms)",
@@ -178,9 +174,6 @@ func runFig2b(ctx context.Context, w *World, seed int64) (Result, error) {
 		}
 	}
 	return Result{
-		ID:         "fig2b",
-		Title:      "Fig 2b: latency inflation per root query (ms, TCP RTTs)",
-		PaperClaim: "20-40% of users >100 ms to individual letters; All-Roots ~10%",
 		Measured: fmt.Sprintf("worst letter: %.1f%% of users >100 ms; All-Roots: %.1f%%",
 			100*worst, 100*all.FractionAbove(100)),
 		Output: report.RenderCDFs("Fig 2b: CDF of users vs latency inflation (ms)",
@@ -208,9 +201,6 @@ func runFig3(ctx context.Context, w *World, seed int64) (Result, error) {
 		{Name: "APNIC", CDF: apnicLine},
 	}
 	return Result{
-		ID:         "fig3",
-		Title:      "Fig 3: root queries per user per day",
-		PaperClaim: "median ~1/day on both user datasets; Ideal ~0.007",
 		Measured: fmt.Sprintf("medians: CDN %.2f, APNIC %.2f, Ideal %.4f queries/user/day",
 			cdnLine.Median(), apnicLine.Median(), ideal.Median()),
 		Output: report.RenderCDFs("Fig 3: CDF of users vs daily root queries",
@@ -241,9 +231,6 @@ func runFig8(ctx context.Context, w *World, seed int64) (Result, error) {
 		{Name: "APNIC+invalid", CDF: invAP},
 	}
 	return Result{
-		ID:         "fig8",
-		Title:      "Fig 8: daily queries per user including invalid TLDs",
-		PaperClaim: "median rises ~20x (CDN) / ~6x (APNIC) when junk is counted",
 		Measured: fmt.Sprintf("CDN median %.2f→%.2f (%.0fx); APNIC %.2f→%.2f (%.0fx)",
 			validCDN.Median(), invCDN.Median(), invCDN.Median()/validCDN.Median(),
 			validAP.Median(), invAP.Median(), invAP.Median()/validAP.Median()),
@@ -267,9 +254,6 @@ func runFig9(ctx context.Context, w *World, seed int64) (Result, error) {
 		{Name: "CDN(/24-join)", CDF: joined},
 	}
 	return Result{
-		ID:         "fig9",
-		Title:      "Fig 9: daily queries per user without the /24 join",
-		PaperClaim: "exact-IP median ~30x below the /24-joined estimate",
 		Measured: fmt.Sprintf("medians: exact-IP %.3f vs /24-join %.3f (%.0fx lower)",
 			byIP.Median(), joined.Median(), joined.Median()/byIP.Median()),
 		Output: report.RenderCDFs("Fig 9: CDF of users vs daily root queries (exact-IP join)",
@@ -295,10 +279,7 @@ func runFig10(ctx context.Context, w *World, seed int64) (Result, error) {
 		}
 	}
 	return Result{
-		ID:         "fig10",
-		Title:      "Fig 10: fraction of /24 queries not reaching the favorite site",
-		PaperClaim: ">80% of /24s single-site for every letter",
-		Measured:   fmt.Sprintf("worst letter: %.1f%% of /24s fully single-site", 100*worstSingle),
+		Measured: fmt.Sprintf("worst letter: %.1f%% of /24s fully single-site", 100*worstSingle),
 		Output: report.RenderCDFs("Fig 10: CDF of /24s vs off-favorite query fraction",
 			"frac", []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8}, series),
 	}, nil
@@ -331,9 +312,6 @@ func runFig11(ctx context.Context, w *World, seed int64) (Result, error) {
 	}
 	series = append(series, report.Series{Name: "AllRoots", CDF: all})
 	return Result{
-		ID:         "fig11",
-		Title:      "Fig 11: 2020 DITL re-run",
-		PaperClaim: "2020 conclusions match 2018: ~1 query/user/day; ~10% of users >20 ms geographic inflation",
 		Measured: fmt.Sprintf("2020: CDN median %.2f q/user/day; %.1f%% of users >20 ms inflation",
 			cdnLine.Median(), 100*all.FractionAbove(20)),
 		Output: report.RenderCDFs("Fig 11b: 2020 geographic inflation per root query (ms)",
@@ -386,10 +364,7 @@ func runFig12(ctx context.Context, w *World, seed int64) (Result, error) {
 	}
 	subMs := cdf.P(1)
 	return Result{
-		ID:         "fig12",
-		Title:      "Fig 12: resolver query latency CDF",
-		PaperClaim: "three regimes; >50% of queries answered sub-millisecond from cache",
-		Measured:   fmt.Sprintf("%.1f%% of queries sub-millisecond; median %.2f ms; p95 %.0f ms", 100*subMs, cdf.Median(), cdf.Quantile(0.95)),
+		Measured: fmt.Sprintf("%.1f%% of queries sub-millisecond; median %.2f ms; p95 %.0f ms", 100*subMs, cdf.Median(), cdf.Quantile(0.95)),
 		Output: report.RenderCDFs("Fig 12: CDF of queries vs latency (ms)",
 			"ms", []float64{0.5, 1, 5, 10, 25, 50, 100, 250, 500, 1000, 2000}, []report.Series{{Name: "queries", CDF: cdf}}),
 	}, nil
@@ -413,9 +388,6 @@ func runFig13(ctx context.Context, w *World, seed int64) (Result, error) {
 		return Result{}, err
 	}
 	return Result{
-		ID:         "fig13",
-		Title:      "Fig 13: root DNS latency per user query",
-		PaperClaim: "<1% of queries generate a root request; <0.1% wait >100 ms",
 		Measured: fmt.Sprintf("%.2f%% of queries touched a root; %.3f%% waited >100 ms on roots",
 			100*float64(withRoot)/float64(total), 100*cdf.FractionAbove(100)),
 		Output: report.RenderCDFs("Fig 13: CDF of queries vs root latency (ms)",
@@ -426,11 +398,8 @@ func runFig13(ctx context.Context, w *World, seed int64) (Result, error) {
 func runTab1(ctx context.Context, w *World, seed int64) (Result, error) {
 	s := report.RootOperatorSurvey()
 	return Result{
-		ID:         "tab1",
-		Title:      "Table 1: root operator survey",
-		PaperClaim: "latency (8) and DDoS resilience (9) drove growth",
-		Measured:   fmt.Sprintf("%d respondents; latency cited by %d orgs", s.Respondents, s.Reasons[0].Orgs),
-		Output:     s.Render(),
+		Measured: fmt.Sprintf("%d respondents; latency cited by %d orgs", s.Respondents, s.Reasons[0].Orgs),
+		Output:   s.Render(),
 	}, nil
 }
 
@@ -462,11 +431,8 @@ func runTab23(ctx context.Context, w *World, seed int64) (Result, error) {
 		fmt.Sprintf("%d probes in %d ASes", len(w.Atlas().Probes), w.Atlas().ASCount()),
 		"reproducible", "limited, biased coverage")
 	return Result{
-		ID:         "tab23",
-		Title:      "Tables 2-3: dataset inventory",
-		PaperClaim: "complementary datasets with different tradeoffs",
-		Measured:   fmt.Sprintf("raw %.2fB q/day funneled to %.2fB analyzable", pre.RawPerDay/1e9, pre.RetainedPerDay/1e9),
-		Output:     t.Render(),
+		Measured: fmt.Sprintf("raw %.2fB q/day funneled to %.2fB analyzable", pre.RawPerDay/1e9, pre.RetainedPerDay/1e9),
+		Output:   t.Render(),
 	}, nil
 }
 
@@ -483,9 +449,6 @@ func runTab4(ctx context.Context, w *World, seed int64) (Result, error) {
 	t.AddRow("CDN Recursives matched", pct(exact.CDNRecursives), pct(joined.CDNRecursives))
 	t.AddRow("CDN User Volume matched", pct(exact.CDNVolume), pct(joined.CDNVolume))
 	return Result{
-		ID:         "tab4",
-		Title:      "Table 4: DITL∩CDN overlap",
-		PaperClaim: "joining by /24 lifts DITL volume coverage 8.4%→72.2%",
 		Measured: fmt.Sprintf("DITL volume coverage %.1f%%→%.1f%% with the /24 join",
 			100*exact.DITLVolume, 100*joined.DITLVolume),
 		Output: t.Render(),
@@ -518,11 +481,8 @@ func runTab5(ctx context.Context, w *World, seed int64) (Result, error) {
 		t.AddRow(fmt.Sprintf("%d", i+1), s.From, s.To, s.QName, s.QType, s.Note)
 	}
 	return Result{
-		ID:         "tab5",
-		Title:      "Table 5: redundant root query trace",
-		PaperClaim: "timeout triggers redundant AAAA root queries for out-of-glue NS names",
-		Measured:   fmt.Sprintf("%d redundant root queries in a %d-step trace", res.RedundantRootQueries, len(steps)),
-		Output:     t.Render(),
+		Measured: fmt.Sprintf("%d redundant root queries in a %d-step trace", res.RedundantRootQueries, len(steps)),
+		Output:   t.Render(),
 	}, nil
 }
 
@@ -563,9 +523,6 @@ func runLocal(ctx context.Context, w *World, seed int64) (Result, error) {
 	sb.WriteString(fmt.Sprintf("\nroot DNS latency: %.2f%% of daily page-load time, %.3f%% of active browsing\n",
 		100*ofLoad, 100*ofBrowse))
 	return Result{
-		ID:         "local",
-		Title:      "§4.3 local perspective",
-		PaperClaim: "miss rates 0.5% shared / 1.5% personal; root latency 1.6% of page-load, 0.05% of browsing",
 		Measured: fmt.Sprintf("miss rates %.2f%% shared / %.2f%% personal; root latency %.2f%% of page-load, %.3f%% of browsing",
 			100*isi.RootMissRate(), 100*personal.RootMissRate(), 100*ofLoad, 100*ofBrowse),
 		Output: sb.String(),

@@ -69,29 +69,12 @@ func (d *Deployment) Route(src topology.ASN) (bgp.Route, bool) {
 	return d.resolver.Route(src)
 }
 
-// WarmRoutes pre-fills the deployment's route cache for srcs in parallel.
-// Purely an optimization: subsequent Route calls return byte-identical
-// results whether or not the cache was warmed.
-func (d *Deployment) WarmRoutes(srcs []topology.ASN) {
-	d.resolver.Warm(srcs)
-}
-
-// WarmRoutesCtx is WarmRoutes with the caller's span context threaded to
-// the cache-fill workers.
+// WarmRoutesCtx pre-fills the deployment's route cache for srcs in
+// parallel, threading the caller's span context to the cache-fill
+// workers. Purely an optimization: subsequent Route calls return
+// byte-identical results whether or not the cache was warmed.
 func (d *Deployment) WarmRoutesCtx(ctx context.Context, srcs []topology.ASN) {
 	d.resolver.WarmCtx(ctx, srcs)
-}
-
-// Catchments resolves routes for every AS in srcs (parallel, memoized),
-// returning only successful resolutions.
-func (d *Deployment) Catchments(srcs []topology.ASN) map[topology.ASN]bgp.Route {
-	return d.resolver.Catchments(srcs)
-}
-
-// CatchmentsCtx is Catchments with the caller's span context threaded to
-// the resolution shards.
-func (d *Deployment) CatchmentsCtx(ctx context.Context, srcs []topology.ASN) map[topology.ASN]bgp.Route {
-	return d.resolver.CatchmentsCtx(ctx, srcs)
 }
 
 // ForEachCachedRoute exposes the deployment's memoized route decisions

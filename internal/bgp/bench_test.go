@@ -58,7 +58,7 @@ func BenchmarkRouteLargeDeployment(b *testing.B) {
 // BenchmarkNewResolver measures the per-deployment precomputation.
 func BenchmarkNewResolver(b *testing.B) {
 	g, r := benchWorld(b, 50)
-	sites := r.Sites()
+	sites := r.sites
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewResolver(g, sites); err != nil {

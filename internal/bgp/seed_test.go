@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"context"
 	"testing"
 
 	"anycastctx/internal/topology"
@@ -32,7 +33,7 @@ func TestSeedFromIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := g.Eyeballs()
-	base.Warm(srcs)
+	base.WarmCtx(context.Background(), srcs)
 
 	fresh, err := NewResolver(g, sites)
 	if err != nil {
@@ -63,7 +64,7 @@ func TestSeedFromRemapAndKeep(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := g.Eyeballs()
-	base.Warm(srcs)
+	base.WarmCtx(context.Background(), srcs)
 
 	// Withdraw site 2: survivors renumber down by one above it.
 	withdrawn := 2
@@ -123,7 +124,7 @@ func TestSeedFromSkipsStaleSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := g.Eyeballs()
-	base.Warm(srcs)
+	base.WarmCtx(context.Background(), srcs)
 
 	last := len(sites) - 1
 	newSites := sites[:last]

@@ -1,6 +1,7 @@
 package cdn
 
 import (
+	"context"
 	"fmt"
 
 	"anycastctx/internal/stats"
@@ -47,11 +48,11 @@ type AppLatencyRow struct {
 // AppLatencies measures every application class against its pinned ring
 // using client-side measurements, quantifying the latency cost of the
 // ring restriction.
-func (c *CDN) AppLatencies(locs []Location, apps []AppProfile, seed int64) ([]AppLatencyRow, error) {
+func (c *CDN) AppLatencies(ctx context.Context, locs []Location, apps []AppProfile, seed int64) ([]AppLatencyRow, error) {
 	if len(c.Rings) == 0 {
 		return nil, fmt.Errorf("cdn: no rings")
 	}
-	rows := c.ClientMeasurements(locs, seed)
+	rows := c.ClientMeasurementsCtx(ctx, locs, seed)
 	medianFor := func(ring string) (float64, error) {
 		var obs []stats.WeightedValue
 		for _, r := range rows {

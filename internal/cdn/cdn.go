@@ -271,19 +271,13 @@ type ServerLogRow struct {
 	Samples int
 }
 
-// ServerSideLogs measures every location against every ring using
+// ServerSideLogsCtx measures every location against every ring using
 // server-side TCP RTTs (§2.2). Locations without a route are skipped.
 //
 // Work fans out across CPUs; each ⟨ring, location⟩ pair draws its
 // measurement noise from its own splittable stream, so results are
-// byte-identical regardless of scheduling.
-func (c *CDN) ServerSideLogs(locs []Location, seed int64) []ServerLogRow {
-	return c.ServerSideLogsCtx(context.Background(), locs, seed)
-}
-
-// ServerSideLogsCtx is ServerSideLogs with the caller's span context carried
-// into the measurement shards: a traced run records "cdn.server_logs" with
-// per-worker "cdn.server_logs.shard" children. Output is byte-identical.
+// byte-identical regardless of scheduling. A traced run records
+// "cdn.server_logs" with per-worker "cdn.server_logs.shard" children.
 func (c *CDN) ServerSideLogsCtx(ctx context.Context, locs []Location, seed int64) []ServerLogRow {
 	ctx, span := obs.StartSpanCtx(ctx, "cdn.server_logs")
 	defer span.End()
@@ -345,15 +339,10 @@ type ClientMeasurementRow struct {
 	MedianRTTMs float64
 }
 
-// ClientMeasurements has every location measure every ring, fanned out
-// across CPUs with order-independent determinism (see ServerSideLogs).
-func (c *CDN) ClientMeasurements(locs []Location, seed int64) []ClientMeasurementRow {
-	return c.ClientMeasurementsCtx(context.Background(), locs, seed)
-}
-
-// ClientMeasurementsCtx is ClientMeasurements with the caller's span context
-// carried into the measurement shards ("cdn.client_measurements" with
-// per-worker "cdn.client_measurements.shard" children).
+// ClientMeasurementsCtx has every location measure every ring, fanned out
+// across CPUs with order-independent determinism (see ServerSideLogsCtx).
+// A traced run records "cdn.client_measurements" with per-worker
+// "cdn.client_measurements.shard" children.
 func (c *CDN) ClientMeasurementsCtx(ctx context.Context, locs []Location, seed int64) []ClientMeasurementRow {
 	ctx, span := obs.StartSpanCtx(ctx, "cdn.client_measurements")
 	defer span.End()

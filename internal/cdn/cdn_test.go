@@ -111,7 +111,7 @@ func TestLargerRingsLowerLatency(t *testing.T) {
 	// Fig 4a: median latency decreases (weakly) as rings grow.
 	g, c := buildWorld(t)
 	locs := Locations(g, 1e9)
-	rows := c.ClientMeasurements(locs, 3)
+	rows := c.ClientMeasurementsCtx(context.Background(), locs, 3)
 	medians := map[string]float64{}
 	for _, ring := range c.Rings {
 		var obs []stats.WeightedValue
@@ -170,7 +170,7 @@ func TestLargerRingsLessEfficient(t *testing.T) {
 func TestServerSideLogs(t *testing.T) {
 	g, c := buildWorld(t)
 	locs := Locations(g, 1e9)
-	rows := c.ServerSideLogs(locs, 5)
+	rows := c.ServerSideLogsCtx(context.Background(), locs, 5)
 	if len(rows) == 0 {
 		t.Fatal("no log rows")
 	}
@@ -203,7 +203,7 @@ func TestRingDeltasMostlyNonNegative(t *testing.T) {
 	// locations lose less than ~10 ms per RTT.
 	g, c := buildWorld(t)
 	locs := Locations(g, 1e9)
-	rows := c.ClientMeasurements(locs, 9)
+	rows := c.ClientMeasurementsCtx(context.Background(), locs, 9)
 	ringNames := []string{"R28", "R47", "R74", "R95", "R110"}
 	deltas := RingDeltas(rows, ringNames, 10)
 	if len(deltas) == 0 {
@@ -276,7 +276,7 @@ func TestPaperAppsShares(t *testing.T) {
 func TestAppLatencies(t *testing.T) {
 	g, c := buildWorld(t)
 	locs := Locations(g, 1e9)
-	rows, err := c.AppLatencies(locs, PaperApps(), 23)
+	rows, err := c.AppLatencies(context.Background(), locs, PaperApps(), 23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestAppLatencies(t *testing.T) {
 			mix, byRing["R110"].MedianRTTMs, byRing["R28"].MedianRTTMs)
 	}
 	// Unknown ring rejected.
-	if _, err := c.AppLatencies(locs, []AppProfile{{Name: "x", Ring: "R999"}}, 23); err == nil {
+	if _, err := c.AppLatencies(context.Background(), locs, []AppProfile{{Name: "x", Ring: "R999"}}, 23); err == nil {
 		t.Error("unknown ring accepted")
 	}
 	if TrafficWeightedMedianMs(nil) != 0 {

@@ -71,7 +71,7 @@ func takeFingerprint(w *world.World) fingerprint {
 		raw: s.RawPerDay, invalid: s.InvalidPerDay, ptr: s.PTRPerDay,
 		private: s.PrivatePerDay, v6: s.V6PerDay, retained: s.RetainedPerDay,
 		recursives:  w.Campaign().NumRecursives(),
-		joinRows:    len(w.Join().Rows),
+		joinRows:    len(w.JoinCtx(context.Background()).Rows),
 		totalBy24:   w.CDNCounts().TotalBy24(),
 		usersServed: w.Pop().UsersServed(),
 	}
@@ -241,7 +241,7 @@ func TestStoreCheckerFiresOnConfigDrift(t *testing.T) {
 
 func TestJoinCheckerFiresOnRewrittenCount(t *testing.T) {
 	w := scaleWorld(t, 0.05)
-	j := w.Join() // force the cache, then change the data under it
+	j := w.JoinCtx(context.Background()) // force the cache, then change the data under it
 	if len(j.Rows) == 0 {
 		t.Fatal("empty join")
 	}
@@ -256,7 +256,7 @@ func TestJoinCheckerFiresOnRewrittenCount(t *testing.T) {
 
 func TestUserViewCheckerFiresOnInflatedCount(t *testing.T) {
 	w := scaleWorld(t, 0.05)
-	j := w.Join()
+	j := w.JoinCtx(context.Background())
 	if len(j.Rows) == 0 {
 		t.Fatal("empty join")
 	}

@@ -67,7 +67,7 @@ func buildWorld(t *testing.T) *world {
 		g:      g,
 		pop:    pop,
 		camp:   camp,
-		join:   camp.JoinCDN(cdnC, false),
+		join:   camp.JoinCDNCtx(context.Background(), cdnC, false),
 		cdnNet: cdnNet,
 		cdnC:   cdnC,
 		apnic:  apnic,
@@ -197,7 +197,7 @@ func TestFig9ByIPJoinShrinksEstimates(t *testing.T) {
 	// the joined estimate (paper: ~30x lower).
 	w := buildWorld(t)
 	joined := mustCDF(t, QueriesPerUserCDN(w.camp, w.join, ValidOnly))
-	byIP := w.camp.JoinCDN(w.cdnC, true)
+	byIP := w.camp.JoinCDNCtx(context.Background(), w.cdnC, true)
 	ipLine := mustCDF(t, QueriesPerUserCDN(w.camp, byIP, ValidOnly))
 	if ipLine.Median() >= joined.Median() {
 		t.Errorf("by-IP median %.3f not below /24 median %.3f", ipLine.Median(), joined.Median())
@@ -208,7 +208,7 @@ func TestFig5CDNInflationSmall(t *testing.T) {
 	// CDN: most users zero geographic inflation, 85% < 10 ms; latency
 	// inflation < 30 ms for ~70%; far better than individual letters.
 	w := buildWorld(t)
-	logs := w.cdnNet.ServerSideLogs(w.locs, 17)
+	logs := w.cdnNet.ServerSideLogsCtx(context.Background(), w.locs, 17)
 	for _, ring := range w.cdnNet.Rings {
 		gi := mustCDF(t, CDNGeoInflation(logs, ring))
 		if p := gi.P(10); p < 0.6 {
@@ -239,7 +239,7 @@ func TestFig7aEfficiencyVsSize(t *testing.T) {
 	// Within the CDN rings: bigger ring, lower efficiency but lower
 	// median latency.
 	w := buildWorld(t)
-	logs := w.cdnNet.ServerSideLogs(w.locs, 19)
+	logs := w.cdnNet.ServerSideLogsCtx(context.Background(), w.locs, 19)
 	var prevEff float64 = -1
 	var prevMed float64 = -1
 	var firstEff, lastEff, firstMed, lastMed float64

@@ -1,6 +1,7 @@
 package dnssim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,7 @@ func BenchmarkClientDay(b *testing.B) {
 			b.Fatal(err)
 		}
 		client := NewClient(z, ClientConfig{Users: 30}, int64(i+1))
-		client.Run(r, 1, nil)
+		client.RunCtx(context.Background(), r, 1, nil)
 	}
 }
 

@@ -139,14 +139,9 @@ type RunStats struct {
 	RootLatencyMs  float64
 }
 
-// Run drives r for the given number of simulated days at the population's
-// aggregate rate, invoking onResult (if non-nil) per user query. The query
-// arrival process is Poisson.
-func (c *Client) Run(r *Resolver, days float64, onResult func(kind QueryKind, res QueryResult)) RunStats {
-	return c.RunCtx(context.Background(), r, days, onResult)
-}
-
-// RunCtx is Run with the caller's span context: a traced run records the
+// RunCtx drives r for the given number of simulated days at the
+// population's aggregate rate, invoking onResult (if non-nil) per user
+// query. The query arrival process is Poisson. A traced run records the
 // whole query loop as one "dnssim.client_run" span under the caller's span.
 func (c *Client) RunCtx(ctx context.Context, r *Resolver, days float64, onResult func(kind QueryKind, res QueryResult)) RunStats {
 	_, span := obs.StartSpanCtx(ctx, "dnssim.client_run")

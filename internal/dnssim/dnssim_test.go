@@ -1,6 +1,7 @@
 package dnssim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -278,9 +279,9 @@ func TestMissRateSmallWithCaching(t *testing.T) {
 	}
 	client := NewClient(z, ClientConfig{Users: 120, QueriesPerUserPerDay: 250}, 5)
 	// Warm-up day, then measure.
-	client.Run(r, 1, nil)
+	client.RunCtx(context.Background(), r, 1, nil)
 	warm := r.Counters()
-	client.Run(r, 2, nil)
+	client.RunCtx(context.Background(), r, 2, nil)
 	c := r.Counters()
 	userQ := c.UserQueries - warm.UserQueries
 	rootQ := c.RootQueries() - warm.RootQueries()
@@ -308,7 +309,7 @@ func TestClientRunStats(t *testing.T) {
 	}
 	client := NewClient(z, ClientConfig{Users: 50, QueriesPerUserPerDay: 100}, 6)
 	var cbCount uint64
-	stats := client.Run(r, 0.5, func(kind QueryKind, res QueryResult) { cbCount++ })
+	stats := client.RunCtx(context.Background(), r, 0.5, func(kind QueryKind, res QueryResult) { cbCount++ })
 	if stats.Queries == 0 {
 		t.Fatal("no queries generated")
 	}

@@ -1,6 +1,7 @@
 package dnssim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestLocalRootNoUserVisibleRootQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := NewClient(z, ClientConfig{Users: 50, QueriesPerUserPerDay: 200}, 41)
-	client.Run(r, 1, func(_ QueryKind, res QueryResult) {
+	client.RunCtx(context.Background(), r, 1, func(_ QueryKind, res QueryResult) {
 		if res.RootQueriesOnPath != 0 {
 			t.Fatal("user query waited on a root under RFC 8806")
 		}

@@ -65,9 +65,6 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteOpenMetrics renders the default registry's metrics.
-func WriteOpenMetrics(w io.Writer) error { return Default.WriteOpenMetrics(w) }
-
 // sanitizeMetricName maps a registry metric name onto the OpenMetrics
 // name charset [a-zA-Z0-9_:], with a non-digit first character.
 func sanitizeMetricName(name string) string {

@@ -239,8 +239,8 @@ func TestOverlayIsolationStoreBacked(t *testing.T) {
 	// Overlay join computes fresh (its cell was reset) and must not land
 	// in the store: the base's join artifact would be silently replaced
 	// by overlay-shaped data.
-	_ = ov.Join()
-	if ov.Join() == base.Join() {
+	_ = ov.JoinCtx(context.Background())
+	if ov.JoinCtx(context.Background()) == base.JoinCtx(context.Background()) {
 		t.Error("overlay join aliases the base join")
 	}
 

@@ -368,16 +368,12 @@ func (w *World) ClientRowsCtx(ctx context.Context) ([]cdn.ClientMeasurementRow, 
 	return w.clientRows, nil
 }
 
-// Join returns the /24-level DITL∩CDN join, computed lazily and cached.
-// The stage cell makes the lazy fill safe when experiments run
-// concurrently (RunAllParallel); the join itself is deterministic, so
-// which caller computes it never affects results.
-func (w *World) Join() *ditl.Join {
-	return w.JoinCtx(context.Background())
-}
-
-// JoinCtx is Join with the caller's span context carried into the join
-// computation when this caller is the one that fills the cell.
+// JoinCtx returns the /24-level DITL∩CDN join, computed lazily and
+// cached, with the caller's span context carried into the join
+// computation when this caller is the one that fills the cell. The stage
+// cell makes the lazy fill safe when experiments run concurrently; the
+// join itself is deterministic, so which caller computes it never affects
+// results.
 func (w *World) JoinCtx(ctx context.Context) *ditl.Join {
 	if err := w.materialize(ctx, stage.Join); err != nil {
 		panic(fmt.Sprintf("world: stage %s: %v", stage.Join, err))

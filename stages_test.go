@@ -117,7 +117,7 @@ func TestWarmWorldMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldRes, err := RunAllCtx(ctx, cold)
+	coldRes, err := RunAllCtx(ctx, cold, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestWarmWorldMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRes, err := RunAllCtx(ctx, warm)
+	warmRes, err := RunAllCtx(ctx, warm, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
