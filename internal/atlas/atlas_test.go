@@ -40,7 +40,7 @@ func TestDeploy(t *testing.T) {
 		if as == nil || as.Class != topology.ClassEyeball {
 			t.Fatalf("probe %d in non-eyeball AS", pr.ID)
 		}
-		if !pr.Loc.Valid() {
+		if l := pr.Loc; l.Lat < -90 || l.Lat > 90 || l.Lon < -180 || l.Lon > 180 {
 			t.Fatalf("probe %d invalid location", pr.ID)
 		}
 	}

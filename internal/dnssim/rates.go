@@ -160,14 +160,3 @@ func ComputeRates(pop *users.Population, zone *Zone, cfg RateConfig, seed int64)
 	})
 	return out
 }
-
-// TotalDailyQueries sums all root-bound traffic across rates (the 51.9B/day
-// figure in the paper's pre-processing narrative).
-func TotalDailyQueries(rates []Rates) (valid, invalid, ptr float64) {
-	for _, r := range rates {
-		valid += r.RootValidPerDay
-		invalid += r.RootInvalidPerDay
-		ptr += r.RootPTRPerDay
-	}
-	return valid, invalid, ptr
-}

@@ -63,7 +63,12 @@ func TestRatesShapeMatchesPaperNarrative(t *testing.T) {
 	pop := buildPop(t)
 	z := testZone(t)
 	rates := ComputeRates(pop, z, RateConfig{}, 10)
-	valid, invalid, ptr := TotalDailyQueries(rates)
+	var valid, invalid, ptr float64
+	for _, r := range rates {
+		valid += r.RootValidPerDay
+		invalid += r.RootInvalidPerDay
+		ptr += r.RootPTRPerDay
+	}
 	if valid <= 0 || invalid <= 0 || ptr <= 0 {
 		t.Fatal("zero aggregate volume")
 	}

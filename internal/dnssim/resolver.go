@@ -258,10 +258,6 @@ func (r *Resolver) put(key string, ttl float64) {
 	r.cache[key] = r.now + ttl
 }
 
-// CacheLen returns the number of live cache entries (expired entries may
-// linger until touched).
-func (r *Resolver) CacheLen() int { return len(r.cache) }
-
 // pickLetter applies sRTT preference with exploration.
 func (r *Resolver) pickLetter() int {
 	// Prefer probing any letter never tried.

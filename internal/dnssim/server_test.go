@@ -1,6 +1,7 @@
 package dnssim
 
 import (
+	"bytes"
 	"testing"
 
 	"anycastctx/internal/dnswire"
@@ -28,12 +29,12 @@ func TestRootServerReferral(t *testing.T) {
 		if rr.Type != dnswire.TypeNS || rr.TTL != TLDTTLSeconds || rr.Name != "com" {
 			t.Fatalf("authority[%d] = %+v", i, rr)
 		}
-		name, err := dnswire.RDataName(rr.RData)
+		want, err := dnswire.NameRData(com.NSNames[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name != com.NSNames[i] {
-			t.Errorf("NS %d = %q, want %q", i, name, com.NSNames[i])
+		if !bytes.Equal(rr.RData, want) {
+			t.Errorf("NS %d rdata = %x, want %q", i, rr.RData, com.NSNames[i])
 		}
 	}
 	if len(resp.Additional) != com.GluedA {

@@ -374,21 +374,9 @@ func Decode(b []byte) (*Message, error) {
 	return m, nil
 }
 
-// DecodePartial parses as much of a wire-format DNS message as is intact,
-// returning both the partial message and the first error encountered —
-// the graceful-degradation entry point: a response whose trailing records
-// are damaged still yields its header and the sections that parsed. The
+// decodeMessage parses as much of a wire-format DNS message as is intact,
+// returning both the partial message and the first error encountered. The
 // message is nil only when even the 12-byte header is unreadable.
-func DecodePartial(b []byte) (*Message, error) {
-	m, err := decodeMessage(b)
-	if err != nil {
-		obsDecodeErrors.Inc()
-	} else {
-		obsDecoded.Inc()
-	}
-	return m, err
-}
-
 func decodeMessage(b []byte) (*Message, error) {
 	if len(b) < 12 {
 		return nil, ErrTruncatedMessage
@@ -433,7 +421,7 @@ func decodeMessage(b []byte) (*Message, error) {
 }
 
 // decodeRRs parses n resource records starting at off. On error it
-// returns the records decoded so far (for DecodePartial) along with the
+// returns the records decoded so far (for decodeMessage) along with the
 // error; Decode discards them.
 func decodeRRs(b []byte, off, n int) ([]RR, int, error) {
 	if n == 0 {
@@ -514,24 +502,6 @@ func ARData(a, b, c, d byte) []byte { return []byte{a, b, c, d} }
 // NameRData encodes a domain name as uncompressed RData (for NS/PTR).
 func NameRData(name string) ([]byte, error) {
 	return AppendName(nil, name, nil)
-}
-
-// RDataName decodes a domain name from uncompressed RData.
-func RDataName(rd []byte) (string, error) {
-	name, _, err := decodeName(rd, 0)
-	return name, err
-}
-
-// TLD returns the rightmost label of a query name ("." for the root).
-func TLD(name string) string {
-	name = strings.TrimSuffix(name, ".")
-	if name == "" {
-		return "."
-	}
-	if i := strings.LastIndexByte(name, '.'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
 }
 
 // EDNS constants (RFC 6891).

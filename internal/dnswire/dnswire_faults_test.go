@@ -49,12 +49,12 @@ func TestDecodePartialKeepsIntactSections(t *testing.T) {
 	if got, err := Decode(cut); err == nil || got != nil {
 		t.Fatalf("Decode(cut) = %v, %v; want nil message and error", got, err)
 	}
-	part, err := DecodePartial(cut)
+	part, err := decodeMessage(cut)
 	if err == nil {
-		t.Fatal("DecodePartial(cut): no error")
+		t.Fatal("decodeMessage(cut): no error")
 	}
 	if part == nil {
-		t.Fatal("DecodePartial(cut): nil message")
+		t.Fatal("decodeMessage(cut): nil message")
 	}
 	if part.Header.ID != 7 || !part.Header.Response {
 		t.Errorf("partial header = %+v", part.Header)
@@ -66,14 +66,14 @@ func TestDecodePartialKeepsIntactSections(t *testing.T) {
 		t.Errorf("partial answers = %+v", part.Answers)
 	}
 
-	// A bare zero-count header round-trips through DecodePartial.
+	// A bare zero-count header round-trips through decodeMessage.
 	hdr := make([]byte, 12)
 	hdr[1] = 7
-	if part, err := DecodePartial(hdr); err != nil || part == nil || part.Header.ID != 7 {
-		t.Errorf("DecodePartial(header) = %v, %v", part, err)
+	if part, err := decodeMessage(hdr); err != nil || part == nil || part.Header.ID != 7 {
+		t.Errorf("decodeMessage(header) = %v, %v", part, err)
 	}
-	if part, err := DecodePartial(enc[:5]); part != nil || err == nil {
-		t.Errorf("DecodePartial(5 bytes) = %v, %v", part, err)
+	if part, err := decodeMessage(enc[:5]); part != nil || err == nil {
+		t.Errorf("decodeMessage(5 bytes) = %v, %v", part, err)
 	}
 }
 

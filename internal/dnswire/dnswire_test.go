@@ -58,7 +58,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if len(got.Answers) != 1 || len(got.Additional) != 1 {
 		t.Fatalf("sections = %d/%d", len(got.Answers), len(got.Additional))
 	}
-	name, err := RDataName(got.Answers[0].RData)
+	name, _, err := decodeName(got.Answers[0].RData, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,23 +331,6 @@ func TestDecodeNeverPanics(t *testing.T) {
 			mut[rng.Intn(len(mut))] = byte(rng.Intn(256))
 		}
 		_, _ = Decode(mut)
-	}
-}
-
-func TestTLD(t *testing.T) {
-	tests := []struct{ in, want string }{
-		{"www.example.com", "com"},
-		{"com", "com"},
-		{"com.", "com"},
-		{".", "."},
-		{"", "."},
-		{"local", "local"},
-		{"foo.bar.arpa", "arpa"},
-	}
-	for _, tt := range tests {
-		if got := TLD(tt.in); got != tt.want {
-			t.Errorf("TLD(%q) = %q, want %q", tt.in, got, tt.want)
-		}
 	}
 }
 

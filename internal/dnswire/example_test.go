@@ -22,13 +22,3 @@ func ExampleNewQuery() {
 	// 21 bytes on the wire
 	// question: NS com
 }
-
-func ExampleTLD() {
-	fmt.Println(dnswire.TLD("www.example.com"))
-	fmt.Println(dnswire.TLD("host123.local"))
-	fmt.Println(dnswire.TLD("."))
-	// Output:
-	// com
-	// local
-	// .
-}

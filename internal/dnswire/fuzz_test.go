@@ -42,12 +42,12 @@ func FuzzDecode(f *testing.F) {
 		}
 		// The partial decoder sees the same bytes and must stay consistent:
 		// a full decode implies a clean partial decode.
-		pm, perr := DecodePartial(data)
+		pm, perr := decodeMessage(data)
 		if err == nil && perr != nil {
-			t.Fatalf("Decode ok but DecodePartial failed: %v", perr)
+			t.Fatalf("Decode ok but decodeMessage failed: %v", perr)
 		}
 		if perr != nil && pm == nil && len(data) >= 12 {
-			t.Fatal("DecodePartial dropped the header of a 12-byte-plus message")
+			t.Fatal("decodeMessage dropped the header of a 12-byte-plus message")
 		}
 	})
 }

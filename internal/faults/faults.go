@@ -25,7 +25,6 @@ package faults
 
 import (
 	"encoding/binary"
-	"math"
 
 	"anycastctx/internal/obs"
 	"anycastctx/internal/rng"
@@ -171,16 +170,7 @@ const (
 	FateTruncated
 	FateDNSFlipped
 	FateDuplicated
-	FateReordered
 )
-
-// Survives reports whether the record reaches the analysis pipeline
-// undamaged: not removed and not altered in a way the decoders must
-// reject (drop, IP-header corruption, truncation) or may misread (DNS
-// byte flip). Duplication and reordering preserve record bytes.
-func (f Fate) Survives() bool {
-	return f&(FateDropped|FateCorrupted|FateTruncated|FateDNSFlipped) == 0
-}
 
 // CaptureStats counts faults injected into one or more captures.
 type CaptureStats struct {
@@ -369,26 +359,4 @@ func (m *Mangler) MangleCapture(capture []byte) []byte {
 		out = append(out, emit[idx]...)
 	}
 	return append(out, tail...)
-}
-
-// TruncateTail cuts the final n bytes off a capture — a mid-record EOF,
-// the shape of a capture interrupted by a site failure. n larger than the
-// body leaves just the global header (or less).
-func TruncateTail(capture []byte, n int) []byte {
-	if n <= 0 {
-		return capture
-	}
-	if n >= len(capture) {
-		return nil
-	}
-	return capture[:len(capture)-n]
-}
-
-// ExpectedSurvivorRate returns the a-priori fraction of records expected
-// to reach the pipeline intact under the policy (ignoring duplication and
-// reordering, which preserve bytes).
-func (p Policy) ExpectedSurvivorRate() float64 {
-	keep := (1 - p.PcapDropProb) * (1 - p.PcapCorruptProb) *
-		(1 - p.PcapTruncateProb) * (1 - p.DNSByteFlipProb)
-	return math.Max(0, keep)
 }

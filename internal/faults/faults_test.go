@@ -26,12 +26,12 @@ func buildCapture(t *testing.T, n int) []byte {
 		payload[i] = byte(i * 7)
 	}
 	for i := 0; i < n; i++ {
-		pkt, err := pcapio.SerializeUDP(&pcapio.IPv4{Src: ipaddr.Addr(0x0a000001 + i), Dst: 0xc6290004},
+		pkt, err := pcapio.SerializeUDPInto(nil, &pcapio.IPv4{Src: ipaddr.Addr(0x0a000001 + i), Dst: 0xc6290004},
 			&pcapio.UDP{SrcPort: uint16(30000 + i), DstPort: 53}, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.WritePacket(base.Add(time.Duration(i)*time.Second), pkt); err != nil {
+		if err := writePacket(w, base.Add(time.Duration(i)*time.Second), pkt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,9 +45,6 @@ func TestZeroPolicyIsIdentity(t *testing.T) {
 	var p faults.Policy
 	if p.Enabled() {
 		t.Error("zero policy reports enabled")
-	}
-	if p.ExpectedSurvivorRate() != 1 {
-		t.Errorf("survivor rate = %v", p.ExpectedSurvivorRate())
 	}
 	if p.DropServerLogRow(3, 64500) || p.DropClientRow(3, 64500) {
 		t.Error("zero policy drops rows")
@@ -119,9 +116,6 @@ func TestFateAccountingMatchesOutput(t *testing.T) {
 			flipped++
 		}
 		wantEmitted += copies
-		if f.Survives() != (f&(faults.FateDropped|faults.FateCorrupted|faults.FateTruncated|faults.FateDNSFlipped) == 0) {
-			t.Fatalf("Survives inconsistent for fate %v", f)
-		}
 	}
 	if dropped != st.Dropped || corrupted != st.Corrupted || truncated != st.Truncated ||
 		flipped != st.DNSFlipped || duplicated != st.Duplicated {
@@ -200,19 +194,6 @@ func TestPolicyDecisionsAreKeyDeterministic(t *testing.T) {
 	}
 }
 
-func TestTruncateTail(t *testing.T) {
-	capture := buildCapture(t, 2)
-	if got := faults.TruncateTail(capture, 0); !bytes.Equal(got, capture) {
-		t.Error("n=0 changed capture")
-	}
-	if got := faults.TruncateTail(capture, 5); len(got) != len(capture)-5 {
-		t.Errorf("n=5 len = %d", len(got))
-	}
-	if got := faults.TruncateTail(capture, len(capture)+1); got != nil {
-		t.Errorf("oversized cut = %d bytes", len(got))
-	}
-}
-
 func TestMangleCaptureDegenerateInputs(t *testing.T) {
 	m := faults.NewMangler(faults.Uniform(5, 0.5))
 	if out := m.MangleCapture(nil); out != nil {
@@ -267,7 +248,7 @@ func TestFatesFollowRecordIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, i := range perm {
-		if err := w.WritePacket(recs[i].Time, recs[i].Data); err != nil {
+		if err := writePacket(w, recs[i].Time, recs[i].Data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,17 +272,25 @@ func TestFatesFollowRecordIdentity(t *testing.T) {
 	m2.MangleCapture(buf.Bytes())
 	f2 := m2.Fates()
 
-	const identity = ^faults.FateReordered
 	hit := 0
 	for j, i := range perm {
-		if f1[i]&identity != 0 {
+		if f1[i] != 0 {
 			hit++
 		}
-		if a, b := f1[i]&identity, f2[j]&identity; a != b {
+		if a, b := f1[i], f2[j]; a != b {
 			t.Errorf("record %d: fate %v in original order, %v when arriving at index %d", i, a, b, j)
 		}
 	}
 	if hit < 10 {
 		t.Fatalf("only %d of %d records drew a fate: mix too sparse to prove identity keying", hit, len(recs))
 	}
+}
+
+// writePacket frames one record and appends it to w.
+func writePacket(w *pcapio.Writer, ts time.Time, data []byte) error {
+	rec, err := pcapio.AppendRecord(nil, ts, data)
+	if err != nil {
+		return err
+	}
+	return w.WriteRaw(rec)
 }

@@ -39,11 +39,6 @@ func (c Coord) String() string {
 	return fmt.Sprintf("(%.3f, %.3f)", c.Lat, c.Lon)
 }
 
-// Valid reports whether the coordinate is within latitude/longitude bounds.
-func (c Coord) Valid() bool {
-	return c.Lat >= -90 && c.Lat <= 90 && c.Lon >= -180 && c.Lon <= 180
-}
-
 // DistanceKm returns the great-circle distance between a and b in
 // kilometers, computed with the haversine formula. Identical points
 // return 0 without trigonometry, which is what the formula gives for them.
@@ -78,12 +73,6 @@ func RTTLowerBoundMs(distKm float64) float64 {
 // by geographic inflation (Eq. 1): 1000 km ⇒ 10 ms.
 func GeoRTTMs(distKm float64) float64 {
 	return 2 * distKm / FiberKmPerMs
-}
-
-// KmForGeoRTTMs is the inverse of GeoRTTMs: how many kilometers of one-way
-// distance correspond to a given round-trip milliseconds value.
-func KmForGeoRTTMs(ms float64) float64 {
-	return ms * FiberKmPerMs / 2
 }
 
 func normalizeLon(lon float64) float64 {

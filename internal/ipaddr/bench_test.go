@@ -5,37 +5,6 @@ import (
 	"testing"
 )
 
-// BenchmarkTableLookup measures longest-prefix matching at IP→ASN scale.
-func BenchmarkTableLookup(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	var tb Table
-	for i := 0; i < 50000; i++ {
-		tb.Insert(MustPrefix(Addr(rng.Uint32()), uint8(12+rng.Intn(13))), int32(i))
-	}
-	addrs := make([]Addr, 1024)
-	for i := range addrs {
-		addrs[i] = Addr(rng.Uint32())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.Lookup(addrs[i%len(addrs)])
-	}
-}
-
-// BenchmarkTableInsert measures route installation.
-func BenchmarkTableInsert(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	prefixes := make([]Prefix, 4096)
-	for i := range prefixes {
-		prefixes[i] = MustPrefix(Addr(rng.Uint32()), uint8(12+rng.Intn(13)))
-	}
-	b.ResetTimer()
-	var tb Table
-	for i := 0; i < b.N; i++ {
-		tb.Insert(prefixes[i%len(prefixes)], int32(i))
-	}
-}
-
 // BenchmarkIsSpecialPurpose measures reserved-space filtering.
 func BenchmarkIsSpecialPurpose(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))

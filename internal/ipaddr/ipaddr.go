@@ -1,14 +1,12 @@
 // Package ipaddr provides the IPv4 addressing substrate: compact address
 // and prefix types, /24 aggregation (the paper joins DITL query volumes and
-// CDN user counts at the /24 level, §2.1), a longest-prefix-match table used
-// for Team-Cymru-style IP→ASN mapping, the IANA special-purpose registry
-// filter, and a MaxMind-style geolocation database.
+// CDN user counts at the /24 level, §2.1), the IANA special-purpose
+// registry filter, and the address pool synthetic ASes draw from. No
+// IP→ASN or geolocation lookup is modelled: every recursive carries its
+// ground-truth AS and location.
 package ipaddr
 
-import (
-	"fmt"
-	"net/netip"
-)
+import "fmt"
 
 // Addr is an IPv4 address in host byte order. The simulator works purely in
 // IPv4, matching the paper's analysis (IPv6 is excluded for lack of user
@@ -20,32 +18,9 @@ func AddrFrom4(a, b, c, d byte) Addr {
 	return Addr(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// ParseAddr parses dotted-quad notation.
-func ParseAddr(s string) (Addr, error) {
-	ip, err := netip.ParseAddr(s)
-	if err != nil {
-		return 0, fmt.Errorf("ipaddr: %w", err)
-	}
-	if !ip.Is4() {
-		return 0, fmt.Errorf("ipaddr: %q is not IPv4", s)
-	}
-	b := ip.As4()
-	return AddrFrom4(b[0], b[1], b[2], b[3]), nil
-}
-
 // String renders the address in dotted-quad notation.
 func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-}
-
-// Slash24 returns the /24 prefix containing a.
-func (a Addr) Slash24() Prefix {
-	return Prefix{Addr: a &^ 0xff, Bits: 24}
-}
-
-// As4 returns the four octets of the address.
-func (a Addr) As4() [4]byte {
-	return [4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}
 }
 
 // Prefix is an IPv4 CIDR prefix. The Addr is stored masked.
@@ -72,19 +47,6 @@ func MustPrefix(addr Addr, bits uint8) Prefix {
 	return p
 }
 
-// ParsePrefix parses "a.b.c.d/len".
-func ParsePrefix(s string) (Prefix, error) {
-	p, err := netip.ParsePrefix(s)
-	if err != nil {
-		return Prefix{}, fmt.Errorf("ipaddr: %w", err)
-	}
-	if !p.Addr().Is4() {
-		return Prefix{}, fmt.Errorf("ipaddr: %q is not IPv4", s)
-	}
-	b := p.Addr().As4()
-	return NewPrefix(AddrFrom4(b[0], b[1], b[2], b[3]), uint8(p.Bits()))
-}
-
 func mask(bits uint8) Addr {
 	if bits == 0 {
 		return 0
@@ -95,14 +57,6 @@ func mask(bits uint8) Addr {
 // Contains reports whether a falls inside p.
 func (p Prefix) Contains(a Addr) bool {
 	return a&mask(p.Bits) == p.Addr
-}
-
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	if p.Bits <= q.Bits {
-		return p.Contains(q.Addr)
-	}
-	return q.Contains(p.Addr)
 }
 
 // String renders CIDR notation.

@@ -1,116 +1,6 @@
 package ipaddr
 
-import (
-	"fmt"
-
-	"anycastctx/internal/geo"
-)
-
-// Table is a longest-prefix-match lookup table mapping prefixes to integer
-// values (ASNs in the IP→ASN use, region IDs in the geolocation use). It is
-// a binary trie over address bits: simple, allocation-light, and fast
-// enough for tens of millions of lookups per second.
-//
-// The zero value is an empty table ready for use. Table is not safe for
-// concurrent mutation; concurrent lookups after construction are safe.
-type Table struct {
-	root *trieNode
-	n    int
-}
-
-type trieNode struct {
-	child [2]*trieNode
-	value int32
-	set   bool
-}
-
-// Insert maps prefix p to value v, replacing any previous mapping for
-// exactly p. More- and less-specific prefixes coexist; Lookup returns the
-// longest match.
-func (t *Table) Insert(p Prefix, v int32) {
-	if t.root == nil {
-		t.root = &trieNode{}
-	}
-	node := t.root
-	for depth := uint8(0); depth < p.Bits; depth++ {
-		bit := (p.Addr >> (31 - depth)) & 1
-		if node.child[bit] == nil {
-			node.child[bit] = &trieNode{}
-		}
-		node = node.child[bit]
-	}
-	if !node.set {
-		t.n++
-	}
-	node.value = v
-	node.set = true
-}
-
-// Lookup returns the value of the longest prefix containing a, or ok=false
-// if no prefix matches.
-func (t *Table) Lookup(a Addr) (v int32, ok bool) {
-	node := t.root
-	for depth := 0; node != nil; depth++ {
-		if node.set {
-			v, ok = node.value, true
-		}
-		if depth == 32 {
-			break
-		}
-		bit := (a >> (31 - uint(depth))) & 1
-		node = node.child[bit]
-	}
-	return v, ok
-}
-
-// Len returns the number of distinct prefixes in the table.
-func (t *Table) Len() int { return t.n }
-
-// ASNTable maps IP addresses to origin AS numbers, playing the role of the
-// Team Cymru IP→ASN service the paper uses (§2.1: 99.4% of DITL addresses
-// mapped). Unmappable addresses return ok=false, modeling the 0.6% gap.
-type ASNTable struct {
-	t Table
-}
-
-// AddRoute announces prefix p as originated by asn.
-func (a *ASNTable) AddRoute(p Prefix, asn int32) {
-	a.t.Insert(p, asn)
-}
-
-// ASN looks up the origin AS for addr.
-func (a *ASNTable) ASN(addr Addr) (int32, bool) {
-	return a.t.Lookup(addr)
-}
-
-// Len returns the number of routes.
-func (a *ASNTable) Len() int { return a.t.Len() }
-
-// GeoDB maps IP prefixes to coordinates, standing in for MaxMind GeoIP
-// (§3.1: prior work validated MaxMind as accurate enough for geolocating
-// recursive resolvers). Entries carry the error the lookup should exhibit.
-type GeoDB struct {
-	t      Table
-	coords []geo.Coord
-}
-
-// AddPrefix registers a prefix at location c.
-func (g *GeoDB) AddPrefix(p Prefix, c geo.Coord) {
-	g.coords = append(g.coords, c)
-	g.t.Insert(p, int32(len(g.coords)-1))
-}
-
-// Locate returns the location for addr.
-func (g *GeoDB) Locate(addr Addr) (geo.Coord, bool) {
-	idx, ok := g.t.Lookup(addr)
-	if !ok {
-		return geo.Coord{}, false
-	}
-	return g.coords[idx], true
-}
-
-// Len returns the number of prefixes in the database.
-func (g *GeoDB) Len() int { return g.t.Len() }
+import "fmt"
 
 // Slash24Key is a compact comparable key for /24 aggregation maps.
 type Slash24Key uint32

@@ -7,8 +7,6 @@
 package latency
 
 import (
-	"math"
-
 	"anycastctx/internal/bgp"
 	"anycastctx/internal/geo"
 	"anycastctx/internal/topology"
@@ -78,13 +76,6 @@ func (m *Model) BaseRTTMs(src topology.ASN, rt bgp.Route) float64 {
 	return geo.RTTLowerBoundMs(dist) + m.HopPenaltyMs*hops + m.AccessDelayMs(src)
 }
 
-// RTTBetweenMs returns a point-to-point RTT between two locations with a
-// given AS hop count, for paths not derived from a bgp.Route (e.g. the
-// CDN's internal WAN, which the paper treats as near-optimal).
-func (m *Model) RTTBetweenMs(a, b geo.Coord, hops int) float64 {
-	return geo.RTTLowerBoundMs(geo.DistanceKm(a, b)) + m.HopPenaltyMs*float64(hops)
-}
-
 // Sampler is the randomness surface a measurement draw needs. Both
 // *rand.Rand and *rng.Stream satisfy it, so serial simulations keep
 // passing their shared rand while parallel loops pass a per-entity
@@ -134,30 +125,3 @@ func (m *Model) MedianOfSamples(rng Sampler, base float64, n int) float64 {
 	}
 	return (samples[n/2-1] + samples[n/2]) / 2
 }
-
-// PageLoadMs scales a per-RTT latency to a page-load latency given the
-// number of round trips (§5: latency inflation accumulates per RTT).
-func PageLoadMs(rttMs float64, rtts int) float64 {
-	return rttMs * float64(rtts)
-}
-
-// Validate reports whether the model's parameters are coherent.
-func (m *Model) Validate() error {
-	switch {
-	case m.CircuityMin < 1 || m.CircuityMax < m.CircuityMin:
-		return errBad("circuity")
-	case m.AccessMinMs < 0 || m.AccessMaxMs < m.AccessMinMs:
-		return errBad("access delay")
-	case m.HopPenaltyMs < 0:
-		return errBad("hop penalty")
-	case m.NoiseFrac < 0 || m.NoiseFrac > 1:
-		return errBad("noise fraction")
-	case math.IsNaN(m.HopPenaltyMs):
-		return errBad("hop penalty")
-	}
-	return nil
-}
-
-type errBad string
-
-func (e errBad) Error() string { return "latency: invalid " + string(e) }

@@ -78,9 +78,7 @@ func (*UDP) LayerType() LayerType { return LayerTypeUDP }
 
 // TCP flag bits.
 const (
-	FlagFIN = 1 << 0
 	FlagSYN = 1 << 1
-	FlagRST = 1 << 2
 	FlagPSH = 1 << 3
 	FlagACK = 1 << 4
 )
@@ -108,9 +106,6 @@ func (Payload) LayerType() LayerType { return LayerTypePayload }
 type Packet struct {
 	layers []Layer
 }
-
-// Layers returns all decoded layers outermost-first.
-func (p *Packet) Layers() []Layer { return p.layers }
 
 // Layer returns the first layer of the given type, or nil.
 func (p *Packet) Layer(t LayerType) Layer {
@@ -197,15 +192,10 @@ func serializeBuf(buf []byte, total int) []byte {
 	return b
 }
 
-// SerializeUDP builds a full IPv4+UDP packet with valid checksums.
-func SerializeUDP(ip *IPv4, udp *UDP, payload []byte) ([]byte, error) {
-	return SerializeUDPInto(nil, ip, udp, payload)
-}
-
-// SerializeUDPInto is SerializeUDP writing into buf's storage (ignoring
-// its contents) when capacity allows, so hot emitters can reuse one
-// buffer per packet instead of allocating. The returned slice may alias
-// buf.
+// SerializeUDPInto builds a full IPv4+UDP packet with valid checksums,
+// writing into buf's storage (ignoring its contents) when capacity
+// allows, so hot emitters can reuse one buffer per packet instead of
+// allocating. The returned slice may alias buf; a nil buf allocates.
 func SerializeUDPInto(buf []byte, ip *IPv4, udp *UDP, payload []byte) ([]byte, error) {
 	udpLen := 8 + len(payload)
 	total := 20 + udpLen
@@ -228,14 +218,10 @@ func SerializeUDPInto(buf []byte, ip *IPv4, udp *UDP, payload []byte) ([]byte, e
 	return b, nil
 }
 
-// SerializeTCP builds a full IPv4+TCP packet (20-byte TCP header, no
-// options) with valid checksums.
-func SerializeTCP(ip *IPv4, tcp *TCP, payload []byte) ([]byte, error) {
-	return SerializeTCPInto(nil, ip, tcp, payload)
-}
-
-// SerializeTCPInto is SerializeTCP writing into buf's storage (ignoring
-// its contents) when capacity allows. The returned slice may alias buf.
+// SerializeTCPInto builds a full IPv4+TCP packet (20-byte TCP header, no
+// options) with valid checksums, writing into buf's storage (ignoring its
+// contents) when capacity allows. The returned slice may alias buf; a nil
+// buf allocates.
 func SerializeTCPInto(buf []byte, ip *IPv4, tcp *TCP, payload []byte) ([]byte, error) {
 	tcpLen := 20 + len(payload)
 	total := 20 + tcpLen

@@ -43,7 +43,6 @@ var (
 // (or Flush) when done. Writer is not safe for concurrent use.
 type Writer struct {
 	w      *bufio.Writer
-	buf    [recordHdrLen]byte
 	closed bool
 }
 
@@ -72,34 +71,6 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{w: bw}, nil
 }
 
-// WritePacket appends one packet with the given capture timestamp. The
-// classic pcap record header stores seconds as an unsigned 32-bit count
-// from the Unix epoch; timestamps outside that range would silently wrap
-// into a corrupt header, so they are rejected instead.
-func (w *Writer) WritePacket(ts time.Time, data []byte) error {
-	if w.closed {
-		return ErrWriterClosed
-	}
-	if len(data) > maxSnapLen {
-		return fmt.Errorf("pcapio: packet length %d exceeds snaplen", len(data))
-	}
-	sec := ts.Unix()
-	if sec < 0 || sec > math.MaxUint32 {
-		return fmt.Errorf("%w: %v", ErrTimeRange, ts)
-	}
-	binary.LittleEndian.PutUint32(w.buf[0:], uint32(sec))
-	binary.LittleEndian.PutUint32(w.buf[4:], uint32(ts.Nanosecond()/1000))
-	binary.LittleEndian.PutUint32(w.buf[8:], uint32(len(data)))
-	binary.LittleEndian.PutUint32(w.buf[12:], uint32(len(data)))
-	if _, err := w.w.Write(w.buf[:]); err != nil {
-		return fmt.Errorf("pcapio: writing record header: %w", err)
-	}
-	if _, err := w.w.Write(data); err != nil {
-		return fmt.Errorf("pcapio: writing record data: %w", err)
-	}
-	return nil
-}
-
 // WriteRaw appends pre-framed record bytes, as produced by
 // AppendRecord: the parallel capture emitter frames records into
 // per-worker buffers and stitches them through here in deterministic
@@ -115,9 +86,11 @@ func (w *Writer) WriteRaw(b []byte) error {
 }
 
 // AppendRecord appends one framed record (header + data) to buf and
-// returns the extended slice. It applies the same validation as
-// (*Writer).WritePacket; the result can be written through WriteRaw
-// after a NewWriter has emitted the file header.
+// returns the extended slice; the result can be written through WriteRaw
+// after a NewWriter has emitted the file header. The classic pcap record
+// header stores seconds as an unsigned 32-bit count from the Unix epoch;
+// timestamps outside that range would silently wrap into a corrupt
+// header, so they are rejected instead.
 func AppendRecord(buf []byte, ts time.Time, data []byte) ([]byte, error) {
 	if len(data) > maxSnapLen {
 		return buf, fmt.Errorf("pcapio: packet length %d exceeds snaplen", len(data))
@@ -189,10 +162,9 @@ type ReaderStats struct {
 // Reader reads a pcap capture file written by Writer (or any classic
 // little-endian microsecond pcap with a raw-IP link type).
 type Reader struct {
-	r        *bufio.Reader
-	linkType uint32
-	lenient  bool
-	stats    ReaderStats
+	r       *bufio.Reader
+	lenient bool
+	stats   ReaderStats
 }
 
 // NewReader validates the pcap global header and returns a Reader.
@@ -205,10 +177,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != magicMicros {
 		return nil, fmt.Errorf("pcapio: bad magic 0x%08x", magic)
 	}
-	return &Reader{
-		r:        br,
-		linkType: binary.LittleEndian.Uint32(hdr[20:]),
-	}, nil
+	return &Reader{r: br}, nil
 }
 
 // SetLenient switches the reader into skip-and-count recovery mode:
@@ -220,9 +189,6 @@ func (r *Reader) SetLenient(v bool) { r.lenient = v }
 
 // Stats returns what this reader has read, recovered, and dropped.
 func (r *Reader) Stats() ReaderStats { return r.stats }
-
-// LinkType returns the capture's link type.
-func (r *Reader) LinkType() uint32 { return r.linkType }
 
 // resyncLimit bounds how far lenient recovery scans for a record
 // boundary before giving up on the rest of the stream.

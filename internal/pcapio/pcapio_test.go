@@ -2,9 +2,11 @@ package pcapio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -14,11 +16,12 @@ import (
 
 func mustAddr(t *testing.T, s string) ipaddr.Addr {
 	t.Helper()
-	a, err := ipaddr.ParseAddr(s)
-	if err != nil {
-		t.Fatal(err)
+	ip, err := netip.ParseAddr(s)
+	if err != nil || !ip.Is4() {
+		t.Fatalf("not an IPv4 address: %q", s)
 	}
-	return a
+	b := ip.As4()
+	return ipaddr.AddrFrom4(b[0], b[1], b[2], b[3])
 }
 
 func TestUDPRoundTrip(t *testing.T) {
@@ -47,8 +50,8 @@ func TestUDPRoundTrip(t *testing.T) {
 	if pkt.TCP() != nil {
 		t.Error("unexpected TCP layer")
 	}
-	if len(pkt.Layers()) != 3 {
-		t.Errorf("layers = %d", len(pkt.Layers()))
+	if len(pkt.layers) != 3 {
+		t.Errorf("layers = %d", len(pkt.layers))
 	}
 }
 
@@ -216,8 +219,8 @@ func TestPcapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LinkType() != linkTypeRaw {
-		t.Errorf("link type = %d", r.LinkType())
+	if lt := binary.LittleEndian.Uint32(buf.Bytes()[20:]); lt != linkTypeRaw {
+		t.Errorf("link type = %d", lt)
 	}
 	var got []Record
 	if err := r.ForEach(func(rec Record) error {

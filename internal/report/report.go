@@ -81,19 +81,6 @@ func (t *Table) Render() string {
 	return sb.String()
 }
 
-// CSV returns the comma-separated form (no quoting; cells must not contain
-// commas).
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(t.Headers, ","))
-	sb.WriteByte('\n')
-	for _, row := range t.Rows {
-		sb.WriteString(strings.Join(row, ","))
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
 // Series is one named CDF line of a figure.
 type Series struct {
 	Name string

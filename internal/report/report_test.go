@@ -33,16 +33,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := Table{Headers: []string{"x", "y"}}
-	tb.AddRow("1", "2")
-	tb.AddRow("3", "4")
-	want := "x,y\n1,2\n3,4\n"
-	if got := tb.CSV(); got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
-	}
-}
-
 func TestRenderCDFs(t *testing.T) {
 	cdf, err := stats.NewCDFFromValues([]float64{1, 2, 3, 4})
 	if err != nil {

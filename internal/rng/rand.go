@@ -10,8 +10,3 @@ func NewRand(seed int64, phase Phase, id uint64) *rand.Rand {
 	s := Split(seed, phase, id)
 	return rand.New(&s)
 }
-
-// NewZipf builds a stdlib Zipf sampler drawing from the given stream.
-func NewZipf(s *Stream, sExp, v float64, imax uint64) *rand.Zipf {
-	return rand.NewZipf(rand.New(s), sExp, v, imax)
-}

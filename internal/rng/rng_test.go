@@ -259,8 +259,7 @@ func TestNewRandAndZipf(t *testing.T) {
 	if r1.Float64() != r2.Float64() {
 		t.Error("NewRand not deterministic")
 	}
-	s := Split(6, PhaseClientRun, 0)
-	z := NewZipf(&s, 1.5, 1, 999)
+	z := rand.NewZipf(NewRand(6, PhaseClientRun, 0), 1.5, 1, 999)
 	for i := 0; i < 100; i++ {
 		if v := z.Uint64(); v > 999 {
 			t.Fatalf("Zipf draw %d out of range", v)

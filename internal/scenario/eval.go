@@ -7,7 +7,6 @@ import (
 
 	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/core"
-	"anycastctx/internal/ditl"
 	"anycastctx/internal/obs"
 	"anycastctx/internal/report"
 	"anycastctx/internal/stats"
@@ -257,12 +256,3 @@ func (r *Result) renderSurge(ctx context.Context, sb *strings.Builder) {
 	sb.WriteString(t.Render())
 	sb.WriteByte('\n')
 }
-
-// CampaignShared reports whether the incremental path reused the base
-// campaign outright (ring-only scenarios). Exposed for tests and the
-// -scenario CLI's verbose output.
-func (r *Result) CampaignShared() bool { return r.app.campaignShared }
-
-// MutatedCampaign returns the scenario's campaign (the base one when
-// shared).
-func (r *Result) MutatedCampaign() *ditl.Campaign { return r.World.Campaign() }

@@ -79,12 +79,6 @@ func NewCDFFromValues(vals []float64) (*CDF, error) {
 	return NewCDF(obs)
 }
 
-// Len returns the number of distinct values.
-func (c *CDF) Len() int { return len(c.values) }
-
-// TotalWeight returns the sum of all weights.
-func (c *CDF) TotalWeight() float64 { return c.total }
-
 // Min returns the smallest observed value.
 func (c *CDF) Min() float64 { return c.minimum }
 
@@ -143,32 +137,10 @@ func (c *CDF) Mean() float64 {
 // experience more than X ms" statistic.
 func (c *CDF) FractionAbove(x float64) float64 { return 1 - c.P(x) }
 
-// FractionAtOrBelow returns P(X <= x).
-func (c *CDF) FractionAtOrBelow(x float64) float64 { return c.P(x) }
-
 // Point is one (x, P(X<=x)) sample of the CDF curve.
 type Point struct {
 	X float64
 	P float64
-}
-
-// Curve samples the CDF at each distinct value, suitable for plotting or
-// printing a figure series.
-func (c *CDF) Curve() []Point {
-	pts := make([]Point, len(c.values))
-	for i, v := range c.values {
-		pts[i] = Point{X: v, P: c.cumul[i] / c.total}
-	}
-	return pts
-}
-
-// SampleAt evaluates the CDF at the provided x positions.
-func (c *CDF) SampleAt(xs []float64) []Point {
-	pts := make([]Point, len(xs))
-	for i, x := range xs {
-		pts[i] = Point{X: x, P: c.P(x)}
-	}
-	return pts
 }
 
 // BoxStats is a five-number summary: the box-and-whisker bars of Fig 6b.
@@ -226,61 +198,3 @@ func Median(vals []float64) float64 {
 	}
 	return (tmp[n/2-1] + tmp[n/2]) / 2
 }
-
-// Percentile returns the p-th percentile (0..100) using nearest-rank on a
-// copy of vals; 0 for empty input.
-func Percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	c, err := NewCDFFromValues(vals)
-	if err != nil {
-		return 0
-	}
-	return c.Quantile(p / 100)
-}
-
-// Histogram buckets observations into equal-width bins over [lo, hi);
-// values outside the range land in the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []float64 // weight per bin
-	total  float64
-}
-
-// NewHistogram creates a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: bad histogram bounds [%v, %v) with %d bins", lo, hi, n)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]float64, n)}, nil
-}
-
-// Add records value v with weight w.
-func (h *Histogram) Add(v, w float64) {
-	n := len(h.Counts)
-	i := int(float64(n) * (v - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Counts[i] += w
-	h.total += w
-}
-
-// Fractions returns per-bin weight shares (empty histogram yields zeros).
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = c / h.total
-	}
-	return out
-}
-
-// Total returns the accumulated weight.
-func (h *Histogram) Total() float64 { return h.total }

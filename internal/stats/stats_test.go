@@ -137,11 +137,11 @@ func TestCDFDuplicatesMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if len(c.values) != 1 {
+		t.Errorf("%d distinct values, want 1", len(c.values))
 	}
-	if c.TotalWeight() != 6 {
-		t.Errorf("TotalWeight = %v, want 6", c.TotalWeight())
+	if c.total != 6 {
+		t.Errorf("total weight = %v, want 6", c.total)
 	}
 	if c.P(5) != 1 {
 		t.Errorf("P(5) = %v, want 1", c.P(5))
@@ -181,34 +181,15 @@ func TestCDFMonotonicProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pts := c.Curve()
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X <= pts[i-1].X || pts[i].P < pts[i-1].P {
+		for i := 1; i < len(c.values); i++ {
+			if c.values[i] <= c.values[i-1] || c.P(c.values[i]) < c.P(c.values[i-1]) {
 				return false
 			}
 		}
-		return math.Abs(pts[len(pts)-1].P-1) < 1e-9
+		return math.Abs(c.P(c.values[len(c.values)-1])-1) < 1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCurveAndSampleAt(t *testing.T) {
-	c, err := NewCDFFromValues([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := c.Curve()
-	if len(pts) != 3 || pts[2].P != 1 {
-		t.Errorf("Curve = %v", pts)
-	}
-	s := c.SampleAt([]float64{0, 1.5, 10})
-	want := []float64{0, 1.0 / 3, 1}
-	for i, p := range s {
-		if math.Abs(p.P-want[i]) > 1e-12 {
-			t.Errorf("SampleAt[%d] = %v, want %v", i, p.P, want[i])
-		}
 	}
 }
 
@@ -235,7 +216,7 @@ func TestBox(t *testing.T) {
 }
 
 func TestMeanMedianPercentile(t *testing.T) {
-	if Mean(nil) != 0 || Median(nil) != 0 || Percentile(nil, 50) != 0 {
+	if Mean(nil) != 0 || Median(nil) != 0 {
 		t.Error("empty-input helpers should return 0")
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
@@ -247,7 +228,12 @@ func TestMeanMedianPercentile(t *testing.T) {
 	if got := Median([]float64{4, 1, 2, 3}); got != 2.5 {
 		t.Errorf("Median even = %v", got)
 	}
-	if got := Percentile([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}, 95); got != 100 {
+	// Nearest-rank percentiles come from CDF quantiles.
+	c, err := NewCDFFromValues([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Quantile(0.95); got != 100 {
 		t.Errorf("P95 = %v", got)
 	}
 	// Median must not mutate its input.
@@ -255,37 +241,6 @@ func TestMeanMedianPercentile(t *testing.T) {
 	Median(in)
 	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
 		t.Error("Median mutated its input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(0, 1)   // bin 0
-	h.Add(9.9, 1) // bin 4
-	h.Add(-5, 1)  // clamped to bin 0
-	h.Add(50, 1)  // clamped to bin 4
-	h.Add(5, 2)   // bin 2
-	fr := h.Fractions()
-	if math.Abs(fr[0]-2.0/6) > 1e-12 || math.Abs(fr[2]-2.0/6) > 1e-12 || math.Abs(fr[4]-2.0/6) > 1e-12 {
-		t.Errorf("Fractions = %v", fr)
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %v", h.Total())
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("degenerate bounds accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	empty, _ := NewHistogram(0, 1, 2)
-	for _, f := range empty.Fractions() {
-		if f != 0 {
-			t.Error("empty histogram fraction nonzero")
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ package users
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"anycastctx/internal/geo"
@@ -68,17 +67,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Population is the ground truth: every recursive, address-plan lookup
-// tables, and the total user count.
+// Population is the ground truth: every recursive, with its AS and
+// location, and the total user count.
 type Population struct {
 	TotalUsers float64
 	Recursives []Recursive
 
-	// ASNTable maps any allocated address to its origin AS (the synthetic
-	// Team Cymru database).
-	ASNTable *ipaddr.ASNTable
-	// GeoDB maps allocated prefixes to locations (the synthetic MaxMind).
-	GeoDB *ipaddr.GeoDB
 	// Pool continues handing out unallocated space (e.g. for junk traffic
 	// sources added by the capture generator).
 	Pool *ipaddr.Pool
@@ -86,7 +80,6 @@ type Population struct {
 	PublicASNs []topology.ASN
 
 	byKey map[ipaddr.Slash24Key]int
-	byASN map[topology.ASN][]int
 }
 
 // Build constructs the population on g: allocates address space, places
@@ -95,18 +88,15 @@ type Population struct {
 //
 // Every random quantity is drawn from a splittable stream keyed by the
 // owning AS, so the draw phase runs under par.Do; the address-pool
-// allocation and index maps are then filled in a serial pass over the
+// allocation and the /24 index are then filled in a serial pass over the
 // pre-computed draws, keeping every allocation and map insertion in
 // deterministic AS order.
 func Build(g *topology.Graph, cfg Config, seed int64) (*Population, error) {
 	cfg = cfg.withDefaults()
 	p := &Population{
 		TotalUsers: cfg.TotalUsers,
-		ASNTable:   &ipaddr.ASNTable{},
-		GeoDB:      &ipaddr.GeoDB{},
 		Pool:       ipaddr.NewPool(),
 		byKey:      make(map[ipaddr.Slash24Key]int),
-		byASN:      make(map[topology.ASN][]int),
 	}
 
 	// Public DNS services at the biggest metros.
@@ -227,10 +217,7 @@ func (p *Population) addRecursive(b ipaddr.Prefix, asn topology.ASN, loc geo.Coo
 		IPs:    ips,
 		Public: public,
 	}
-	p.ASNTable.AddRoute(b, int32(asn))
-	p.GeoDB.AddPrefix(b, loc)
 	p.byKey[rec.Key] = len(p.Recursives)
-	p.byASN[asn] = append(p.byASN[asn], len(p.Recursives))
 	p.Recursives = append(p.Recursives, rec)
 	return len(p.Recursives) - 1, nil
 }
@@ -242,16 +229,6 @@ func (p *Population) ByKey(k ipaddr.Slash24Key) (*Recursive, bool) {
 		return nil, false
 	}
 	return &p.Recursives[i], true
-}
-
-// ByASN returns the recursives hosted in an AS.
-func (p *Population) ByASN(asn topology.ASN) []*Recursive {
-	idxs := p.byASN[asn]
-	out := make([]*Recursive, len(idxs))
-	for i, idx := range idxs {
-		out[i] = &p.Recursives[idx]
-	}
-	return out
 }
 
 // UsersServed sums ground-truth users over all recursives.
@@ -417,12 +394,4 @@ func (c *CDNCounts) TotalBy24() float64 {
 		s += c.By24[k]
 	}
 	return s
-}
-
-// RelativeError returns |est-truth|/truth, a convenience for validation.
-func RelativeError(est, truth float64) float64 {
-	if truth == 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(est-truth) / truth
 }

@@ -39,12 +39,6 @@ func init() {
 	}
 }
 
-// StageCounters returns the process-wide (hits, misses, computes)
-// counters for one stage — test and report plumbing.
-func StageCounters(id stage.ID) (hits, misses, computes uint64) {
-	return stageHits[id].Value(), stageMisses[id].Value(), stageComputes[id].Value()
-}
-
 // StageStatus describes one stage's materialization in one world.
 type StageStatus struct {
 	ID        stage.ID `json:"id"`

@@ -132,8 +132,8 @@ func TestCaptureReferralsCarryGlue(t *testing.T) {
 		for _, rr := range msg.Authority {
 			if rr.Type == dnswire.TypeNS {
 				hasNS = true
-				if _, err := dnswire.RDataName(rr.RData); err != nil {
-					t.Fatalf("unparseable NS rdata: %v", err)
+				if !wellFormedName(rr.RData) {
+					t.Fatalf("unparseable NS rdata: %x", rr.RData)
 				}
 			}
 		}
@@ -148,4 +148,19 @@ func TestCaptureReferralsCarryGlue(t *testing.T) {
 	if referrals == 0 {
 		t.Error("no referrals with NS records found in capture")
 	}
+}
+
+// wellFormedName reports whether rd is exactly one uncompressed
+// wire-format domain name: length-prefixed labels of at most 63 bytes
+// ending in the root label.
+func wellFormedName(rd []byte) bool {
+	for i := 0; i < len(rd); i += int(rd[i]) + 1 {
+		switch {
+		case rd[i] == 0:
+			return i == len(rd)-1
+		case rd[i] > 63:
+			return false
+		}
+	}
+	return false
 }
