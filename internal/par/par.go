@@ -76,10 +76,9 @@ func plan(n int) (workers int) {
 // DoCtx is Do with a context threaded to every worker. The context is the
 // observability carrier: callers start a parent span, put it in ctx, and
 // each worker's shard spans (started via obs.StartSpanCtx inside fn)
-// attach to it, so parallel stages keep a correct span tree instead of
-// garbling a shared nesting stack. DoCtx itself never cancels on ctx —
-// shards are short and deterministic, and partial fan-outs would break
-// output byte-identity.
+// attach to it, so parallel stages keep a correct span tree. DoCtx itself
+// never cancels on ctx — shards are short and deterministic, and partial
+// fan-outs would break output byte-identity.
 func DoCtx(ctx context.Context, n int, fn func(ctx context.Context, lo, hi int)) {
 	if n <= 0 {
 		return
