@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"anycastctx/internal/anycastnet"
+	"anycastctx/internal/bgp"
 	"anycastctx/internal/cdn"
 	"anycastctx/internal/core"
 	"anycastctx/internal/ditl"
@@ -99,9 +100,14 @@ func runAblSize(ctx context.Context, w *World, _ int64) (Result, error) {
 	}
 	var first, last point
 	for _, n := range []int{2, 5, 10, 20, 50, 100} {
-		d, err := anycastnet.BuildLetter(g, anycastnet.LetterSpec{
-			Letter: fmt.Sprintf("size%d", n), GlobalSites: n, TotalSites: n, Openness: 0.25,
+		name := fmt.Sprintf("size%d", n)
+		sites, err := anycastnet.AddLetterSites(g, anycastnet.LetterSpec{
+			Letter: name, GlobalSites: n, TotalSites: n, Openness: 0.25,
 		}, rng)
+		if err != nil {
+			return Result{}, err
+		}
+		d, err := anycastnet.NewDeployment(g, name, sites)
 		if err != nil {
 			return Result{}, err
 		}
@@ -141,7 +147,12 @@ func runAblPeering(ctx context.Context, w *World, _ int64) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		c, err := cdn.Build(ctx, g, model, cdn.Config{PeerBase: base}, ablSeed)
+		cfg := cdn.Config{PeerBase: base}
+		as, err := cdn.AddNetwork(g, cfg, ablSeed)
+		if err != nil {
+			return Result{}, err
+		}
+		c, err := cdn.Build(ctx, g, as, model, cfg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -202,7 +213,11 @@ func runAblRouting(ctx context.Context, w *World, _ int64) (Result, error) {
 		{Letter: "small", GlobalSites: 5, TotalSites: 5, Openness: 0.25},
 		{Letter: "large", GlobalSites: 80, TotalSites: 80, Openness: 0.25},
 	} {
-		d, err := anycastnet.BuildLetter(g, spec, rng)
+		sites, err := anycastnet.AddLetterSites(g, spec, rng)
+		if err != nil {
+			return Result{}, err
+		}
+		d, err := anycastnet.NewDeployment(g, spec.Letter, sites)
 		if err != nil {
 			return Result{}, err
 		}
@@ -233,15 +248,24 @@ func runAblTau(ctx context.Context, w *World, _ int64) (Result, error) {
 		return Result{}, err
 	}
 	model := latency.DefaultModel()
-	pop, err := users.Build(g, users.Config{TotalUsers: 1e9}, ablSeed)
+	pop, err := users.Build(g, users.AddPublicDNS(g), users.Config{TotalUsers: 1e9}, ablSeed)
 	if err != nil {
 		return Result{}, err
 	}
 	zone := dnssim.NewZone(500, ablSeed)
 	rates := dnssim.ComputeRates(pop, zone, dnssim.RateConfig{}, ablSeed)
-	letters, err := anycastnet.BuildLetters(g, anycastnet.Letters2018(), rng)
-	if err != nil {
-		return Result{}, err
+	specs := anycastnet.Letters2018()
+	letterSites := make([][]bgp.Site, len(specs))
+	for i, spec := range specs {
+		if letterSites[i], err = anycastnet.AddLetterSites(g, spec, rng); err != nil {
+			return Result{}, err
+		}
+	}
+	letters := make([]*anycastnet.Deployment, len(specs))
+	for i, spec := range specs {
+		if letters[i], err = anycastnet.NewDeployment(g, spec.Letter, letterSites[i]); err != nil {
+			return Result{}, err
+		}
 	}
 	t := report.Table{
 		Title:   "Ablation: letter-preference temperature vs per-query inflation",

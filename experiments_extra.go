@@ -92,12 +92,17 @@ func runGrowth(ctx context.Context, w *World, _ int64) (Result, error) {
 		// The paper counts global+local; roughly a quarter of root sites
 		// were global, which is what the latency analysis uses.
 		globals := yr.Sites / 4
-		d, err := anycastnet.BuildLetter(g, anycastnet.LetterSpec{
-			Letter:      fmt.Sprintf("roots%d", yr.Year),
+		name := fmt.Sprintf("roots%d", yr.Year)
+		sites, err := anycastnet.AddLetterSites(g, anycastnet.LetterSpec{
+			Letter:      name,
 			GlobalSites: globals,
 			TotalSites:  globals,
 			Openness:    0.28,
 		}, rng)
+		if err != nil {
+			return Result{}, err
+		}
+		d, err := anycastnet.NewDeployment(g, name, sites)
 		if err != nil {
 			return Result{}, err
 		}

@@ -97,10 +97,6 @@ func Derive(base *Deployment, g *topology.Graph, name string, sites []bgp.Site,
 	if err != nil {
 		return nil, fmt.Errorf("anycastnet: derive %s: %w", name, err)
 	}
-	// Pin the transit tables to the graph as it stands now: a later
-	// mutation in the same scenario spec (e.g. a peering upgrade) must
-	// not leak into this deployment's route decisions.
-	res.EnsureTables()
 	res.SeedFrom(base.resolver, remap, keep)
 	return newDeployment(name, sites, res), nil
 }
@@ -194,17 +190,14 @@ var TCPLatencyLetters2018 = map[string]bool{
 	"F": true, "J": true, "K": true, "M": true,
 }
 
-// BuildLetter constructs a root-letter deployment on g: global sites are
-// placed at the highest-population regions (operators deploy where users
-// are, Fig 7b), local sites at random regions, and each site gets a host AS
-// whose upstreams are nearby transits plus a tier-1.
-func BuildLetter(g *topology.Graph, spec LetterSpec, rng *rand.Rand) (*Deployment, error) {
-	return buildLetter(g, spec, rng, regionsByWeight(g.Regions))
-}
-
-// buildLetter is BuildLetter with the weight-sorted region list hoisted
-// out, so BuildLetters sorts once for all letters instead of per letter.
-func buildLetter(g *topology.Graph, spec LetterSpec, rng *rand.Rand, regions []geo.Region) (*Deployment, error) {
+// AddLetterSites places one root letter's sites and adds their host ASes
+// to g: global sites at the highest-population regions (operators deploy
+// where users are, Fig 7b), local sites at random regions, each on a host
+// whose upstreams are nearby transits plus a tier-1. The first
+// SharedHostFraction of the global sites share one partner host present
+// at all of them. NewDeployment turns the sites into the letter once g
+// holds every AS it will ever hold.
+func AddLetterSites(g *topology.Graph, spec LetterSpec, rng *rand.Rand) ([]bgp.Site, error) {
 	if spec.GlobalSites < 1 {
 		return nil, fmt.Errorf("anycastnet: letter %s has no global sites", spec.Letter)
 	}
@@ -212,88 +205,66 @@ func buildLetter(g *topology.Graph, spec LetterSpec, rng *rand.Rand, regions []g
 		return nil, fmt.Errorf("anycastnet: letter %s total %d < global %d",
 			spec.Letter, spec.TotalSites, spec.GlobalSites)
 	}
-
-	var sharedHost *topology.AS
+	regions := HeaviestRegions(g.Regions)
 	nShared := int(spec.SharedHostFraction * float64(spec.GlobalSites))
+	var sharedUps []topology.ASN
 
 	sites := make([]bgp.Site, 0, spec.TotalSites)
 	for i := 0; i < spec.GlobalSites; i++ {
 		r := regions[i%len(regions)]
 		loc := geo.Jitter(r.Center, 60, rng.Float64(), rng.Float64())
-		var host topology.ASN
-		if i < nShared {
-			if sharedHost == nil {
-				sharedHost = g.AddHostAS(
-					fmt.Sprintf("root-%s-partner", spec.Letter),
-					loc, nearbyUpstreams(g, loc, rng), clamp01(spec.Openness*1.3))
-				sharedHost.Presence = sharedHost.Presence[:0]
-			}
-			sharedHost.Presence = append(sharedHost.Presence, loc)
-			sharedHost.InvalidatePresence()
-			host = sharedHost.ASN
-		} else {
-			h := g.AddHostAS(
-				fmt.Sprintf("root-%s-site-%d", spec.Letter, i),
-				loc, nearbyUpstreams(g, loc, rng), spec.Openness)
-			host = h.ASN
+		site := bgp.Site{ID: i, Loc: loc, Global: true}
+		switch {
+		case i >= nShared:
+			site.Host = g.AddHostAS(fmt.Sprintf("root-%s-site-%d", spec.Letter, i),
+				[]geo.Coord{loc}, nearbyUpstreams(g, loc, rng), spec.Openness).ASN
+		case i == 0:
+			// The partner's upstreams are drawn at its first site; the
+			// partner joins g once all of its sites are placed.
+			sharedUps = nearbyUpstreams(g, loc, rng)
 		}
-		sites = append(sites, bgp.Site{ID: len(sites), Loc: loc, Host: host, Global: true})
+		sites = append(sites, site)
+		if i == nShared-1 {
+			presence := make([]geo.Coord, nShared)
+			for k := range presence {
+				presence[k] = sites[k].Loc
+			}
+			host := g.AddHostAS(fmt.Sprintf("root-%s-partner", spec.Letter),
+				presence, sharedUps, clamp01(spec.Openness*1.3)).ASN
+			for k := range presence {
+				sites[k].Host = host
+			}
+		}
 	}
 	// Local sites: volunteer hosts at random population-weighted regions,
 	// announcement scoped to their neighborhoods.
 	for i := spec.GlobalSites; i < spec.TotalSites; i++ {
 		r := regions[rng.Intn(len(regions))]
 		loc := geo.Jitter(r.Center, 120, rng.Float64(), rng.Float64())
-		h := g.AddHostAS(
-			fmt.Sprintf("root-%s-local-%d", spec.Letter, i),
-			loc, nearbyUpstreams(g, loc, rng), spec.Openness*0.5)
-		sites = append(sites, bgp.Site{ID: len(sites), Loc: loc, Host: h.ASN, Global: false})
+		h := g.AddHostAS(fmt.Sprintf("root-%s-local-%d", spec.Letter, i),
+			[]geo.Coord{loc}, nearbyUpstreams(g, loc, rng), spec.Openness*0.5)
+		sites = append(sites, bgp.Site{ID: i, Loc: loc, Host: h.ASN, Global: false})
 	}
-	res, err := bgp.NewResolver(g, sites)
-	if err != nil {
-		return nil, fmt.Errorf("anycastnet: letter %s: %w", spec.Letter, err)
-	}
-	return newDeployment(spec.Letter, sites, res), nil
+	return sites, nil
 }
 
-// BuildLetters builds all letters in spec order.
-func BuildLetters(g *topology.Graph, specs []LetterSpec, rng *rand.Rand) ([]*Deployment, error) {
-	regions := regionsByWeight(g.Regions)
-	out := make([]*Deployment, 0, len(specs))
-	for _, s := range specs {
-		d, err := buildLetter(g, s, rng, regions)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-// NewDeployment wraps externally constructed sites (used by the CDN
-// package, whose sites all live on one network).
+// NewDeployment builds the deployment of sites on g: a root letter's
+// sites from AddLetterSites, or a CDN ring's on the CDN's network. Route
+// resolution reads g lazily, so g must not change while the deployment is
+// in use.
 func NewDeployment(g *topology.Graph, name string, sites []bgp.Site) (*Deployment, error) {
 	res, err := bgp.NewResolver(g, sites)
 	if err != nil {
 		return nil, fmt.Errorf("anycastnet: %s: %w", name, err)
 	}
-	// Scenario applies construct deployments mid-mutation-sequence; pin
-	// the tables so later graph mutations cannot shift earlier results.
-	res.EnsureTables()
 	return newDeployment(name, sites, res), nil
 }
 
-// NearbyUpstreams picks the provider mix BuildLetter gives site hosts:
+// NearbyUpstreams picks the provider mix AddLetterSites gives site hosts:
 // 1-2 transits with presence near loc plus one tier-1. Exported for
 // what-if scenario mutations that add sites to a built deployment.
 func NearbyUpstreams(g *topology.Graph, loc geo.Coord, rng *rand.Rand) []topology.ASN {
 	return nearbyUpstreams(g, loc, rng)
-}
-
-// HeaviestRegions returns regions sorted by population weight, heaviest
-// first — the order BuildLetter places global sites in.
-func HeaviestRegions(regions []geo.Region) []geo.Region {
-	return regionsByWeight(regions)
 }
 
 // nearbyUpstreams picks 1-2 transits with presence near loc plus one
@@ -328,8 +299,10 @@ func nearbyUpstreams(g *topology.Graph, loc geo.Coord, rng *rand.Rand) []topolog
 	return ups
 }
 
-// regionsByWeight returns regions sorted by population, heaviest first.
-func regionsByWeight(regions []geo.Region) []geo.Region {
+// HeaviestRegions returns a copy of regions sorted by population weight,
+// heaviest first — the order AddLetterSites places global sites and the
+// CDN its PoPs in.
+func HeaviestRegions(regions []geo.Region) []geo.Region {
 	out := make([]geo.Region, len(regions))
 	copy(out, regions)
 	// Stable sort by weight descending, ID ascending — a total order, so

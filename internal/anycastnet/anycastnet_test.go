@@ -20,6 +20,15 @@ func buildGraph(t *testing.T) *topology.Graph {
 	return g
 }
 
+// buildLetter adds spec's sites to g and deploys the letter on them.
+func buildLetter(g *topology.Graph, spec LetterSpec, rng *rand.Rand) (*Deployment, error) {
+	sites, err := AddLetterSites(g, spec, rng)
+	if err != nil {
+		return nil, err
+	}
+	return NewDeployment(g, spec.Letter, sites)
+}
+
 func TestLetterSpecsInventory(t *testing.T) {
 	specs := Letters2018()
 	if len(specs) != 10 {
@@ -53,10 +62,10 @@ func TestLetterSpecsInventory(t *testing.T) {
 func TestBuildLetterValidation(t *testing.T) {
 	g := buildGraph(t)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := BuildLetter(g, LetterSpec{Letter: "X", GlobalSites: 0}, rng); err == nil {
+	if _, err := AddLetterSites(g, LetterSpec{Letter: "X", GlobalSites: 0}, rng); err == nil {
 		t.Error("zero global sites accepted")
 	}
-	if _, err := BuildLetter(g, LetterSpec{Letter: "X", GlobalSites: 5, TotalSites: 3}, rng); err == nil {
+	if _, err := AddLetterSites(g, LetterSpec{Letter: "X", GlobalSites: 5, TotalSites: 3}, rng); err == nil {
 		t.Error("total < global accepted")
 	}
 }
@@ -64,7 +73,7 @@ func TestBuildLetterValidation(t *testing.T) {
 func TestBuildLetterStructure(t *testing.T) {
 	g := buildGraph(t)
 	rng := rand.New(rand.NewSource(2))
-	d, err := BuildLetter(g, LetterSpec{Letter: "D", GlobalSites: 20, TotalSites: 40, Openness: 0.2}, rng)
+	d, err := buildLetter(g, LetterSpec{Letter: "D", GlobalSites: 20, TotalSites: 40, Openness: 0.2}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +106,7 @@ func TestBuildLetterStructure(t *testing.T) {
 func TestSharedHostDeployment(t *testing.T) {
 	g := buildGraph(t)
 	rng := rand.New(rand.NewSource(3))
-	d, err := BuildLetter(g, LetterSpec{
+	d, err := buildLetter(g, LetterSpec{
 		Letter: "F", GlobalSites: 20, TotalSites: 20, Openness: 0.5, SharedHostFraction: 0.5,
 	}, rng)
 	if err != nil {
@@ -117,12 +126,17 @@ func TestSharedHostDeployment(t *testing.T) {
 	if got := len(g.AS(first).Presence); got != 10 {
 		t.Errorf("shared host presence = %d, want 10", got)
 	}
+	for _, s := range d.Sites[:10] {
+		if loc, km := g.AS(first).NearestPresence(s.Loc); loc != s.Loc || km != 0 {
+			t.Errorf("site %d: shared host's nearest presence %v at %.1f km, want the site itself", s.ID, loc, km)
+		}
+	}
 }
 
 func TestGlobalSitesPlacedNearPopulation(t *testing.T) {
 	g := buildGraph(t)
 	rng := rand.New(rand.NewSource(4))
-	d, err := BuildLetter(g, LetterSpec{Letter: "K", GlobalSites: 30, TotalSites: 30, Openness: 0.3}, rng)
+	d, err := buildLetter(g, LetterSpec{Letter: "K", GlobalSites: 30, TotalSites: 30, Openness: 0.3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +162,7 @@ func nearestSite(d *Deployment, loc geo.Coord) (int, float64) {
 func TestClosestGlobalSite(t *testing.T) {
 	g := buildGraph(t)
 	rng := rand.New(rand.NewSource(5))
-	d, err := BuildLetter(g, LetterSpec{Letter: "A", GlobalSites: 5, TotalSites: 6, Openness: 0.2}, rng)
+	d, err := buildLetter(g, LetterSpec{Letter: "A", GlobalSites: 5, TotalSites: 6, Openness: 0.2}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +180,13 @@ func TestClosestGlobalSite(t *testing.T) {
 func TestBuildLettersAll2018(t *testing.T) {
 	g := buildGraph(t)
 	rng := rand.New(rand.NewSource(6))
-	ds, err := BuildLetters(g, Letters2018(), rng)
-	if err != nil {
-		t.Fatal(err)
+	var ds []*Deployment
+	for _, spec := range Letters2018() {
+		d, err := buildLetter(g, spec, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d)
 	}
 	if len(ds) != 10 {
 		t.Fatalf("deployments = %d", len(ds))
@@ -186,7 +204,7 @@ func TestOpennessDrivesDirectPaths(t *testing.T) {
 	g := buildGraph(t)
 	rng := rand.New(rand.NewSource(7))
 	frac2 := func(spec LetterSpec) float64 {
-		d, err := BuildLetter(g, spec, rng)
+		d, err := buildLetter(g, spec, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,16 +246,16 @@ func TestNewDeploymentErrors(t *testing.T) {
 func TestDeploymentRouteConcurrent(t *testing.T) {
 	g := buildGraph(t)
 	rng := rand.New(rand.NewSource(8))
-	d, err := BuildLetter(g, LetterSpec{Letter: "K", GlobalSites: 25, TotalSites: 26, Openness: 0.3}, rng)
+	d, err := buildLetter(g, LetterSpec{Letter: "K", GlobalSites: 25, TotalSites: 26, Openness: 0.3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eyeballs := g.Eyeballs()
 	// Serial reference from an identically built deployment on a fresh but
-	// identically seeded graph (BuildLetter adds host ASes, so reusing g
+	// identically seeded graph (AddLetterSites adds host ASes, so reusing g
 	// would shift ASNs; a twin graph + same rng seed reproduces the sites
 	// and routes exactly).
-	ref, err := BuildLetter(buildGraph(t),
+	ref, err := buildLetter(buildGraph(t),
 		LetterSpec{Letter: "K", GlobalSites: 25, TotalSites: 26, Openness: 0.3},
 		rand.New(rand.NewSource(8)))
 	if err != nil {

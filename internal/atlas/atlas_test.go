@@ -18,8 +18,12 @@ func buildWorld(t *testing.T) (*topology.Graph, *anycastnet.Deployment, *Platfor
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	dep, err := anycastnet.BuildLetter(g, anycastnet.LetterSpec{
+	sites, err := anycastnet.AddLetterSites(g, anycastnet.LetterSpec{
 		Letter: "K", GlobalSites: 20, TotalSites: 20, Openness: 0.3}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := anycastnet.NewDeployment(g, "K", sites)
 	if err != nil {
 		t.Fatal(err)
 	}

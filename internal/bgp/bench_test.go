@@ -19,7 +19,7 @@ func benchWorld(b *testing.B, sites int) (*topology.Graph, *Resolver) {
 	ss := make([]Site, sites)
 	for i := range ss {
 		a := anchors[i%len(anchors)]
-		host := g.AddHostAS("h", a.Coord, []topology.ASN{g.Transits()[i%len(g.Transits())], g.Tier1s()[i%len(g.Tier1s())]}, 0.3)
+		host := g.AddHostAS("h", []geo.Coord{a.Coord}, []topology.ASN{g.Transits()[i%len(g.Transits())], g.Tier1s()[i%len(g.Tier1s())]}, 0.3)
 		ss[i] = Site{ID: i, Loc: a.Coord, Host: host.ASN, Global: true}
 	}
 	r, err := NewResolver(g, ss)

@@ -125,12 +125,8 @@ type Resolver struct {
 	// host (1 = adjacent, 2 = via one intermediate, 3 = via tier-1 mesh).
 	// Computed lazily on the first route resolution (or seeded from a
 	// persisted artifact) under tablesOnce: a resolver whose routes are
-	// never asked for costs nothing but its site list. The values are
-	// stable against the world's post-construction graph mutations —
-	// host-AS additions and CDN peering never change the transit/tier-1
-	// membership or any transit↔host adjacency — and callers that mutate
-	// the graph after construction (the scenario engine) pin the tables
-	// at construction time via EnsureTables.
+	// never asked for costs nothing but its site list. The graph must not
+	// change once the resolver exists.
 	transitDist map[topology.ASN][]uint8
 	tablesOnce  sync.Once
 
@@ -189,13 +185,6 @@ func (r *Resolver) tables() map[topology.ASN][]uint8 {
 	r.tablesOnce.Do(r.computeTables)
 	return r.transitDist
 }
-
-// EnsureTables forces the transit-distance tables to be computed now,
-// against the graph's current state. The scenario engine calls this at
-// deployment construction so later graph mutations in the same spec
-// (e.g. a peering upgrade after an add_site) cannot leak into an
-// earlier deployment's tables.
-func (r *Resolver) EnsureTables() { r.tables() }
 
 // hopsFromTransit returns the valley-free AS-hop count from transit p to
 // host h: 1 if adjacent, 2 via one of h's providers, else 3 through the

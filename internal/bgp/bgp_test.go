@@ -27,7 +27,7 @@ func deploySites(g *topology.Graph, n int, richness float64) []Site {
 	for i := 0; i < n; i++ {
 		a := anchors[i%len(anchors)]
 		up := g.Transits()[i%len(g.Transits())]
-		host := g.AddHostAS("site-host", a.Coord, []topology.ASN{up, g.Tier1s()[i%len(g.Tier1s())]}, richness)
+		host := g.AddHostAS("site-host", []geo.Coord{a.Coord}, []topology.ASN{up, g.Tier1s()[i%len(g.Tier1s())]}, richness)
 		sites = append(sites, Site{ID: i, Loc: a.Coord, Host: host.ASN, Global: true})
 	}
 	return sites
@@ -221,12 +221,12 @@ func TestLocalSiteVisibility(t *testing.T) {
 	// One global site far away and one local site: sources in the local
 	// site's region should be able to use it, others must not.
 	far := geo.Anchors()[0]
-	host1 := g.AddHostAS("global-host", far.Coord, []topology.ASN{g.Tier1s()[0]}, 0.1)
+	host1 := g.AddHostAS("global-host", []geo.Coord{far.Coord}, []topology.ASN{g.Tier1s()[0]}, 0.1)
 
 	// Place the local site exactly at some eyeball's region center.
 	e0 := g.AS(g.Eyeballs()[0])
 	localLoc := g.Regions[e0.Region].Center
-	host2 := g.AddHostAS("local-host", localLoc, []topology.ASN{g.Transits()[0]}, 0)
+	host2 := g.AddHostAS("local-host", []geo.Coord{localLoc}, []topology.ASN{g.Transits()[0]}, 0)
 
 	sites := []Site{
 		{ID: 0, Loc: far.Coord, Host: host1.ASN, Global: true},

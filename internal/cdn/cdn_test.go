@@ -19,7 +19,11 @@ func buildWorld(t *testing.T) (*topology.Graph, *CDN) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Build(context.Background(), g, latency.DefaultModel(), Config{}, 7)
+	as, err := AddNetwork(g, Config{}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Build(context.Background(), g, as, latency.DefaultModel(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +256,19 @@ func TestBuildValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// More front-ends than regions must fail.
-	_, err = Build(context.Background(), g, latency.DefaultModel(), Config{Rings: []RingSpec{{Name: "R10", Size: 10}}}, 2)
-	if err == nil {
+	if _, err := AddNetwork(g, Config{Rings: []RingSpec{{Name: "R10", Size: 10}}}, 2); err == nil {
 		t.Error("oversized ring accepted")
 	}
-	_, err = Build(context.Background(), g, latency.DefaultModel(), Config{Rings: []RingSpec{{Name: "R0", Size: 0}}}, 2)
-	if err == nil {
+	if _, err := AddNetwork(g, Config{Rings: []RingSpec{{Name: "R0", Size: 0}}}, 2); err == nil {
 		t.Error("empty ring accepted")
+	}
+	// So must a ring with more front-ends than the network has PoPs.
+	as, err := AddNetwork(g, Config{Rings: []RingSpec{{Name: "R3", Size: 3}}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(context.Background(), g, as, latency.DefaultModel(), Config{Rings: []RingSpec{{Name: "R4", Size: 4}}}); err == nil {
+		t.Error("ring larger than the PoP set accepted")
 	}
 }
 

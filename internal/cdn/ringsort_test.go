@@ -10,8 +10,8 @@ import (
 	"anycastctx/internal/topology"
 )
 
-// buildWithRings builds a fresh graph (Build mutates it: CDN AS, peering)
-// and a CDN with the given ring specs.
+// buildWithRings builds a fresh graph (AddNetwork adds the CDN AS and its
+// peering) and a CDN with the given ring specs.
 func buildWithRings(t *testing.T, rings []RingSpec) *CDN {
 	t.Helper()
 	regions := geo.GenerateRegions(geo.PaperRegionCounts, rand.New(rand.NewSource(42)))
@@ -19,7 +19,11 @@ func buildWithRings(t *testing.T, rings []RingSpec) *CDN {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Build(context.Background(), g, latency.DefaultModel(), Config{Rings: rings}, 7)
+	as, err := AddNetwork(g, Config{Rings: rings}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Build(context.Background(), g, as, latency.DefaultModel(), Config{Rings: rings})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"anycastctx/internal/anycastnet"
+	"anycastctx/internal/bgp"
 	"anycastctx/internal/cdn"
 	"anycastctx/internal/ditl"
 	"anycastctx/internal/dnssim"
@@ -42,15 +43,30 @@ func buildWorld(t *testing.T) *world {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9))
-	pop, err := users.Build(g, users.Config{TotalUsers: 1e9}, 9)
+	public := users.AddPublicDNS(g)
+	specs := anycastnet.Letters2018()
+	letterSites := make([][]bgp.Site, len(specs))
+	for i, spec := range specs {
+		if letterSites[i], err = anycastnet.AddLetterSites(g, spec, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cdnAS, err := cdn.AddNetwork(g, cdn.Config{}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pop, err := users.Build(g, public, users.Config{TotalUsers: 1e9}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zone := dnssim.NewZone(1000, 9)
 	rates := dnssim.ComputeRates(pop, zone, dnssim.RateConfig{}, 9)
-	letters, err := anycastnet.BuildLetters(g, anycastnet.Letters2018(), rng)
-	if err != nil {
-		t.Fatal(err)
+	letters := make([]*anycastnet.Deployment, len(specs))
+	for i, spec := range specs {
+		if letters[i], err = anycastnet.NewDeployment(g, spec.Letter, letterSites[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	model := latency.DefaultModel()
 	camp, err := ditl.Build(context.Background(), g, letters, pop, zone, rates, model, ditl.Config{}, 9)
@@ -59,7 +75,7 @@ func buildWorld(t *testing.T) *world {
 	}
 	cdnC := users.BuildCDNCounts(pop, users.CDNConfig{}, 9)
 	apnic := users.BuildAPNICCounts(g, pop, 9)
-	cdnNet, err := cdn.Build(context.Background(), g, model, cdn.Config{}, 9)
+	cdnNet, err := cdn.Build(context.Background(), g, cdnAS, model, cdn.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"anycastctx/internal/anycastnet"
+	"anycastctx/internal/bgp"
 	"anycastctx/internal/dnssim"
 	"anycastctx/internal/geo"
 	"anycastctx/internal/latency"
@@ -33,20 +34,29 @@ func buildFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	pop, err := users.Build(g, users.Config{TotalUsers: 5e8}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zone := dnssim.NewZone(500, 5)
-	rates := dnssim.ComputeRates(pop, zone, dnssim.RateConfig{}, 5)
+	public := users.AddPublicDNS(g)
 	specs := []anycastnet.LetterSpec{
 		{Letter: "B", GlobalSites: 2, TotalSites: 2, Openness: 0.1},
 		{Letter: "C", GlobalSites: 10, TotalSites: 10, Openness: 0.26},
 		{Letter: "K", GlobalSites: 30, TotalSites: 31, Openness: 0.3},
 	}
-	letters, err := anycastnet.BuildLetters(g, specs, rng)
+	letterSites := make([][]bgp.Site, len(specs))
+	for i, spec := range specs {
+		if letterSites[i], err = anycastnet.AddLetterSites(g, spec, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pop, err := users.Build(g, public, users.Config{TotalUsers: 5e8}, 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	zone := dnssim.NewZone(500, 5)
+	rates := dnssim.ComputeRates(pop, zone, dnssim.RateConfig{}, 5)
+	letters := make([]*anycastnet.Deployment, len(specs))
+	for i, spec := range specs {
+		if letters[i], err = anycastnet.NewDeployment(g, spec.Letter, letterSites[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	camp, err := Build(context.Background(), g, letters, pop, zone, rates, latency.DefaultModel(), Config{}, 5)
 	if err != nil {

@@ -55,7 +55,7 @@ func BenchmarkComputeRates(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pop, err := users.Build(g, users.Config{TotalUsers: 1e9}, 5)
+	pop, err := users.Build(g, users.AddPublicDNS(g), users.Config{TotalUsers: 1e9}, 5)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func buildPop(t *testing.T) *users.Population {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := users.Build(g, users.Config{TotalUsers: 5e8}, 5)
+	p, err := users.Build(g, users.AddPublicDNS(g), users.Config{TotalUsers: 5e8}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/bgp"
 	"anycastctx/internal/cdn"
+	"anycastctx/internal/ditl"
 	"anycastctx/internal/dnssim"
 	"anycastctx/internal/geo"
 	"anycastctx/internal/obs"
@@ -141,12 +142,12 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 			lm := letter(li)
 			st := rng.NewRand(seed, rng.PhaseScenario, uint64(mi))
 			loc := placeSite(g2, base.Letters()[li].Sites, lm.added, st.Float64(), st.Float64())
-			// The new host mirrors BuildLetter's global-site hosts: the
+			// The new host mirrors AddLetterSites' global-site hosts: the
 			// openness of the letter's first (always global) site's host,
 			// nearby transit upstreams, single-point presence.
 			richness := g2.AS(base.Letters()[li].Sites[0].Host).PeeringRichness
 			h := g2.AddHostAS(fmt.Sprintf("root-%s-scn-%d", m.Target, len(lm.added)),
-				loc, anycastnet.NearbyUpstreams(g2, loc, st), richness)
+				[]geo.Coord{loc}, anycastnet.NearbyUpstreams(g2, loc, st), richness)
 			lm.added = append(lm.added, addedSite{loc: loc, host: h.ASN})
 
 		case KindUpgradePeering:
@@ -336,26 +337,38 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 	}
 	routes.End()
 
-	ov := base.Overlay()
-	ov.SetGraph(g2)
-	ov.SetLetters(app.letters)
-	ov.SetCDN(base.CDN().Overlay(g2, newRings))
-	app.ov = ov
-
 	// Campaign: ring-only scenarios leave it untouched — share it, and
 	// the join with it. Anything touching letters or rates rebases.
-	lettersMutated := len(app.mutatedLetters) > 0
-	if !lettersMutated && surge == 0 && !full {
-		ov.SeedJoin(base.JoinCtx(ctx))
+	rates, camp := base.Rates(), base.Campaign()
+	var join *ditl.Join
+	var err error
+	if len(app.mutatedLetters) == 0 && surge == 0 && !full {
+		join = base.JoinCtx(ctx)
 		app.campaignShared = true
 		obsCampaignShare.Inc()
-		return app, nil
+	} else {
+		if surge != 0 {
+			rates = surgeRates(rates, surge)
+		}
+		if camp, err = rebaseCampaign(ctx, base, app, muts, rates, full); err != nil {
+			return nil, err
+		}
 	}
+	if app.ov, err = base.Overlay(ctx, g2, app.letters, base.CDN().Overlay(g2, newRings), rates, camp, join); err != nil {
+		return nil, err
+	}
+	return app, nil
+}
 
+// rebaseCampaign reassembles the base campaign on the mutated letters
+// and rates, copying the cells of every recursive the mutations cannot
+// affect.
+func rebaseCampaign(ctx context.Context, base *world.World, app *applied, muts map[int]*letterMut,
+	rates []dnssim.Rates, full bool) (*ditl.Campaign, error) {
 	camp := base.Campaign()
 	n := len(base.Pop().Recursives)
 	affected := make([]bool, n)
-	allAffected := full || surge != 0
+	allAffected := full || app.surge != 0
 	for _, li := range app.mutatedLetters {
 		lm := muts[li]
 		if lm.swapWith >= 0 || len(lm.added) > 0 {
@@ -409,20 +422,9 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 	}
 	obsAffectedRecs.Add(uint64(nAff))
 
-	var rates []dnssim.Rates
-	if surge != 0 {
-		rates = surgeRates(base.Rates(), surge)
-		ov.SetRates(rates)
-	}
-
 	campCtx, campSpan := obs.StartSpanCtx(ctx, "scenario.campaign")
-	newCamp, err := camp.Rebase(campCtx, app.letters, app.letterRemap, rates, affected, seed)
-	campSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	ov.SetCampaign(newCamp)
-	return app, nil
+	defer campSpan.End()
+	return camp.Rebase(campCtx, app.letters, app.letterRemap, rates, affected, base.Cfg.Seed)
 }
 
 // mutateLetterSites composes withdrawals and additions on one letter into
@@ -543,7 +545,7 @@ func ringKeeps(c *cdn.CDN, oldSize, newSize int, cdnPeer bool, cdnDirty map[topo
 
 // placeSite picks the heaviest region with no global site of the letter
 // within 1000 km (operators deploy where uncovered users are), jittered
-// like BuildLetter's global sites.
+// like AddLetterSites' global sites.
 func placeSite(g2 *topology.Graph, baseSites []bgp.Site, added []addedSite, u1, u2 float64) geo.Coord {
 	regions := anycastnet.HeaviestRegions(g2.Regions)
 	pick := regions[0]

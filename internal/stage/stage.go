@@ -23,7 +23,8 @@ type ID string
 const (
 	// Regions generates the geographic regions.
 	Regions ID = "regions"
-	// Topology builds the AS graph on the regions.
+	// Topology builds the whole AS graph on the regions: the hierarchy,
+	// the public DNS hosts, the letters' site hosts and the CDN's network.
 	Topology ID = "topology"
 	// Population places recursives and users in the graph.
 	Population ID = "population"
@@ -31,7 +32,7 @@ const (
 	Zone ID = "zone"
 	// Rates derives per-recursive daily query-rate profiles.
 	Rates ID = "rates"
-	// Letters deploys the root letters (mutates the graph: host ASes).
+	// Letters deploys the root letters on their site hosts.
 	Letters ID = "letters"
 	// Routes resolves and memoizes every letter's catchment routes for
 	// all recursive source ASes (the per-letter transit tables plus the
@@ -39,7 +40,7 @@ const (
 	Routes ID = "routes"
 	// Campaign assembles the DITL campaign columns.
 	Campaign ID = "campaign"
-	// CDN builds the CDN network (mutates the graph: CDN AS + peering).
+	// CDN builds the CDN's anycast rings on its network.
 	CDN ID = "cdn"
 	// UserCounts builds the CDN and APNIC user-count datasets.
 	UserCounts ID = "usercounts"
@@ -76,26 +77,20 @@ type Info struct {
 	Version int
 }
 
-// all lists every stage in topological order. The graph-mutation ordering
-// invariant lives here: the graph allocates ASNs sequentially, and three
-// stages extend it — Population adds the public-DNS host ASes, Letters
-// adds the letter host ASes, CDN adds the CDN AS. Letters therefore
-// depends on Population and CDN on Letters, pinning allocation to the
-// historical monolithic order no matter which stage is demanded first;
-// without that edge, a world that materialized letters before population
-// would shift every subsequent ASN (and the peering hashes and RNG
-// streams keyed on them).
+// all lists every stage in topological order. Topology builds the whole
+// AS graph, including the hosts and peering the population, letters and
+// CDN stages build on, and no other stage writes it.
 var all = []Info{
 	{ID: Regions, Version: 1},
 	{ID: Topology, Deps: []ID{Regions}, Version: 1},
 	{ID: Population, Deps: []ID{Topology}, Version: 1},
 	{ID: Zone, Version: 1},
 	{ID: Rates, Deps: []ID{Population, Zone}, LoadDeps: []ID{Population}, Persisted: true, Version: 1},
-	{ID: Letters, Deps: []ID{Topology, Population}, Version: 1},
+	{ID: Letters, Deps: []ID{Topology}, Version: 1},
 	{ID: Routes, Deps: []ID{Letters, Population}, LoadDeps: []ID{Letters, Population}, Persisted: true, Version: 1},
 	{ID: Campaign, Deps: []ID{Letters, Population, Zone, Rates, Routes},
 		LoadDeps: []ID{Letters, Population, Zone, Rates}, Persisted: true, Version: 1},
-	{ID: CDN, Deps: []ID{Topology, Letters}, Version: 1},
+	{ID: CDN, Deps: []ID{Topology}, Version: 1},
 	{ID: UserCounts, Deps: []ID{Topology, Population}, Version: 1},
 	{ID: Atlas, Deps: []ID{Topology}, Version: 1},
 	{ID: Locations, Deps: []ID{Topology}, Version: 1},

@@ -188,12 +188,13 @@ func TestPeeredSymmetricAndIrreflexive(t *testing.T) {
 }
 
 // refPeered is Peered before its PairUnit short-circuit: the co-presence
-// probability first, then the pair's deviate.
-func refPeered(g *Graph, a, b ASN) bool {
+// probability first, then the pair's deviate. explicit is the test's own
+// record of the graph's explicit edges, smaller ASN first.
+func refPeered(g *Graph, explicit map[[2]ASN]bool, a, b ASN) bool {
 	if a == b {
 		return false
 	}
-	if g.HasExplicitPeering(a, b) {
+	if explicit[[2]ASN{min(a, b), max(a, b)}] {
 		return true
 	}
 	A, B := g.AS(a), g.AS(b)
@@ -225,15 +226,44 @@ func TestPeeredMatchesReferenceFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.AddHostAS("host", geo.Coord{Lat: 48.86, Lon: 2.35}, []ASN{g.Transits()[0]}, 0.9)
-	g.AddHostAS("host-zero", geo.Coord{Lat: -33.9, Lon: 151.2}, []ASN{g.Transits()[1]}, 0)
+	// New meshes the tier-1s; every other explicit edge is one of the
+	// Peer calls below, repeats and an unknown AS included.
+	explicit := map[[2]ASN]bool{}
+	for i, a := range g.Tier1s() {
+		for _, b := range g.Tier1s()[i+1:] {
+			explicit[[2]ASN{min(a, b), max(a, b)}] = true
+		}
+	}
+	peer := func(a, b ASN) {
+		g.Peer(a, b)
+		if a != b && g.AS(a) != nil && g.AS(b) != nil {
+			explicit[[2]ASN{min(a, b), max(a, b)}] = true
+		}
+	}
+	host := g.AddHostAS("host", []geo.Coord{{Lat: 48.86, Lon: 2.35}}, []ASN{g.Transits()[0]}, 0.9)
+	g.AddHostAS("host-zero", []geo.Coord{{Lat: -33.9, Lon: 151.2}}, []ASN{g.Transits()[1]}, 0)
 	cdn := g.AddCDNAS("cdn", []geo.Coord{{Lat: 40.71, Lon: -74.01}, {Lat: 51.51, Lon: -0.13}, {Lat: 35.68, Lon: 139.69}})
-	g.Peer(g.Eyeballs()[0], cdn.ASN)
+	for _, e := range g.Eyeballs()[:40] {
+		peer(e, cdn.ASN)
+	}
+	peer(cdn.ASN, g.Eyeballs()[0])
+	peer(g.Eyeballs()[50], host.ASN)
+	peer(host.ASN, cdn.ASN)
+	peer(g.Transits()[2], g.Eyeballs()[60])
+	peer(host.ASN, host.ASN)
+	peer(host.ASN, ASN(999999))
+	// A repeated edge, a self-edge and an unknown AS add no entries.
+	if len(host.peers) != 2 || len(cdn.peers) != 41 {
+		t.Fatalf("adjacency lists hold %d and %d edges, want 2 and 41", len(host.peers), len(cdn.peers))
+	}
 	peered := 0
 	all := g.All()
 	for _, a := range all {
 		for _, b := range all {
-			got, want := g.Peered(a, b), refPeered(g, a, b)
+			if got, want := g.HasExplicitPeering(a, b), explicit[[2]ASN{min(a, b), max(a, b)}]; got != want {
+				t.Fatalf("HasExplicitPeering(%d, %d) = %v, recorded %v", a, b, got, want)
+			}
+			got, want := g.Peered(a, b), refPeered(g, explicit, a, b)
 			if got != want {
 				t.Fatalf("Peered(%d, %d) = %v, reference %v", a, b, got, want)
 			}
@@ -254,7 +284,7 @@ func TestAddHostAS(t *testing.T) {
 	}
 	loc := geo.Coord{Lat: 48.86, Lon: 2.35}
 	up := g.Transits()[0]
-	h := g.AddHostAS("host-paris", loc, []ASN{up, up}, 0.5)
+	h := g.AddHostAS("host-paris", []geo.Coord{loc}, []ASN{up, up}, 0.5)
 	if h.Class != ClassHost {
 		t.Errorf("class = %v", h.Class)
 	}
@@ -313,7 +343,11 @@ func TestConnected(t *testing.T) {
 }
 
 func TestNearestPresence(t *testing.T) {
-	as := &AS{Presence: []geo.Coord{{Lat: 0, Lon: 0}, {Lat: 50, Lon: 50}}}
+	g, err := New(smallConfig(), testRegions(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := g.AddHostAS("host", []geo.Coord{{Lat: 0, Lon: 0}, {Lat: 50, Lon: 50}}, []ASN{g.Transits()[0]}, 0.5)
 	c, d := as.NearestPresence(geo.Coord{Lat: 49, Lon: 49})
 	if c != (geo.Coord{Lat: 50, Lon: 50}) {
 		t.Errorf("nearest = %v", c)

@@ -47,9 +47,10 @@ type Config struct {
 	// MaxResolverIPs bounds the number of active resolver IPs per /24
 	// (default 5).
 	MaxResolverIPs int
-	// NumPublicServices is how many public DNS operators exist (default 3).
-	NumPublicServices int
 }
+
+// numPublicServices is how many public DNS operators exist.
+const numPublicServices = 3
 
 func (c Config) withDefaults() Config {
 	if c.TotalUsers == 0 {
@@ -60,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxResolverIPs == 0 {
 		c.MaxResolverIPs = 5
-	}
-	if c.NumPublicServices == 0 {
-		c.NumPublicServices = 3
 	}
 	return c
 }
@@ -82,37 +80,50 @@ type Population struct {
 	byKey map[ipaddr.Slash24Key]int
 }
 
-// Build constructs the population on g: allocates address space, places
-// 1–4 recursive /24s per eyeball AS (more for bigger ASes), creates public
-// DNS services, and splits users across them.
+// AddPublicDNS adds the public DNS services' host ASes to g, one at each
+// of the biggest metros, and returns their ASNs for Build.
+func AddPublicDNS(g *topology.Graph) []topology.ASN {
+	anchors := geo.Anchors()
+	asns := make([]topology.ASN, numPublicServices)
+	for i := range asns {
+		a := anchors[i%len(anchors)]
+		asns[i] = g.AddHostAS(fmt.Sprintf("public-dns-%d", i), []geo.Coord{a.Coord}, publicUpstreams(g, i), 0.6).ASN
+	}
+	return asns
+}
+
+// Build constructs the population on g, whose public DNS services are
+// the ASes AddPublicDNS returned: allocates address space, places 1–4
+// recursive /24s per eyeball AS (more for bigger ASes) and two per public
+// service, and splits users across them. It does not modify g.
 //
 // Every random quantity is drawn from a splittable stream keyed by the
 // owning AS, so the draw phase runs under par.Do; the address-pool
 // allocation and the /24 index are then filled in a serial pass over the
 // pre-computed draws, keeping every allocation and map insertion in
 // deterministic AS order.
-func Build(g *topology.Graph, cfg Config, seed int64) (*Population, error) {
+func Build(g *topology.Graph, public []topology.ASN, cfg Config, seed int64) (*Population, error) {
 	cfg = cfg.withDefaults()
 	p := &Population{
 		TotalUsers: cfg.TotalUsers,
 		Pool:       ipaddr.NewPool(),
+		PublicASNs: public,
 		byKey:      make(map[ipaddr.Slash24Key]int),
 	}
 
-	// Public DNS services at the biggest metros.
-	anchors := geo.Anchors()
-	publicRecs := make([]int, 0, cfg.NumPublicServices*2)
-	for i := 0; i < cfg.NumPublicServices; i++ {
-		a := anchors[i%len(anchors)]
-		host := g.AddHostAS(fmt.Sprintf("public-dns-%d", i), a.Coord, publicUpstreams(g, i), 0.6)
-		p.PublicASNs = append(p.PublicASNs, host.ASN)
+	publicRecs := make([]int, 0, len(public)*2)
+	for i, asn := range public {
+		host := g.AS(asn)
+		if host == nil {
+			return nil, fmt.Errorf("users: public DNS AS%d not in graph", asn)
+		}
 		blocks, err := p.Pool.AllocSlash24s(2)
 		if err != nil {
 			return nil, fmt.Errorf("users: %w", err)
 		}
 		st := rng.Split(seed, rng.PhasePopServices, uint64(i))
 		for _, b := range blocks {
-			idx, err := p.addRecursive(b, host.ASN, a.Coord, 0, true, 1+st.Intn(cfg.MaxResolverIPs))
+			idx, err := p.addRecursive(b, asn, host.Loc, 0, true, 1+st.Intn(cfg.MaxResolverIPs))
 			if err != nil {
 				return nil, err
 			}

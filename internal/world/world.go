@@ -24,6 +24,7 @@ import (
 	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/artifact"
 	"anycastctx/internal/atlas"
+	"anycastctx/internal/bgp"
 	"anycastctx/internal/cdn"
 	"anycastctx/internal/ditl"
 	"anycastctx/internal/dnssim"
@@ -181,9 +182,8 @@ type World struct {
 	// Cfg is the (defaulted) configuration the world was created from.
 	Cfg Config
 
-	keys    map[stage.ID]string
-	store   *artifact.Store
-	overlay bool
+	keys  map[stage.ID]string
+	store *artifact.Store
 
 	cells map[stage.ID]*cell
 
@@ -192,8 +192,14 @@ type World struct {
 
 	model *latency.Model
 
-	regions    []geo.Region
-	graph      *topology.Graph
+	regions []geo.Region
+	graph   *topology.Graph
+	// The topology stage's record of the ASes it added for later stages:
+	// the public DNS hosts, each letter's sites, and the CDN's network.
+	publicDNS   []topology.ASN
+	letterSites [][]bgp.Site
+	cdnAS       *topology.AS
+
 	pop        *users.Population
 	zone       *dnssim.Zone
 	rates      []dnssim.Rates
@@ -311,9 +317,8 @@ func (w *World) must(id stage.ID) {
 // Regions returns the geographic regions.
 func (w *World) Regions() []geo.Region { w.must(stage.Regions); return w.regions }
 
-// Graph returns the AS topology. Note that the letters and cdn stages
-// mutate the graph (host ASes, the CDN AS and its peering); demanding
-// them later grows the graph in place, exactly like the monolithic build.
+// Graph returns the AS topology: every AS and explicit peering edge of
+// the world, whatever else has been demanded.
 func (w *World) Graph() *topology.Graph { w.must(stage.Topology); return w.graph }
 
 // Model returns the latency model (not a stage: it is a pure value
@@ -381,75 +386,52 @@ func (w *World) JoinCtx(ctx context.Context) *ditl.Join {
 	return w.join
 }
 
-// SeedJoin pre-fills the join stage with j (a join already computed for
-// an identical campaign). A no-op if the stage is already live.
-func (w *World) SeedJoin(j *ditl.Join) {
-	w.cells[stage.Join].once.Do(func() { w.join = j })
-}
-
-// Overlay returns a copy of w for scenario evaluation: the classic
-// stages are forced live on the base first, then shared with the copy,
-// whose join and telemetry stages start fresh so they never alias the
-// base's. The copy has no artifact store — a mutated world must never
-// write into the base's cache — and its setters are unlocked.
-func (w *World) Overlay() *World {
-	if err := w.Demand(context.Background(), ClassicStages()...); err != nil {
-		panic(fmt.Sprintf("world: overlay of unbuildable world: %v", err))
+// Overlay returns a copy of w for scenario evaluation with g, letters, c,
+// rates and camp in place of the base's outputs, and join, when non-nil,
+// as the copy's join (one already computed for an identical campaign).
+// The classic stages are forced live on the base first and everything
+// not replaced is shared with it; the copy's telemetry stages, and its
+// join unless given, start fresh so they never alias the base's. The copy
+// has no artifact store — a mutated world must never write into the
+// base's cache.
+func (w *World) Overlay(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deployment, c *cdn.CDN,
+	rates []dnssim.Rates, camp *ditl.Campaign, join *ditl.Join) (*World, error) {
+	if err := w.Demand(ctx, ClassicStages()...); err != nil {
+		return nil, err
 	}
 	ov := &World{
-		Cfg:     w.Cfg,
-		keys:    w.keys,
-		overlay: true,
-		cells:   make(map[stage.ID]*cell, len(stage.All())),
-		status:  make(map[stage.ID]*StageStatus, 4),
-		model:   w.model,
+		Cfg:    w.Cfg,
+		keys:   w.keys,
+		cells:  make(map[stage.ID]*cell, len(stage.All())),
+		status: make(map[stage.ID]*StageStatus, 4),
+		model:  w.model,
 
 		regions:   w.regions,
-		graph:     w.graph,
+		graph:     g,
 		pop:       w.pop,
 		zone:      w.zone,
-		rates:     w.rates,
-		letters:   w.letters,
-		campaign:  w.campaign,
-		cdnNet:    w.cdnNet,
+		rates:     rates,
+		letters:   letters,
+		campaign:  camp,
+		cdnNet:    c,
 		cdnCounts: w.cdnCounts,
 		apnic:     w.apnic,
 		atlasPlat: w.atlasPlat,
 		locations: w.locations,
+		join:      join,
 	}
 	for _, id := range stage.All() {
 		ov.cells[id] = &cell{}
 	}
-	for _, id := range ClassicStages() {
+	live := ClassicStages()
+	if join != nil {
+		live = append(live, stage.Join)
+	}
+	for _, id := range live {
 		ov.cells[id].once.Do(func() {})
 	}
-	return ov
+	return ov, nil
 }
-
-// Setters, legal only on overlays: scenario evaluation swaps mutated
-// stage outputs into the copy while everything untouched stays shared
-// with the base. Calling one on a base world is a hard error — it would
-// desynchronize the in-memory value from its artifact key.
-func (w *World) mustOverlay(what string) {
-	if !w.overlay {
-		panic("world: " + what + " on a non-overlay world")
-	}
-}
-
-// SetGraph replaces the overlay's AS topology.
-func (w *World) SetGraph(g *topology.Graph) { w.mustOverlay("SetGraph"); w.graph = g }
-
-// SetLetters replaces the overlay's letter deployments.
-func (w *World) SetLetters(ls []*anycastnet.Deployment) { w.mustOverlay("SetLetters"); w.letters = ls }
-
-// SetCDN replaces the overlay's CDN.
-func (w *World) SetCDN(c *cdn.CDN) { w.mustOverlay("SetCDN"); w.cdnNet = c }
-
-// SetRates replaces the overlay's rate table.
-func (w *World) SetRates(rs []dnssim.Rates) { w.mustOverlay("SetRates"); w.rates = rs }
-
-// SetCampaign replaces the overlay's campaign.
-func (w *World) SetCampaign(c *ditl.Campaign) { w.mustOverlay("SetCampaign"); w.campaign = c }
 
 func scaleInt(v int, scale float64, floor int) int {
 	s := int(float64(v) * scale)
