@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"anycastctx/internal/obs"
 	"anycastctx/internal/topology"
 )
 
@@ -15,7 +16,8 @@ import (
 // TestRouteConcurrentCacheFill resolves every eyeball from many goroutines
 // simultaneously on one shared resolver — maximum contention on a cold
 // cache — and checks every goroutine observes the exact route a serial
-// resolver computes.
+// resolver computes. The route counters must advance once per source, as
+// the cache misses do, however the fills race.
 func TestRouteConcurrentCacheFill(t *testing.T) {
 	g := buildWorld(t, 11)
 	sites := deploySites(g, 12, 0.3)
@@ -36,6 +38,7 @@ func TestRouteConcurrentCacheFill(t *testing.T) {
 	}
 
 	const goroutines = 16
+	before := obs.TakeSnapshot()
 	var wg sync.WaitGroup
 	for k := 0; k < goroutines; k++ {
 		wg.Add(1)
@@ -60,6 +63,19 @@ func TestRouteConcurrentCacheFill(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+
+	delta := obs.TakeSnapshot().CounterDeltas(before)
+	resolved, misses := delta["bgp.routes_resolved"], delta["bgp.route_cache_misses"]
+	if resolved != uint64(len(want)) || misses != uint64(len(eyeballs)) {
+		t.Errorf("routes resolved %d, cache misses %d; want %d and %d (one per source)",
+			resolved, misses, len(want), len(eyeballs))
+	}
+	if len(want) != len(eyeballs) {
+		t.Errorf("%d of %d eyeballs reach a site; this world must route them all", len(want), len(eyeballs))
+	}
+	if hits := delta["bgp.route_cache_hits"]; hits != goroutines*uint64(len(eyeballs))-misses {
+		t.Errorf("cache hits %d, want %d calls less %d misses", hits, goroutines*len(eyeballs), misses)
+	}
 }
 
 // TestCatchmentsConcurrent runs overlapping catchment batches on one

@@ -151,7 +151,10 @@ func (c Config) withDefaults() Config {
 type Graph struct {
 	Regions []geo.Region
 
-	byASN map[ASN]*AS
+	// ases holds every AS at index ASN − firstASN: add numbers ASes
+	// densely in insertion order, so a lookup is a bounds check and an
+	// index.
+	ases  []*AS
 	order []ASN // insertion order, for deterministic iteration
 
 	tier1s   []ASN
@@ -159,7 +162,6 @@ type Graph struct {
 	eyeballs []ASN
 
 	peerSalt uint64
-	nextASN  ASN
 	rng      *rand.Rand
 
 	// regionIdx indexes the region centers for AddHostAS's home-region
@@ -177,9 +179,7 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 	}
 	g := &Graph{
 		Regions:  regions,
-		byASN:    make(map[ASN]*AS),
 		peerSalt: uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0x1234,
-		nextASN:  100,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
 	centers := make([]geo.Coord, len(regions))
@@ -219,7 +219,6 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 			seen[pi] = true
 		}
 		as := &AS{
-			ASN:             g.allocASN(),
 			Class:           ClassTier1,
 			Name:            fmt.Sprintf("tier1-%d", i),
 			Org:             int32(i),
@@ -239,7 +238,7 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 		}
 	}
 	if len(g.tier1s) >= 2 {
-		g.byASN[g.tier1s[1]].Org = g.byASN[g.tier1s[0]].Org
+		g.AS(g.tier1s[1]).Org = g.AS(g.tier1s[0]).Org
 	}
 
 	// Regional transits: placed at regions weighted by population, customer
@@ -261,7 +260,6 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 			providers = append(providers, t1b)
 		}
 		as := &AS{
-			ASN:             g.allocASN(),
 			Class:           ClassTransit,
 			Name:            fmt.Sprintf("transit-%s-%d", r.Name, i),
 			Org:             orgBase + int32(i),
@@ -307,7 +305,6 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 		// IXP-dense ones peer a lot.
 		rich := math.Min(1, 0.1+0.4*g.rng.ExpFloat64()*0.5)
 		as := &AS{
-			ASN:             g.allocASN(),
 			Class:           ClassEyeball,
 			Name:            fmt.Sprintf("eyeball-%s-%d", r.Name, i),
 			Org:             orgBase + int32(i),
@@ -334,7 +331,7 @@ func (g *Graph) transitsNear(regions []geo.Region) [][]ASN {
 		}
 		cands := make([]cand, 0, len(g.transits))
 		for _, tn := range g.transits {
-			t := g.byASN[tn]
+			t := g.AS(tn)
 			_, d := t.NearestPresence(r.Center)
 			cands = append(cands, cand{tn, d})
 		}
@@ -358,7 +355,7 @@ func (g *Graph) transitsNear(regions []geo.Region) [][]ASN {
 func (g *Graph) assignUserWeights() {
 	byRegion := map[int][]*AS{}
 	for _, asn := range g.eyeballs {
-		as := g.byASN[asn]
+		as := g.AS(asn)
 		byRegion[as.Region] = append(byRegion[as.Region], as)
 	}
 	var total float64
@@ -384,23 +381,22 @@ func (g *Graph) assignUserWeights() {
 		return
 	}
 	for _, asn := range g.eyeballs {
-		g.byASN[asn].UserWeight /= total
+		g.AS(asn).UserWeight /= total
 	}
 }
 
-func (g *Graph) allocASN() ASN {
-	n := g.nextASN
-	g.nextASN++
-	return n
-}
+// firstASN is the number of the first AS a graph holds.
+const firstASN = 100
 
-// add registers as, indexing its presence when it has more than one
-// point. Presence must not change afterwards.
+// add registers as under the next free ASN, which it assigns, and
+// indexes its presence when it has more than one point. Presence must
+// not change afterwards.
 func (g *Graph) add(as *AS) {
+	as.ASN = firstASN + ASN(len(g.ases))
 	if len(as.Presence) > 1 {
 		as.pidx = geo.NewIndex(as.Presence)
 	}
-	g.byASN[as.ASN] = as
+	g.ases = append(g.ases, as)
 	g.order = append(g.order, as.ASN)
 }
 
@@ -417,7 +413,12 @@ func dedupASNs(in []ASN) []ASN {
 }
 
 // AS returns the AS with the given number, or nil.
-func (g *Graph) AS(n ASN) *AS { return g.byASN[n] }
+func (g *Graph) AS(n ASN) *AS {
+	if i := uint(int(n) - firstASN); i < uint(len(g.ases)) {
+		return g.ases[i]
+	}
+	return nil
+}
 
 // Tier1s returns the tier-1 ASNs in creation order.
 func (g *Graph) Tier1s() []ASN { return g.tier1s }
@@ -442,7 +443,6 @@ func (g *Graph) AddHostAS(name string, presence []geo.Coord, providers []ASN, ri
 	loc := presence[0]
 	ri, _ := g.regionIdx.Nearest(loc)
 	as := &AS{
-		ASN:             g.allocASN(),
 		Class:           ClassHost,
 		Name:            name,
 		Org:             20000 + int32(len(g.order)),
@@ -468,7 +468,6 @@ func (g *Graph) AddCDNAS(name string, pops []geo.Coord) *AS {
 		providers = append(providers, g.tier1s[1])
 	}
 	as := &AS{
-		ASN:             g.allocASN(),
 		Class:           ClassCDN,
 		Name:            name,
 		Org:             30000,
@@ -486,30 +485,31 @@ func (g *Graph) AddCDNAS(name string, pops []geo.Coord) *AS {
 // peering edges (what-if scenarios) without disturbing the original. Each
 // AS is copied but shares its slices with g; the copy's are capped at
 // their length, so an append on the clone reallocates and one on g writes
-// past the clone's end. Deterministic
-// generation state carries over — peerSalt, nextASN, and insertion order
-// — so identical mutation sequences applied to identical clones produce
-// identical graphs. The construction rng does not carry over:
-// post-construction mutators (AddHostAS, AddCDNAS, Peer) draw no
-// randomness, and New is never re-run on a clone.
+// past the clone's end. Deterministic generation state carries over —
+// peerSalt and the AS count, which numbers the next AS — so identical
+// mutation sequences applied to identical clones produce identical
+// graphs. The construction rng does not carry over: post-construction
+// mutators (AddHostAS, AddCDNAS, Peer) draw no randomness, and New is
+// never re-run on a clone.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		Regions:   g.Regions,
-		byASN:     make(map[ASN]*AS, len(g.byASN)),
+		ases:      make([]*AS, len(g.ases)),
 		order:     append([]ASN(nil), g.order...),
 		tier1s:    append([]ASN(nil), g.tier1s...),
 		transits:  append([]ASN(nil), g.transits...),
 		eyeballs:  append([]ASN(nil), g.eyeballs...),
 		peerSalt:  g.peerSalt,
-		nextASN:   g.nextASN,
 		regionIdx: g.regionIdx,
 	}
-	for _, asn := range g.order {
-		a := *g.byASN[asn]
+	copies := make([]AS, len(g.ases))
+	for i, a := range g.ases {
+		copies[i] = *a
+		a = &copies[i]
 		a.Presence = a.Presence[:len(a.Presence):len(a.Presence)]
 		a.Providers = a.Providers[:len(a.Providers):len(a.Providers)]
 		a.peers = a.peers[:len(a.peers):len(a.peers)]
-		c.byASN[asn] = &a
+		c.ases[i] = a
 	}
 	return c
 }
@@ -521,7 +521,7 @@ func (g *Graph) Peer(a, b ASN) {
 	if a == b || g.HasExplicitPeering(a, b) {
 		return
 	}
-	A, B := g.byASN[a], g.byASN[b]
+	A, B := g.AS(a), g.AS(b)
 	if A == nil || B == nil {
 		return
 	}
@@ -531,7 +531,7 @@ func (g *Graph) Peer(a, b ASN) {
 
 // HasExplicitPeering reports whether a and b have an explicit peering edge.
 func (g *Graph) HasExplicitPeering(a, b ASN) bool {
-	A, B := g.byASN[a], g.byASN[b]
+	A, B := g.AS(a), g.AS(b)
 	return A != nil && B != nil && explicitPeers(A, B)
 }
 
@@ -556,11 +556,13 @@ func explicitPeers(A, B *AS) bool {
 // co-presence — this is how the CDN's wide peering and per-letter host
 // openness are expressed without materializing millions of edges.
 func (g *Graph) Peered(a, b ASN) bool {
-	if a == b {
-		return false
-	}
-	A, B := g.byASN[a], g.byASN[b]
-	if A == nil || B == nil {
+	A, B := g.AS(a), g.AS(b)
+	return A != nil && B != nil && g.peered(A, B)
+}
+
+// peered is Peered for two ASes of g.
+func (g *Graph) peered(A, B *AS) bool {
+	if A == B {
 		return false
 	}
 	if explicitPeers(A, B) {
@@ -574,7 +576,7 @@ func (g *Graph) Peered(a, b ASN) bool {
 	// factor ≤ 1, and an IEEE product with such a factor never exceeds the
 	// value it scales, so a deviate at or above the product cannot peer:
 	// skip the co-presence lookup.
-	u := g.PairUnit(a, b)
+	u := g.PairUnit(A.ASN, B.ASN)
 	if u >= A.PeeringRichness*B.PeeringRichness {
 		return false
 	}
@@ -620,7 +622,7 @@ func (g *Graph) PairUnit(a, b ASN) float64 {
 // Connected reports whether transit/tier-1 p has a direct BGP adjacency to
 // h that yields h's routes: h is a customer of p, or p peers with h.
 func (g *Graph) Connected(p, h ASN) bool {
-	H := g.byASN[h]
+	P, H := g.AS(p), g.AS(h)
 	if H == nil {
 		return false
 	}
@@ -629,7 +631,7 @@ func (g *Graph) Connected(p, h ASN) bool {
 			return true
 		}
 	}
-	return g.Peered(p, h)
+	return P != nil && g.peered(P, H)
 }
 
 // weightedPicker draws region indices proportionally to population.

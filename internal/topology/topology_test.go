@@ -302,6 +302,33 @@ func TestAddHostAS(t *testing.T) {
 	}
 }
 
+// TestASLookupBounds: every AS is found under its own number, and
+// numbers outside the dense range the graph handed out find nothing.
+func TestASLookupBounds(t *testing.T) {
+	g, err := New(smallConfig(), testRegions(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := g.AddHostAS("host", []geo.Coord{{Lat: 1, Lon: 1}}, []ASN{g.Transits()[0]}, 0.1)
+	all := g.All()
+	for i, n := range all {
+		if a := g.AS(n); a == nil || a.ASN != n {
+			t.Fatalf("All()[%d] = AS%d resolves to %+v", i, n, a)
+		}
+		if i > 0 && n != all[i-1]+1 {
+			t.Fatalf("ASNs not dense: AS%d follows AS%d", n, all[i-1])
+		}
+	}
+	if all[len(all)-1] != h.ASN {
+		t.Errorf("last ASN %d, newest host AS%d", all[len(all)-1], h.ASN)
+	}
+	for _, n := range []ASN{math.MinInt32, -1, 0, all[0] - 1, h.ASN + 1, math.MaxInt32} {
+		if a := g.AS(n); a != nil {
+			t.Errorf("AS(%d) = AS%d, want nil", n, a.ASN)
+		}
+	}
+}
+
 func TestAddCDNAS(t *testing.T) {
 	g, err := New(smallConfig(), testRegions(t))
 	if err != nil {
