@@ -11,8 +11,10 @@ import (
 )
 
 // BenchmarkResolveA measures event-level resolution throughput against a
-// warm cache (the dominant operation of the local-perspective studies).
+// warm cache (the dominant operation of the local-perspective studies), on
+// the typed names the client hands the resolver.
 func BenchmarkResolveA(b *testing.B) {
+	b.ReportAllocs()
 	z := NewZone(1000, 1)
 	rng := rand.New(rand.NewSource(2))
 	r, err := NewResolver(z, ResolverConfig{NumLetters: 13, Bug: true},
@@ -21,19 +23,20 @@ func BenchmarkResolveA(b *testing.B) {
 		b.Fatal(err)
 	}
 	client := NewClient(z, ClientConfig{}, 2)
-	names := make([]string, 4096)
+	names := make([]Name, 4096)
 	for i := range names {
-		names[i] = client.SampleDomain()
+		names[i] = client.sampleDomain()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.AdvanceTo(r.Now() + 0.05)
-		r.ResolveA(names[i%len(names)])
+		r.resolve(names[i%len(names)], false)
 	}
 }
 
 // BenchmarkClientDay measures a full simulated day for a small population.
 func BenchmarkClientDay(b *testing.B) {
+	b.ReportAllocs()
 	z := NewZone(1000, 3)
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i + 1)))

@@ -106,27 +106,29 @@ func NewClient(zone *Zone, cfg ClientConfig, seed int64) *Client {
 	}
 }
 
-// SampleDomain draws a valid domain from the population's TLD palette and
+// sampleDomain draws a valid domain from the population's TLD palette and
 // site popularity.
-func (c *Client) SampleDomain() string {
-	tld := c.zone.TLDs[c.palette[c.rng.Intn(len(c.palette))]]
+func (c *Client) sampleDomain() Name {
+	tld := c.palette[c.rng.Intn(len(c.palette))]
 	site := c.zipf.Uint64()
-	return fmt.Sprintf("site%d.%s", site, tld.Name)
+	return Name{kind: nameSite, idx: uint32(tld), num: site, text: c.zone.TLDs[tld].Name}
 }
 
 // SampleChromiumProbe draws a random single-label probe name.
 func (c *Client) SampleChromiumProbe() string {
+	var b [15]byte
 	n := 7 + c.rng.Intn(9)
-	b := make([]byte, n)
-	for i := range b {
+	for i := 0; i < n; i++ {
 		b[i] = byte('a' + c.rng.Intn(26))
 	}
-	return string(b)
+	return string(b[:n])
 }
 
-// SampleJunk draws a query under an invalid suffix.
-func (c *Client) SampleJunk() string {
-	return fmt.Sprintf("host%d.%s", c.rng.Intn(2000), junkSuffixes[c.rng.Intn(len(junkSuffixes))])
+// sampleJunk draws a query under an invalid suffix.
+func (c *Client) sampleJunk() Name {
+	host := c.rng.Intn(2000)
+	j := c.rng.Intn(len(junkSuffixes))
+	return Name{kind: nameJunk, idx: uint32(j), num: uint64(host), text: junkSuffixes[j]}
 }
 
 // RunStats summarizes one Run.
@@ -141,8 +143,10 @@ type RunStats struct {
 
 // RunCtx drives r for the given number of simulated days at the
 // population's aggregate rate, invoking onResult (if non-nil) per user
-// query. The query arrival process is Poisson. A traced run records the
-// whole query loop as one "dnssim.client_run" span under the caller's span.
+// query. The query arrival process is Poisson. Generated names reach the
+// resolver typed; only Chromium probes are spelled, and the resolver
+// interns them. A traced run records the whole query loop as one
+// "dnssim.client_run" span under the caller's span.
 func (c *Client) RunCtx(ctx context.Context, r *Resolver, days float64, onResult func(kind QueryKind, res QueryResult)) RunStats {
 	_, span := obs.StartSpanCtx(ctx, "dnssim.client_run")
 	defer span.End()
@@ -164,16 +168,16 @@ func (c *Client) RunCtx(ctx context.Context, r *Resolver, days float64, onResult
 		r.AdvanceTo(next)
 		u := c.rng.Float64()
 		var kind QueryKind
-		var name string
+		var name Name
 		switch {
 		case u < pProbe:
-			kind, name = QueryProbe, c.SampleChromiumProbe()
+			kind, name = QueryProbe, r.parseName(c.SampleChromiumProbe())
 		case u < pProbe+pJunk:
-			kind, name = QueryJunk, c.SampleJunk()
+			kind, name = QueryJunk, c.sampleJunk()
 		default:
-			kind, name = QueryValid, c.SampleDomain()
+			kind, name = QueryValid, c.sampleDomain()
 		}
-		res := r.ResolveA(name)
+		res := r.resolve(name, false)
 		stats.Queries++
 		obsClientQueries.Inc()
 		switch kind {
@@ -232,13 +236,9 @@ func StandardUpstreams(rootBaseRTTs []float64, rng *rand.Rand) Upstreams {
 		TLDRTT: func() float64 {
 			return jitterRTT(8+rng.ExpFloat64()*15, rng)
 		},
-		AuthRTT: func(domain string) float64 {
+		AuthRTT: func(domain Name) float64 {
 			// Deterministic per-domain base: some domains are far away.
-			h := uint32(216613626)
-			for i := 0; i < len(domain); i++ {
-				h = (h ^ uint32(domain[i])) * 16777619
-			}
-			base := 3 + float64(h%240)
+			base := 3 + float64(domain.hash(216613626)%240)
 			return jitterRTT(base, rng)
 		},
 		AuthTimeoutProb: 0.004,

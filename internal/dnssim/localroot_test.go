@@ -79,7 +79,7 @@ func TestTCPFallbackCountsAndCosts(t *testing.T) {
 		Upstreams{
 			RootRTT: func(int) float64 { return 40 },
 			TLDRTT:  func() float64 { return 5 },
-			AuthRTT: func(string) float64 { return 5 },
+			AuthRTT: func(Name) float64 { return 5 },
 		}, rng)
 	if err != nil {
 		t.Fatal(err)

@@ -116,11 +116,11 @@ func TestRootServerAgainstRandomQueries(t *testing.T) {
 		var name string
 		switch i % 3 {
 		case 0:
-			name = client.SampleDomain()
+			name = client.sampleDomain().String()
 		case 1:
 			name = client.SampleChromiumProbe()
 		default:
-			name = client.SampleJunk()
+			name = client.sampleJunk().String()
 		}
 		resp := s.Respond(dnswire.NewQuery(uint16(i), name, dnswire.TypeA))
 		if b, err := resp.Encode(); err != nil {
