@@ -22,7 +22,7 @@ func main() {
 	}
 
 	// The corpus sweep: 9 pages x 20 loads.
-	res := webmodel.RunSweep(webmodel.CorpusConfig{}, rng)
+	res := webmodel.RunSweep(rng)
 	vals := make([]float64, len(res.RTTsPerLoad))
 	for i, r := range res.RTTsPerLoad {
 		vals[i] = float64(r)

@@ -587,7 +587,7 @@ func runFig14(ctx context.Context, w *World, seed int64) (Result, error) {
 }
 
 func runAppC(ctx context.Context, w *World, seed int64) (Result, error) {
-	res := webmodel.RunSweep(webmodel.CorpusConfig{}, rng.NewRand(seed, rng.PhaseWebModel, 0))
+	res := webmodel.RunSweep(rng.NewRand(seed, rng.PhaseWebModel, 0))
 	vals := make([]float64, len(res.RTTsPerLoad))
 	for i, r := range res.RTTsPerLoad {
 		vals[i] = float64(r)

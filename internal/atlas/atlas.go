@@ -33,33 +33,17 @@ type Platform struct {
 	model *latency.Model
 }
 
-// Config tunes probe deployment.
-type Config struct {
-	// NumProbes to deploy (the paper uses ~1,000 for pings and ~7,200 for
-	// traceroutes).
-	NumProbes int
-	// RichnessBias skews placement toward well-peered ASes: selection
-	// weight = richness^RichnessBias.
-	RichnessBias float64
-}
+// richnessBias skews placement toward well-peered ASes: selection
+// weight = richness^richnessBias.
+const richnessBias float64 = 0.9
 
-func (c Config) withDefaults() Config {
-	if c.NumProbes == 0 {
-		c.NumProbes = 1000
-	}
-	if c.RichnessBias == 0 {
-		c.RichnessBias = 0.9
-	}
-	return c
-}
-
-// Deploy places probes in eyeball ASes, biased toward well-connected
+// Deploy places numProbes probes in eyeball ASes (the paper uses ~1,000
+// for pings and ~7,200 for traceroutes), biased toward well-connected
 // networks (volunteers host probes where infrastructure is good). Each
 // probe draws its placement from its own splittable stream, so the loop
 // fans out under par.Do into a pre-sized slice with byte-identical
 // results at any worker count.
-func Deploy(g *topology.Graph, model *latency.Model, cfg Config, seed int64) (*Platform, error) {
-	cfg = cfg.withDefaults()
+func Deploy(g *topology.Graph, model *latency.Model, numProbes int, seed int64) (*Platform, error) {
 	eyeballs := g.Eyeballs()
 	if len(eyeballs) == 0 {
 		return nil, fmt.Errorf("atlas: no eyeball ASes")
@@ -68,12 +52,12 @@ func Deploy(g *topology.Graph, model *latency.Model, cfg Config, seed int64) (*P
 	var sum float64
 	for i, e := range eyeballs {
 		as := g.AS(e)
-		w := pow(as.PeeringRichness, cfg.RichnessBias)
+		w := pow(as.PeeringRichness, richnessBias)
 		weights[i] = w
 		sum += w
 	}
-	p := &Platform{g: g, model: model, Probes: make([]Probe, cfg.NumProbes)}
-	par.Do(cfg.NumProbes, func(lo, hi int) {
+	p := &Platform{g: g, model: model, Probes: make([]Probe, numProbes)}
+	par.Do(numProbes, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st := rng.Split(seed, rng.PhaseAtlasDeploy, uint64(i))
 			x := st.Float64() * sum

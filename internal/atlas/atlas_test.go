@@ -27,7 +27,7 @@ func buildWorld(t *testing.T) (*topology.Graph, *anycastnet.Deployment, *Platfor
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Deploy(g, latency.DefaultModel(), Config{NumProbes: 300}, 2)
+	p, err := Deploy(g, latency.DefaultModel(), 300, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestDeployNoEyeballs(t *testing.T) {
 	}
 	// Can't build a graph with zero eyeballs via config, so exercise the
 	// happy path minimally instead.
-	p, err := Deploy(g, latency.DefaultModel(), Config{NumProbes: 5}, 2)
+	p, err := Deploy(g, latency.DefaultModel(), 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestPingDeterministicPlacement(t *testing.T) {
 	regions := geo.GenerateRegions(geo.PaperRegionCounts, rand.New(rand.NewSource(42)))
 	g1, _ := topology.New(topology.Config{Seed: 31, NumTier1: 6, NumTransit: 40, NumEyeball: 500}, regions)
 	g2, _ := topology.New(topology.Config{Seed: 31, NumTier1: 6, NumTransit: 40, NumEyeball: 500}, regions)
-	p1, err := Deploy(g1, latency.DefaultModel(), Config{NumProbes: 100}, 5)
+	p1, err := Deploy(g1, latency.DefaultModel(), 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Deploy(g2, latency.DefaultModel(), Config{NumProbes: 100}, 5)
+	p2, err := Deploy(g2, latency.DefaultModel(), 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

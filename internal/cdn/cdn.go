@@ -66,13 +66,15 @@ func PaperRings() []RingSpec {
 type Config struct {
 	// Rings lists the rings in any order; the largest defines the PoP set.
 	Rings []RingSpec
-	// PeerBase and PeerRichnessBoost set each eyeball's peering
-	// probability: min(0.95, PeerBase + PeerRichnessBoost·richness),
+	// PeerBase and peerRichnessBoost set each eyeball's peering
+	// probability: min(0.95, PeerBase + peerRichnessBoost·richness),
 	// calibrated so roughly 69% of paths are direct (Fig 6a).
-	PeerBase, PeerRichnessBoost float64
-	// FrontEndDelayMs is per-request processing at a front-end.
-	FrontEndDelayMs float64
+	PeerBase float64
 }
+
+// peerRichnessBoost scales an eyeball's peering richness into its
+// peering probability (see Config.PeerBase).
+const peerRichnessBoost float64 = 1.0
 
 func (c Config) withDefaults() Config {
 	if len(c.Rings) == 0 {
@@ -91,12 +93,6 @@ func (c Config) withDefaults() Config {
 	c.Rings = rings
 	if c.PeerBase == 0 {
 		c.PeerBase = 0.45
-	}
-	if c.PeerRichnessBoost == 0 {
-		c.PeerRichnessBoost = 1.0
-	}
-	if c.FrontEndDelayMs == 0 {
-		c.FrontEndDelayMs = 0.5
 	}
 	return c
 }
@@ -131,7 +127,7 @@ type CDN struct {
 
 // AddNetwork adds the CDN's network to g: one AS with a PoP at each of the
 // heaviest regions, as many as the largest ring has front-ends, peered
-// with each eyeball that passes a roll of PeerBase + PeerRichnessBoost ×
+// with each eyeball that passes a roll of PeerBase + peerRichnessBoost ×
 // richness. PoP jitter draws come from per-PoP splittable streams and
 // peering rolls are keyed by eyeball ASN; the edges are added serially in
 // eyeball order.
@@ -158,7 +154,7 @@ func AddNetwork(g *topology.Graph, cfg Config, seed int64) (*topology.AS, error)
 
 	as := g.AddCDNAS("cdn", pops)
 	for _, e := range g.Eyeballs() {
-		p := cfg.PeerBase + cfg.PeerRichnessBoost*g.AS(e).PeeringRichness
+		p := cfg.PeerBase + peerRichnessBoost*g.AS(e).PeeringRichness
 		if p > 0.95 {
 			p = 0.95
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"anycastctx/internal/ditl"
 	"anycastctx/internal/world"
 )
 
@@ -51,10 +52,7 @@ func (FunnelConservation) Check(_ context.Context, w *world.World) []Violation {
 	if j := c.JunkQueriesPerDay; math.IsNaN(j) || math.IsInf(j, 0) || j < 0 {
 		r.addf("junk volume %v is not finite non-negative", j)
 	}
-	pv, v6 := c.Cfg.PrivateShare, c.Cfg.V6Share
-	if !(pv >= 0 && pv < 1) || !(v6 >= 0 && v6 < 1) || pv+v6 >= 1 {
-		r.addf("filter shares private=%v v6=%v do not leave a positive retained fraction", pv, v6)
-	}
+	pv, v6 := ditl.PrivateShare, ditl.V6Share
 	if len(r.out) > 0 {
 		// The inputs are already broken; the funnel identities below
 		// would only re-report the same corruption.

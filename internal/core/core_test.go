@@ -56,12 +56,12 @@ func buildWorld(t *testing.T) *world {
 		t.Fatal(err)
 	}
 
-	pop, err := users.Build(g, public, users.Config{TotalUsers: 1e9}, 9)
+	pop, err := users.Build(g, public, 1e9, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zone := dnssim.NewZone(1000, 9)
-	rates := dnssim.ComputeRates(pop, zone, dnssim.RateConfig{}, 9)
+	rates := dnssim.ComputeRates(pop, zone, 9)
 	letters := make([]*anycastnet.Deployment, len(specs))
 	for i, spec := range specs {
 		if letters[i], err = anycastnet.NewDeployment(g, spec.Letter, letterSites[i]); err != nil {
@@ -73,7 +73,7 @@ func buildWorld(t *testing.T) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdnC := users.BuildCDNCounts(pop, users.CDNConfig{}, 9)
+	cdnC := users.BuildCDNCounts(pop, 9)
 	apnic := users.BuildAPNICCounts(g, pop, 9)
 	cdnNet, err := cdn.Build(context.Background(), g, cdnAS, model, cdn.Config{})
 	if err != nil {

@@ -101,54 +101,44 @@ type Config struct {
 	// TauMs is the softmax temperature of letter preference: lower means
 	// recursives concentrate harder on their fastest letter.
 	TauMs float64
-	// SecondarySiteProb is the chance a /24's queries to a letter split
-	// across two sites (load balancing in intermediate ASes, B.2 finds
-	// this for <20% of /24s).
-	SecondarySiteProb float64
 	// SecondaryShareMax bounds the secondary site's share.
 	SecondaryShareMax float64
-	// JunkSlash24sPerRecursive scales how many junk-only source /24s
-	// (scanners, misconfigured hosts) appear in the raw captures.
-	JunkSlash24sPerRecursive float64
-	// EgressOverlapProb is the chance a CDN-observable resolver IP also
-	// appears as a DITL query source; DITL egress IPs mostly differ from
-	// the user-facing addresses Microsoft observes, which is why the /24
-	// join matters (Table 4).
-	EgressOverlapProb float64
-	// MinTCPSamples is the per-site threshold for a usable median RTT.
-	MinTCPSamples float64
-	// V6Share and PrivateShare are the fractions of raw volume excluded by
-	// pre-processing (§2.1: 12% IPv6, 7% private space).
-	V6Share, PrivateShare float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.TauMs == 0 {
 		c.TauMs = 25
 	}
-	if c.SecondarySiteProb == 0 {
-		c.SecondarySiteProb = 0.15
-	}
 	if c.SecondaryShareMax == 0 {
 		c.SecondaryShareMax = 0.45
 	}
-	if c.JunkSlash24sPerRecursive == 0 {
-		c.JunkSlash24sPerRecursive = 2.0
-	}
-	if c.EgressOverlapProb == 0 {
-		c.EgressOverlapProb = 0.10
-	}
-	if c.MinTCPSamples == 0 {
-		c.MinTCPSamples = 10
-	}
-	if c.V6Share == 0 {
-		c.V6Share = 0.12
-	}
-	if c.PrivateShare == 0 {
-		c.PrivateShare = 0.07
-	}
 	return c
 }
+
+// V6Share and PrivateShare are the fractions of valid volume excluded by
+// pre-processing (§2.1: 12% IPv6, 7% private space).
+const (
+	V6Share      float64 = 0.12
+	PrivateShare float64 = 0.07
+)
+
+// Campaign calibration that every configuration shares.
+const (
+	// secondarySiteProb is the chance a /24's queries to a letter split
+	// across two sites (load balancing in intermediate ASes, B.2 finds
+	// this for <20% of /24s).
+	secondarySiteProb float64 = 0.15
+	// junkSlash24sPerRecursive scales how many junk-only source /24s
+	// (scanners, misconfigured hosts) appear in the raw captures.
+	junkSlash24sPerRecursive float64 = 2.0
+	// egressOverlapProb is the chance a CDN-observable resolver IP also
+	// appears as a DITL query source; DITL egress IPs mostly differ from
+	// the user-facing addresses Microsoft observes, which is why the /24
+	// join matters (Table 4).
+	egressOverlapProb float64 = 0.10
+	// minTCPSamples is the per-site threshold for a usable median RTT.
+	minTCPSamples float64 = 10
+)
 
 // Sentinels for the compact assignment store's uint32 index columns.
 const (
@@ -358,7 +348,7 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 	// Junk-only sources: addresses and volumes draw per-block streams in
 	// parallel; the volume sum folds serially in index order so the float
 	// total is schedule-independent.
-	nJunk := int(cfg.JunkSlash24sPerRecursive * float64(len(pop.Recursives)))
+	nJunk := int(junkSlash24sPerRecursive * float64(len(pop.Recursives)))
 	blocks, err := pop.Pool.AllocSlash24s(nJunk)
 	if err != nil {
 		return nil, fmt.Errorf("ditl: allocating junk sources: %w", err)
@@ -456,7 +446,7 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 
 		// Site shares: favorite plus an occasional secondary.
 		cell := siteStream.Fork(uint64(li))
-		if cell.Float64() < c.Cfg.SecondarySiteProb {
+		if cell.Float64() < secondarySiteProb {
 			if alt, ok := alternateSite(c.Letters[li], c.routes[rix].SiteID); ok {
 				c.altSite[k] = uint32(alt)
 				c.altFrac[k] = cell.Float64() * c.Cfg.SecondaryShareMax
@@ -495,7 +485,7 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 			continue
 		}
 		tcpVol := c.Rates[ri].RootValidPerDay * c.letterWeight[k] * c.Rates[ri].TCPShare
-		if tcpVol >= c.Cfg.MinTCPSamples {
+		if tcpVol >= minTCPSamples {
 			cell := tcpStream.Fork(uint64(li))
 			c.tcpMedian[k] = c.Model.MedianOfSamples(&cell, c.routeRTT[c.routeIdx[k]]+0.5, 11)
 		}
@@ -510,7 +500,7 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 	egStream := rng.Split(as.seed, rng.PhaseDITLEgress, uint64(ri))
 	off := int(c.egressOff[ri])
 	for k := 0; k < numEgress(c.Rates[ri]); k++ {
-		if egStream.Float64() < c.Cfg.EgressOverlapProb && k < len(rec.IPs) {
+		if egStream.Float64() < egressOverlapProb && k < len(rec.IPs) {
 			c.egressFlat[off+k] = rec.IPs[k]
 		} else {
 			c.egressFlat[off+k] = rec.Key.Prefix().Nth(uint64(100 + k))
@@ -578,9 +568,9 @@ func (c *Campaign) Preprocess() PreprocessStats {
 	}
 	s.InvalidPerDay += c.JunkQueriesPerDay
 	valid := s.RetainedPerDay
-	s.PrivatePerDay = valid * c.Cfg.PrivateShare
-	s.V6PerDay = valid * c.Cfg.V6Share
-	s.RetainedPerDay = valid * (1 - c.Cfg.PrivateShare - c.Cfg.V6Share)
+	s.PrivatePerDay = valid * PrivateShare
+	s.V6PerDay = valid * V6Share
+	s.RetainedPerDay = valid * (1 - PrivateShare - V6Share)
 	s.RawPerDay = s.InvalidPerDay + s.PTRPerDay + valid
 	obsFilterInvalid.Set(s.InvalidPerDay)
 	obsFilterPTR.Set(s.PTRPerDay)

@@ -46,12 +46,12 @@ func buildFixture(t testing.TB) *fixture {
 			t.Fatal(err)
 		}
 	}
-	pop, err := users.Build(g, public, users.Config{TotalUsers: 5e8}, 5)
+	pop, err := users.Build(g, public, 5e8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zone := dnssim.NewZone(500, 5)
-	rates := dnssim.ComputeRates(pop, zone, dnssim.RateConfig{}, 5)
+	rates := dnssim.ComputeRates(pop, zone, 5)
 	letters := make([]*anycastnet.Deployment, len(specs))
 	for i, spec := range specs {
 		if letters[i], err = anycastnet.NewDeployment(g, spec.Letter, letterSites[i]); err != nil {
@@ -62,7 +62,7 @@ func buildFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdn := users.BuildCDNCounts(pop, users.CDNConfig{}, 5)
+	cdn := users.BuildCDNCounts(pop, 5)
 	return &fixture{g: g, pop: pop, rates: rates, letters: letters, camp: camp, cdn: cdn}
 }
 

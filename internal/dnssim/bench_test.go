@@ -58,13 +58,13 @@ func BenchmarkComputeRates(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pop, err := users.Build(g, users.AddPublicDNS(g), users.Config{TotalUsers: 1e9}, 5)
+	pop, err := users.Build(g, users.AddPublicDNS(g), 1e9, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
 	z := NewZone(1000, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeRates(pop, z, RateConfig{}, int64(i))
+		ComputeRates(pop, z, int64(i))
 	}
 }

@@ -26,21 +26,6 @@ type ClientConfig struct {
 	// QueriesPerUserPerDay is each user's mean DNS lookup rate (browsing,
 	// apps, background software).
 	QueriesPerUserPerDay float64
-	// ChromiumProbesPerUserPerDay is the rate of captive-portal detection
-	// probes — random single labels that are NXDOMAIN at the root (§B.1).
-	ChromiumProbesPerUserPerDay float64
-	// JunkPerUserPerDay is the rate of queries for invalid suffixes like
-	// local/belkin/corp leaking from software and corporate networks.
-	JunkPerUserPerDay float64
-	// DomainZipfS shapes domain popularity (>1; higher = more head-heavy).
-	DomainZipfS float64
-	// DomainsPerTLD bounds the per-TLD domain universe.
-	DomainsPerTLD int
-	// TLDsPerUser bounds how many distinct TLDs each user's browsing
-	// touches (individuals concentrate far harder than the aggregate;
-	// this is why a personal resolver's root miss rate stays near 1.5%,
-	// §4.3).
-	TLDsPerUser int
 }
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -50,23 +35,27 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	if c.QueriesPerUserPerDay == 0 {
 		c.QueriesPerUserPerDay = 250
 	}
-	if c.ChromiumProbesPerUserPerDay == 0 {
-		c.ChromiumProbesPerUserPerDay = 1.5
-	}
-	if c.JunkPerUserPerDay == 0 {
-		c.JunkPerUserPerDay = 0.8
-	}
-	if c.DomainZipfS == 0 {
-		c.DomainZipfS = 1.2
-	}
-	if c.DomainsPerTLD == 0 {
-		c.DomainsPerTLD = 50000
-	}
-	if c.TLDsPerUser == 0 {
-		c.TLDsPerUser = 30
-	}
 	return c
 }
+
+// Calibration of the client workload that every population shares.
+const (
+	// chromiumProbesPerUserPerDay is the rate of captive-portal detection
+	// probes — random single labels that are NXDOMAIN at the root (§B.1).
+	chromiumProbesPerUserPerDay float64 = 1.5
+	// junkPerUserPerDay is the rate of queries for invalid suffixes like
+	// local/belkin/corp leaking from software and corporate networks.
+	junkPerUserPerDay float64 = 0.8
+	// domainZipfS shapes domain popularity (>1; higher = more head-heavy).
+	domainZipfS float64 = 1.2
+	// domainsPerTLD bounds the per-TLD domain universe.
+	domainsPerTLD = 50000
+	// tldsPerUser bounds how many distinct TLDs each user's browsing
+	// touches (individuals concentrate far harder than the aggregate;
+	// this is why a personal resolver's root miss rate stays near 1.5%,
+	// §4.3).
+	tldsPerUser = 30
+)
 
 var junkSuffixes = []string{"local", "belkin", "corp", "home", "lan", "internal"}
 
@@ -89,7 +78,7 @@ type Client struct {
 // the resolver it drives is stateful and inherently serial.
 func NewClient(zone *Zone, cfg ClientConfig, seed int64) *Client {
 	cfg = cfg.withDefaults()
-	palette := make([]int, cfg.Users*cfg.TLDsPerUser)
+	palette := make([]int, cfg.Users*tldsPerUser)
 	par.Do(len(palette), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			st := rng.Split(seed, rng.PhaseClientPalette, uint64(i))
@@ -101,7 +90,7 @@ func NewClient(zone *Zone, cfg ClientConfig, seed int64) *Client {
 		cfg:     cfg,
 		zone:    zone,
 		rng:     runRNG,
-		zipf:    rand.NewZipf(runRNG, cfg.DomainZipfS, 1, uint64(cfg.DomainsPerTLD-1)),
+		zipf:    rand.NewZipf(runRNG, domainZipfS, 1, domainsPerTLD-1),
 		palette: palette,
 	}
 }
@@ -151,11 +140,11 @@ func (c *Client) RunCtx(ctx context.Context, r *Resolver, days float64, onResult
 	_, span := obs.StartSpanCtx(ctx, "dnssim.client_run")
 	defer span.End()
 	totalRate := float64(c.cfg.Users) *
-		(c.cfg.QueriesPerUserPerDay + c.cfg.ChromiumProbesPerUserPerDay + c.cfg.JunkPerUserPerDay) / 86400
-	pProbe := c.cfg.ChromiumProbesPerUserPerDay /
-		(c.cfg.QueriesPerUserPerDay + c.cfg.ChromiumProbesPerUserPerDay + c.cfg.JunkPerUserPerDay)
-	pJunk := c.cfg.JunkPerUserPerDay /
-		(c.cfg.QueriesPerUserPerDay + c.cfg.ChromiumProbesPerUserPerDay + c.cfg.JunkPerUserPerDay)
+		(c.cfg.QueriesPerUserPerDay + chromiumProbesPerUserPerDay + junkPerUserPerDay) / 86400
+	pProbe := chromiumProbesPerUserPerDay /
+		(c.cfg.QueriesPerUserPerDay + chromiumProbesPerUserPerDay + junkPerUserPerDay)
+	pJunk := junkPerUserPerDay /
+		(c.cfg.QueriesPerUserPerDay + chromiumProbesPerUserPerDay + junkPerUserPerDay)
 
 	end := r.Now() + days*86400
 	var stats RunStats

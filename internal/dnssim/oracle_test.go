@@ -105,7 +105,7 @@ func (r *refResolver) pickLetter() int {
 	if len(unknown) > 0 {
 		return unknown[r.rng.Intn(len(unknown))]
 	}
-	if r.rng.Float64() < r.cfg.ExploreProb {
+	if r.rng.Float64() < exploreProb {
 		return r.rng.Intn(len(r.srtt))
 	}
 	best := 0
@@ -127,7 +127,7 @@ func (r *refResolver) queryRoot(valid, redundant bool) (latencyMs float64, lette
 	if math.IsInf(r.srtt[letter], 1) {
 		r.srtt[letter] = lat
 	} else {
-		a := r.cfg.SRTTAlpha
+		a := srttAlpha
 		r.srtt[letter] = (1-a)*r.srtt[letter] + a*lat
 	}
 	if valid {
@@ -203,7 +203,7 @@ func (r *refResolver) resolve(domain string, forceTimeout bool) QueryResult {
 		if r.localRootCurrent() {
 			res.LatencyMs = 0.1 + r.rng.Float64()*0.4
 			res.NXDomain = true
-			r.put("NEG:"+domain, r.cfg.NegTTLSeconds)
+			r.put("NEG:"+domain, negTTLSeconds)
 			return res
 		}
 		lat, letter := r.queryRoot(false, false)
@@ -212,7 +212,7 @@ func (r *refResolver) resolve(domain string, forceTimeout bool) QueryResult {
 		res.RootLatencyMs = lat
 		res.RootQueriesOnPath = 1
 		res.NXDomain = true
-		r.put("NEG:"+domain, r.cfg.NegTTLSeconds)
+		r.put("NEG:"+domain, negTTLSeconds)
 		return res
 	}
 
@@ -245,9 +245,7 @@ func (r *refResolver) resolve(domain string, forceTimeout bool) QueryResult {
 
 	tldLat := r.ups.TLDRTT()
 	res.LatencyMs += tldLat
-	if !r.cfg.NoNSRefresh {
-		r.put("NS:"+tldName, float64(TLDTTLSeconds)*(0.9+0.1*r.rng.Float64()))
-	}
+	r.put("NS:"+tldName, float64(TLDTTLSeconds)*(0.9+0.1*r.rng.Float64()))
 	nsNames, glued := refSLDDelegation(domain)
 	r.addTrace(r.now-start, "resolver", "tld."+tldName, domain, "A",
 		fmt.Sprintf("referral to %d NS (%d glued)", len(nsNames), glued))
@@ -258,7 +256,7 @@ func (r *refResolver) resolve(domain string, forceTimeout bool) QueryResult {
 	timedOut := forceTimeout || r.rng.Float64() < r.ups.AuthTimeoutProb
 	if timedOut {
 		r.timeouts++
-		res.LatencyMs += r.cfg.TimeoutPenaltyMs
+		res.LatencyMs += timeoutPenaltyMs
 		r.addTrace(r.now-start, "resolver", "ns-primary."+domain, domain, "A", "timeout")
 		res.LatencyMs += r.ups.AuthRTT(domain)
 		r.addTrace(r.now-start, "resolver", "ns-alt."+domain, domain, "A", "answer")
@@ -287,7 +285,7 @@ func (r *refResolver) resolve(domain string, forceTimeout bool) QueryResult {
 }
 
 func (r *refResolver) sldTTL() float64 {
-	lo, hi := math.Log(r.cfg.SLDTTLMinSeconds), math.Log(r.cfg.SLDTTLMaxSeconds)
+	lo, hi := math.Log(sldTTLMinSeconds), math.Log(sldTTLMaxSeconds)
 	return math.Exp(lo + r.rng.Float64()*(hi-lo))
 }
 
@@ -333,11 +331,11 @@ func refSampleJunk(c *Client) string {
 // ResolveA.
 func refRunCtx(c *Client, r *refResolver, days float64, onResult func(QueryKind, QueryResult)) RunStats {
 	totalRate := float64(c.cfg.Users) *
-		(c.cfg.QueriesPerUserPerDay + c.cfg.ChromiumProbesPerUserPerDay + c.cfg.JunkPerUserPerDay) / 86400
-	pProbe := c.cfg.ChromiumProbesPerUserPerDay /
-		(c.cfg.QueriesPerUserPerDay + c.cfg.ChromiumProbesPerUserPerDay + c.cfg.JunkPerUserPerDay)
-	pJunk := c.cfg.JunkPerUserPerDay /
-		(c.cfg.QueriesPerUserPerDay + c.cfg.ChromiumProbesPerUserPerDay + c.cfg.JunkPerUserPerDay)
+		(c.cfg.QueriesPerUserPerDay + chromiumProbesPerUserPerDay + junkPerUserPerDay) / 86400
+	pProbe := chromiumProbesPerUserPerDay /
+		(c.cfg.QueriesPerUserPerDay + chromiumProbesPerUserPerDay + junkPerUserPerDay)
+	pJunk := junkPerUserPerDay /
+		(c.cfg.QueriesPerUserPerDay + chromiumProbesPerUserPerDay + junkPerUserPerDay)
 
 	end := r.now + days*86400
 	var stats RunStats
@@ -381,23 +379,24 @@ func refRunCtx(c *Client, r *refResolver, days float64, onResult func(QueryKind,
 // oracleRootRTTs are the root letters' base RTTs in every oracle run.
 var oracleRootRTTs = []float64{30, 45, 60, 25, 35, 50, 40, 55, 70, 90, 20, 65, 80}
 
-// oracleConfigs returns every combination of Bug, LocalRoot and
-// NoNSRefresh.
+// oracleConfigs returns every combination of Bug and LocalRoot.
 func oracleConfigs() []ResolverConfig {
 	var out []ResolverConfig
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 4; i++ {
 		out = append(out, ResolverConfig{
-			NumLetters:  len(oracleRootRTTs),
-			Bug:         i&1 != 0,
-			LocalRoot:   i&2 != 0,
-			NoNSRefresh: i&4 != 0,
+			NumLetters: len(oracleRootRTTs),
+			Bug:        i&1 != 0,
+			LocalRoot:  i&2 != 0,
 		})
 	}
 	return out
 }
 
+// cfgName names a config's subtest. Every resolver refreshes its cached
+// TLD NS RRset from TLD responses, which the fixed nonsrefresh=false
+// part states.
 func cfgName(cfg ResolverConfig) string {
-	return fmt.Sprintf("bug=%t/localroot=%t/nonsrefresh=%t", cfg.Bug, cfg.LocalRoot, cfg.NoNSRefresh)
+	return fmt.Sprintf("bug=%t/localroot=%t/nonsrefresh=false", cfg.Bug, cfg.LocalRoot)
 }
 
 // oracleTimeoutProb raises the authoritative timeout rate from 0.4% so

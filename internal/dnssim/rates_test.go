@@ -16,7 +16,7 @@ func buildPop(t *testing.T) *users.Population {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := users.Build(g, users.AddPublicDNS(g), users.Config{TotalUsers: 5e8}, 5)
+	p, err := users.Build(g, users.AddPublicDNS(g), 5e8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func buildPop(t *testing.T) *users.Population {
 func TestComputeRatesBasics(t *testing.T) {
 	pop := buildPop(t)
 	z := testZone(t)
-	rates := ComputeRates(pop, z, RateConfig{}, 9)
+	rates := ComputeRates(pop, z, 9)
 	if len(rates) != len(pop.Recursives) {
 		t.Fatalf("rates = %d, recursives = %d", len(rates), len(pop.Recursives))
 	}
@@ -62,7 +62,7 @@ func TestRatesShapeMatchesPaperNarrative(t *testing.T) {
 	// retained valid volume), and PTR should be a small slice (~2B).
 	pop := buildPop(t)
 	z := testZone(t)
-	rates := ComputeRates(pop, z, RateConfig{}, 10)
+	rates := ComputeRates(pop, z, 10)
 	var valid, invalid, ptr float64
 	for _, r := range rates {
 		valid += r.RootValidPerDay
@@ -122,8 +122,8 @@ func weightedMedian(vals, weights []float64) float64 {
 func TestRatesDeterministic(t *testing.T) {
 	pop := buildPop(t)
 	z := testZone(t)
-	a := ComputeRates(pop, z, RateConfig{}, 3)
-	b := ComputeRates(pop, z, RateConfig{}, 3)
+	a := ComputeRates(pop, z, 3)
+	b := ComputeRates(pop, z, 3)
 	for i := range a {
 		if a[i].RootValidPerDay != b[i].RootValidPerDay {
 			t.Fatalf("rates differ at %d", i)

@@ -49,19 +49,6 @@ type ResolverConfig struct {
 	// AAAA/A records of the delegation's out-of-glue nameserver names even
 	// though the relevant TLD NS record is cached.
 	Bug bool
-	// ExploreProb is the chance a root query probes a random letter
-	// instead of the lowest-sRTT one (recursives' preferential querying
-	// with occasional exploration, Müller et al.).
-	ExploreProb float64
-	// SRTTAlpha is the smoothing factor for sRTT updates.
-	SRTTAlpha float64
-	// NegTTLSeconds is the negative-cache TTL for NXDOMAIN answers.
-	NegTTLSeconds float64
-	// SLDTTLMinSeconds/SLDTTLMaxSeconds bound (log-uniformly) the TTLs of
-	// final answers.
-	SLDTTLMinSeconds, SLDTTLMaxSeconds float64
-	// TimeoutPenaltyMs is the latency a client suffers per timeout+retry.
-	TimeoutPenaltyMs float64
 	// TruncationProb is the chance a UDP root response arrives truncated,
 	// forcing a TCP retry (the handshakes the paper mines for RTTs, §3).
 	TruncationProb float64
@@ -70,40 +57,35 @@ type ResolverConfig struct {
 	// server; the zone is refreshed once per TTL (the paper's "Ideal"
 	// querying behavior made real, §4.3).
 	LocalRoot bool
-	// NoNSRefresh disables refreshing the cached TLD NS RRset from the
-	// authority section of TLD-server responses. Real resolvers do
-	// refresh (it is why busy resolvers' root miss rates sit near 0.5%);
-	// disabling it isolates the pure-TTL-expiry behavior.
-	NoNSRefresh bool
 }
 
 func (c ResolverConfig) withDefaults() ResolverConfig {
 	if c.NumLetters == 0 {
 		c.NumLetters = 13
 	}
-	if c.ExploreProb == 0 {
-		c.ExploreProb = 0.05
-	}
-	if c.SRTTAlpha == 0 {
-		c.SRTTAlpha = 0.3
-	}
-	if c.NegTTLSeconds == 0 {
-		c.NegTTLSeconds = 3600
-	}
-	if c.SLDTTLMinSeconds == 0 {
-		c.SLDTTLMinSeconds = 60
-	}
-	if c.SLDTTLMaxSeconds == 0 {
-		c.SLDTTLMaxSeconds = 86400
-	}
-	if c.TimeoutPenaltyMs == 0 {
-		c.TimeoutPenaltyMs = 800
-	}
 	if c.TruncationProb == 0 {
 		c.TruncationProb = 0.04
 	}
 	return c
 }
+
+// Resolver behavior that every configuration shares.
+const (
+	// exploreProb is the chance a root query probes a random letter
+	// instead of the lowest-sRTT one (recursives' preferential querying
+	// with occasional exploration, Müller et al.).
+	exploreProb float64 = 0.05
+	// srttAlpha is the smoothing factor for sRTT updates.
+	srttAlpha float64 = 0.3
+	// negTTLSeconds is the negative-cache TTL for NXDOMAIN answers.
+	negTTLSeconds float64 = 3600
+	// sldTTLMinSeconds and sldTTLMaxSeconds bound (log-uniformly) the
+	// TTLs of final answers.
+	sldTTLMinSeconds float64 = 60
+	sldTTLMaxSeconds float64 = 86400
+	// timeoutPenaltyMs is the latency a client suffers per timeout+retry.
+	timeoutPenaltyMs float64 = 800
+)
 
 // Counters accumulates resolver statistics.
 type Counters struct {
@@ -281,7 +263,7 @@ func (r *Resolver) pickLetter() int {
 			}
 		}
 	}
-	if r.rng.Float64() < r.cfg.ExploreProb {
+	if r.rng.Float64() < exploreProb {
 		return r.rng.Intn(len(r.srtt))
 	}
 	best := 0
@@ -307,8 +289,7 @@ func (r *Resolver) queryRoot(valid, redundant bool) (latencyMs float64, letter i
 	if math.IsInf(r.srtt[letter], 1) {
 		r.srtt[letter] = lat
 	} else {
-		a := r.cfg.SRTTAlpha
-		r.srtt[letter] = (1-a)*r.srtt[letter] + a*lat
+		r.srtt[letter] = (1-srttAlpha)*r.srtt[letter] + srttAlpha*lat
 	}
 	if valid {
 		r.counters.RootQueriesValid++
@@ -405,7 +386,7 @@ func (r *Resolver) resolve(n Name, forceTimeout bool) QueryResult {
 		if r.localRootCurrent() {
 			res.LatencyMs = 0.1 + r.rng.Float64()*0.4
 			res.NXDomain = true
-			r.put(n.key(recNeg, 0), r.cfg.NegTTLSeconds)
+			r.put(n.key(recNeg, 0), negTTLSeconds)
 			return res
 		}
 		lat, letter := r.queryRoot(false, false)
@@ -416,7 +397,7 @@ func (r *Resolver) resolve(n Name, forceTimeout bool) QueryResult {
 		res.RootLatencyMs = lat
 		res.RootQueriesOnPath = 1
 		res.NXDomain = true
-		r.put(n.key(recNeg, 0), r.cfg.NegTTLSeconds)
+		r.put(n.key(recNeg, 0), negTTLSeconds)
 		return res
 	}
 	tldName := r.zone.TLDs[tld].Name
@@ -447,12 +428,11 @@ func (r *Resolver) resolve(n Name, forceTimeout bool) QueryResult {
 
 	// Query the TLD server for the delegation. Its response's authority
 	// section re-delivers the TLD's NS RRset, refreshing the cache: only
-	// TLDs untouched for a full TTL ever need the root again.
+	// TLDs untouched for a full TTL ever need the root again (it is why
+	// busy resolvers' root miss rates sit near 0.5%).
 	tldLat := r.ups.TLDRTT()
 	res.LatencyMs += tldLat
-	if !r.cfg.NoNSRefresh {
-		r.put(nsKey, float64(TLDTTLSeconds)*(0.9+0.1*r.rng.Float64()))
-	}
+	r.put(nsKey, float64(TLDTTLSeconds)*(0.9+0.1*r.rng.Float64()))
 	nsCount, glued := sldDelegation(n)
 	if r.tracing {
 		r.addTrace(r.now-start, "resolver", "tld."+tldName, domain, "A",
@@ -466,7 +446,7 @@ func (r *Resolver) resolve(n Name, forceTimeout bool) QueryResult {
 	timedOut := forceTimeout || r.rng.Float64() < r.ups.AuthTimeoutProb
 	if timedOut {
 		obsTimeouts.Inc()
-		res.LatencyMs += r.cfg.TimeoutPenaltyMs
+		res.LatencyMs += timeoutPenaltyMs
 		if r.tracing {
 			r.addTrace(r.now-start, "resolver", "ns-primary."+domain, domain, "A", "timeout")
 		}
@@ -515,7 +495,7 @@ func (r *Resolver) resolve(n Name, forceTimeout bool) QueryResult {
 
 // sldTTL draws a log-uniform answer TTL.
 func (r *Resolver) sldTTL() float64 {
-	lo, hi := math.Log(r.cfg.SLDTTLMinSeconds), math.Log(r.cfg.SLDTTLMaxSeconds)
+	lo, hi := math.Log(sldTTLMinSeconds), math.Log(sldTTLMaxSeconds)
 	return math.Exp(lo + r.rng.Float64()*(hi-lo))
 }
 

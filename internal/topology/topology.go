@@ -108,19 +108,22 @@ type Config struct {
 	NumTransit int
 	// NumEyeball is the number of access networks (default 4500).
 	NumEyeball int
-	// Tier1PresenceMin/Max bound how many metros each tier-1 covers.
-	Tier1PresenceMin, Tier1PresenceMax int
 }
+
+// tier1PresenceMin and tier1PresenceMax bound how many metros each
+// tier-1 covers.
+const (
+	tier1PresenceMin = 18
+	tier1PresenceMax = 40
+)
 
 // DefaultConfig returns the paper-scale configuration.
 func DefaultConfig() Config {
 	return Config{
-		Seed:             1,
-		NumTier1:         12,
-		NumTransit:       150,
-		NumEyeball:       4500,
-		Tier1PresenceMin: 18,
-		Tier1PresenceMax: 40,
+		Seed:       1,
+		NumTier1:   12,
+		NumTransit: 150,
+		NumEyeball: 4500,
 	}
 }
 
@@ -135,12 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NumEyeball == 0 {
 		c.NumEyeball = d.NumEyeball
-	}
-	if c.Tier1PresenceMin == 0 {
-		c.Tier1PresenceMin = d.Tier1PresenceMin
-	}
-	if c.Tier1PresenceMax == 0 {
-		c.Tier1PresenceMax = d.Tier1PresenceMax
 	}
 	return c
 }
@@ -192,10 +189,7 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 
 	// Tier-1 backbones: global presence across many metros, full peer mesh.
 	for i := 0; i < cfg.NumTier1; i++ {
-		n := cfg.Tier1PresenceMin
-		if cfg.Tier1PresenceMax > cfg.Tier1PresenceMin {
-			n += g.rng.Intn(cfg.Tier1PresenceMax - cfg.Tier1PresenceMin)
-		}
+		n := tier1PresenceMin + g.rng.Intn(tier1PresenceMax-tier1PresenceMin)
 		if n > len(anchorList) {
 			n = len(anchorList)
 		}

@@ -36,34 +36,16 @@ type Recursive struct {
 	Public bool
 }
 
-// Config controls population construction.
-type Config struct {
-	// TotalUsers is the world's Internet user count (default 1.2e9,
-	// matching the paper's "over a billion users").
-	TotalUsers float64
-	// PublicResolverShare is the fraction of each AS's users who use a
-	// public DNS service instead of their ISP resolver (default 0.12).
-	PublicResolverShare float64
-	// MaxResolverIPs bounds the number of active resolver IPs per /24
-	// (default 5).
-	MaxResolverIPs int
-}
-
-// numPublicServices is how many public DNS operators exist.
-const numPublicServices = 3
-
-func (c Config) withDefaults() Config {
-	if c.TotalUsers == 0 {
-		c.TotalUsers = 1.2e9
-	}
-	if c.PublicResolverShare == 0 {
-		c.PublicResolverShare = 0.12
-	}
-	if c.MaxResolverIPs == 0 {
-		c.MaxResolverIPs = 5
-	}
-	return c
-}
+// Population calibration that every world shares.
+const (
+	// numPublicServices is how many public DNS operators exist.
+	numPublicServices = 3
+	// publicResolverShare is the mean fraction of each AS's users who use
+	// a public DNS service instead of their ISP resolver.
+	publicResolverShare float64 = 0.12
+	// maxResolverIPs bounds the number of active resolver IPs per /24.
+	maxResolverIPs = 5
+)
 
 // Population is the ground truth: every recursive, with its AS and
 // location, and the total user count.
@@ -92,20 +74,20 @@ func AddPublicDNS(g *topology.Graph) []topology.ASN {
 	return asns
 }
 
-// Build constructs the population on g, whose public DNS services are
-// the ASes AddPublicDNS returned: allocates address space, places 1–4
-// recursive /24s per eyeball AS (more for bigger ASes) and two per public
-// service, and splits users across them. It does not modify g.
+// Build constructs the population of totalUsers users on g, whose public
+// DNS services are the ASes AddPublicDNS returned: allocates address
+// space, places 1–4 recursive /24s per eyeball AS (more for bigger ASes)
+// and two per public service, and splits users across them. It does not
+// modify g.
 //
 // Every random quantity is drawn from a splittable stream keyed by the
 // owning AS, so the draw phase runs under par.Do; the address-pool
 // allocation and the /24 index are then filled in a serial pass over the
 // pre-computed draws, keeping every allocation and map insertion in
 // deterministic AS order.
-func Build(g *topology.Graph, public []topology.ASN, cfg Config, seed int64) (*Population, error) {
-	cfg = cfg.withDefaults()
+func Build(g *topology.Graph, public []topology.ASN, totalUsers float64, seed int64) (*Population, error) {
 	p := &Population{
-		TotalUsers: cfg.TotalUsers,
+		TotalUsers: totalUsers,
 		Pool:       ipaddr.NewPool(),
 		PublicASNs: public,
 		byKey:      make(map[ipaddr.Slash24Key]int),
@@ -123,7 +105,7 @@ func Build(g *topology.Graph, public []topology.ASN, cfg Config, seed int64) (*P
 		}
 		st := rng.Split(seed, rng.PhasePopServices, uint64(i))
 		for _, b := range blocks {
-			idx, err := p.addRecursive(b, asn, host.Loc, 0, true, 1+st.Intn(cfg.MaxResolverIPs))
+			idx, err := p.addRecursive(b, asn, host.Loc, 0, true, 1+st.Intn(maxResolverIPs))
 			if err != nil {
 				return nil, err
 			}
@@ -148,9 +130,9 @@ func Build(g *topology.Graph, public []topology.ASN, cfg Config, seed int64) (*P
 		for i := lo; i < hi; i++ {
 			asn := eyeballs[i]
 			as := g.AS(asn)
-			asUsers := as.UserWeight * cfg.TotalUsers
+			asUsers := as.UserWeight * totalUsers
 			st := rng.Split(seed, rng.PhasePopulation, uint64(asn))
-			d := asDraw{pubShare: cfg.PublicResolverShare * (0.5 + st.Float64()), nRec: 1}
+			d := asDraw{pubShare: publicResolverShare * (0.5 + st.Float64()), nRec: 1}
 			if d.pubShare > 0.9 {
 				d.pubShare = 0.9
 			}
@@ -165,7 +147,7 @@ func Build(g *topology.Graph, public []topology.ASN, cfg Config, seed int64) (*P
 			for k := 0; k < d.nRec; k++ {
 				d.recs[k] = recDraw{
 					loc:  geo.Jitter(as.Loc, 80, st.Float64(), st.Float64()),
-					nIPs: 1 + st.Intn(cfg.MaxResolverIPs),
+					nIPs: 1 + st.Intn(maxResolverIPs),
 				}
 			}
 			draws[i] = d
@@ -174,7 +156,7 @@ func Build(g *topology.Graph, public []topology.ASN, cfg Config, seed int64) (*P
 	var publicUsers float64
 	for i, asn := range eyeballs {
 		as := g.AS(asn)
-		asUsers := as.UserWeight * cfg.TotalUsers
+		asUsers := as.UserWeight * totalUsers
 		d := draws[i]
 		publicUsers += asUsers * d.pubShare
 		ownUsers := asUsers * (1 - d.pubShare)
@@ -262,35 +244,22 @@ type CDNCounts struct {
 	By24 map[ipaddr.Slash24Key]float64
 }
 
-// CDNConfig tunes the CDN dataset's observation process.
-type CDNConfig struct {
-	// IPCoverage is the probability an individual resolver IP is observed
-	// (default 0.55 — Microsoft sees the resolvers its users actually use,
-	// not all of them; with several IPs per /24 this yields high /24-level
-	// coverage but low exact-IP coverage, the Table 4 effect).
-	IPCoverage float64
-	// NATFactorMin/Max bound the undercount multiplier (default 0.55–0.95).
-	NATFactorMin, NATFactorMax float64
-}
-
-func (c CDNConfig) withDefaults() CDNConfig {
-	if c.IPCoverage == 0 {
-		c.IPCoverage = 0.55
-	}
-	if c.NATFactorMin == 0 {
-		c.NATFactorMin = 0.55
-	}
-	if c.NATFactorMax == 0 {
-		c.NATFactorMax = 0.95
-	}
-	return c
-}
+// Calibration of the CDN dataset's observation process.
+const (
+	// ipCoverage is the probability an individual resolver IP is observed
+	// (Microsoft sees the resolvers its users actually use, not all of
+	// them; with several IPs per /24 this yields high /24-level coverage
+	// but low exact-IP coverage, the Table 4 effect).
+	ipCoverage float64 = 0.55
+	// natFactorMin and natFactorMax bound the undercount multiplier.
+	natFactorMin float64 = 0.55
+	natFactorMax float64 = 0.95
+)
 
 // BuildCDNCounts derives the CDN dataset from ground truth. Observation
 // draws are per-recursive streams under par.Do; the output maps are
 // filled in a serial index-order pass.
-func BuildCDNCounts(p *Population, cfg CDNConfig, seed int64) *CDNCounts {
-	cfg = cfg.withDefaults()
+func BuildCDNCounts(p *Population, seed int64) *CDNCounts {
 	out := &CDNCounts{
 		ByIP: make(map[ipaddr.Addr]float64),
 		By24: make(map[ipaddr.Slash24Key]float64),
@@ -305,10 +274,10 @@ func BuildCDNCounts(p *Population, cfg CDNConfig, seed int64) *CDNCounts {
 			rec := &p.Recursives[i]
 			st := rng.Split(seed, rng.PhaseCDNCounts, uint64(i))
 			perIP := rec.Users / float64(len(rec.IPs))
-			nat := cfg.NATFactorMin + st.Float64()*(cfg.NATFactorMax-cfg.NATFactorMin)
+			nat := natFactorMin + st.Float64()*(natFactorMax-natFactorMin)
 			r := row{perIP: make([]float64, len(rec.IPs))}
 			for k := range rec.IPs {
-				if st.Float64() >= cfg.IPCoverage {
+				if st.Float64() >= ipCoverage {
 					continue
 				}
 				c := perIP * nat

@@ -22,7 +22,7 @@ func buildGraph(t *testing.T) *topology.Graph {
 
 func buildPop(t *testing.T, g *topology.Graph) *Population {
 	t.Helper()
-	p, err := Build(g, AddPublicDNS(g), Config{TotalUsers: 1e8}, 5)
+	p, err := Build(g, AddPublicDNS(g), 1e8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestBiggerASesGetMoreRecursives(t *testing.T) {
 func TestBuildDeterministic(t *testing.T) {
 	g1 := buildGraph(t)
 	g2 := buildGraph(t)
-	p1, err := Build(g1, AddPublicDNS(g1), Config{TotalUsers: 1e8}, 9)
+	p1, err := Build(g1, AddPublicDNS(g1), 1e8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Build(g2, AddPublicDNS(g2), Config{TotalUsers: 1e8}, 9)
+	p2, err := Build(g2, AddPublicDNS(g2), 1e8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestBuildDeterministic(t *testing.T) {
 func TestCDNCounts(t *testing.T) {
 	g := buildGraph(t)
 	p := buildPop(t, g)
-	c := BuildCDNCounts(p, CDNConfig{}, 13)
+	c := BuildCDNCounts(p, 13)
 	if len(c.By24) == 0 || len(c.ByIP) == 0 {
 		t.Fatal("empty CDN counts")
 	}

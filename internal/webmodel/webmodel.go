@@ -85,63 +85,46 @@ type Page struct {
 	Conns []Connection
 }
 
-// CorpusConfig tunes synthetic page generation.
-type CorpusConfig struct {
-	// Pages is how many distinct pages to generate (the paper loads 9).
-	Pages int
-	// LoadsPerPage is how many loads to simulate per page (paper: 20).
-	LoadsPerPage int
-	// MeanConnections per page.
-	MeanConnections float64
-	// MedianObjectBytes sets the size scale.
-	MedianObjectBytes float64
-}
-
-func (c CorpusConfig) withDefaults() CorpusConfig {
-	if c.Pages == 0 {
-		c.Pages = 9
-	}
-	if c.LoadsPerPage == 0 {
-		c.LoadsPerPage = 20
-	}
-	if c.MeanConnections == 0 {
-		c.MeanConnections = 8
-	}
-	if c.MedianObjectBytes == 0 {
-		c.MedianObjectBytes = 450_000
-	}
-	return c
-}
+// Synthetic corpus shape.
+const (
+	// pages is how many distinct pages to generate (the paper loads 9).
+	pages = 9
+	// loadsPerPage is how many loads to simulate per page (paper: 20).
+	loadsPerPage = 20
+	// meanConnections per page.
+	meanConnections float64 = 8
+	// medianObjectBytes sets the size scale.
+	medianObjectBytes float64 = 450_000
+)
 
 // GeneratePage builds one synthetic page: one large main-document
 // connection, a short dependency chain of serial resource connections, and
 // several parallel connections that overlap the main transfer (and so do
 // not add to the lower bound).
-func GeneratePage(name string, cfg CorpusConfig, rng *rand.Rand) Page {
-	cfg = cfg.withDefaults()
+func GeneratePage(name string, rng *rand.Rand) Page {
 	var conns []Connection
 
 	// Main document + render-blocking assets on one connection.
-	mainSize := cfg.MedianObjectBytes * 2.5 * math.Exp(0.4*rng.NormFloat64())
+	mainSize := medianObjectBytes * 2.5 * math.Exp(0.4*rng.NormFloat64())
 	mainDur := 1 + rng.Float64()
 	conns = append(conns, Connection{Bytes: int(mainSize), Start: 0, End: mainDur})
 
 	// Dependency chain: serial connections after the main transfer.
 	t := mainDur + 0.05
 	for k := 0; k < 2+rng.Intn(3); k++ {
-		size := cfg.MedianObjectBytes * 0.2 * math.Exp(0.6*rng.NormFloat64())
+		size := medianObjectBytes * 0.2 * math.Exp(0.6*rng.NormFloat64())
 		dur := 0.2 + rng.Float64()*0.6
 		conns = append(conns, Connection{Bytes: int(size), Start: t, End: t + dur})
 		t += dur + 0.05
 	}
 
 	// Parallel resources overlapping the main transfer.
-	nPar := int(rng.ExpFloat64() * cfg.MeanConnections / 2)
+	nPar := int(rng.ExpFloat64() * meanConnections / 2)
 	if nPar > 30 {
 		nPar = 30
 	}
 	for k := 0; k < nPar; k++ {
-		size := cfg.MedianObjectBytes * 0.3 * math.Exp(0.8*rng.NormFloat64())
+		size := medianObjectBytes * 0.3 * math.Exp(0.8*rng.NormFloat64())
 		start := rng.Float64() * mainDur * 0.8
 		conns = append(conns, Connection{Bytes: int(size), Start: start, End: start + 0.2 + rng.Float64()*0.8})
 	}
@@ -161,12 +144,11 @@ type SweepResult struct {
 }
 
 // RunSweep loads the synthetic corpus and summarizes RTT counts.
-func RunSweep(cfg CorpusConfig, rng *rand.Rand) SweepResult {
-	cfg = cfg.withDefaults()
+func RunSweep(rng *rand.Rand) SweepResult {
 	var res SweepResult
-	for p := 0; p < cfg.Pages; p++ {
-		page := GeneratePage("page", cfg, rng)
-		for l := 0; l < cfg.LoadsPerPage; l++ {
+	for p := 0; p < pages; p++ {
+		page := GeneratePage("page", rng)
+		for l := 0; l < loadsPerPage; l++ {
 			loaded := jitterLoad(page, rng)
 			res.RTTsPerLoad = append(res.RTTsPerLoad, PageRTTs(loaded.Conns, DefaultInitialWindowBytes))
 		}

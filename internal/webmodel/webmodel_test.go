@@ -98,7 +98,7 @@ func TestRunSweepTenRTTBound(t *testing.T) {
 	// Appendix C: only a few percent of loads fit within 10 RTTs; ~90%
 	// fit within 20; hence 10 is a sound lower bound.
 	rng := rand.New(rand.NewSource(5))
-	res := RunSweep(CorpusConfig{}, rng)
+	res := RunSweep(rng)
 	if len(res.RTTsPerLoad) != 9*20 {
 		t.Fatalf("loads = %d", len(res.RTTsPerLoad))
 	}
@@ -124,7 +124,7 @@ func TestRunSweepTenRTTBound(t *testing.T) {
 func TestGeneratePage(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
-		p := GeneratePage("p", CorpusConfig{}, rng)
+		p := GeneratePage("p", rng)
 		if len(p.Conns) == 0 {
 			t.Fatal("page with no connections")
 		}

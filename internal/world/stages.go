@@ -199,7 +199,7 @@ func (w *World) computeStage(ctx context.Context, id stage.ID) error {
 		obsEyeballs.Set(float64(len(g.Eyeballs())))
 
 	case stage.Population:
-		pop, err := users.Build(w.graph, w.publicDNS, users.Config{TotalUsers: cfg.TotalUsers}, cfg.Seed)
+		pop, err := users.Build(w.graph, w.publicDNS, totalUsers, cfg.Seed)
 		if err != nil {
 			return fmt.Errorf("world: population: %w", err)
 		}
@@ -207,10 +207,10 @@ func (w *World) computeStage(ctx context.Context, id stage.ID) error {
 		obsRecursives.Set(float64(len(pop.Recursives)))
 
 	case stage.Zone:
-		w.zone = dnssim.NewZone(cfg.NumTLDs, cfg.Seed)
+		w.zone = dnssim.NewZone(numTLDs, cfg.Seed)
 
 	case stage.Rates:
-		w.rates = dnssim.ComputeRates(w.pop, w.zone, dnssim.RateConfig{}, cfg.Seed)
+		w.rates = dnssim.ComputeRates(w.pop, w.zone, cfg.Seed)
 
 	case stage.Letters:
 		specs := letterSpecs(cfg.Year)
@@ -248,12 +248,12 @@ func (w *World) computeStage(ctx context.Context, id stage.ID) error {
 		w.cdnNet = cdnNet
 
 	case stage.UserCounts:
-		w.cdnCounts = users.BuildCDNCounts(w.pop, users.CDNConfig{}, cfg.Seed)
+		w.cdnCounts = users.BuildCDNCounts(w.pop, cfg.Seed)
 		w.apnic = users.BuildAPNICCounts(w.graph, w.pop, cfg.Seed)
 
 	case stage.Atlas:
-		probes := scaleInt(cfg.NumProbes, cfg.Scale, 100)
-		plat, err := atlas.Deploy(w.graph, w.model, atlas.Config{NumProbes: probes}, cfg.Seed)
+		probes := scaleInt(numProbes, cfg.Scale, 100)
+		plat, err := atlas.Deploy(w.graph, w.model, probes, cfg.Seed)
 		if err != nil {
 			return fmt.Errorf("world: atlas: %w", err)
 		}
@@ -261,7 +261,7 @@ func (w *World) computeStage(ctx context.Context, id stage.ID) error {
 		obsProbes.Set(float64(probes))
 
 	case stage.Locations:
-		w.locations = cdn.Locations(w.graph, cfg.TotalUsers)
+		w.locations = cdn.Locations(w.graph, totalUsers)
 
 	case stage.ServerLogs:
 		w.serverLogs = w.cdnNet.ServerSideLogsCtx(ctx, w.locations, cfg.Seed*7919)

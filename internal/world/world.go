@@ -66,14 +66,8 @@ type Config struct {
 	Seed int64
 	// Scale in (0, 1] shrinks AS counts and probe counts for fast tests.
 	Scale float64
-	// TotalUsers is the modeled global user count (default 1.2e9).
-	TotalUsers float64
 	// Year picks the letter inventory (default DITL2018).
 	Year Year
-	// NumTLDs sizes the root zone (default 1000).
-	NumTLDs int
-	// NumProbes sizes the Atlas platform (default 1000, scaled).
-	NumProbes int
 	// Faults is the fault-injection policy threaded into the capture
 	// campaign (site withdrawal) and CDN telemetry planes (row drops).
 	// The zero value injects nothing and leaves every output
@@ -93,20 +87,21 @@ func (c Config) withDefaults() Config {
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
-	if c.TotalUsers == 0 {
-		c.TotalUsers = 1.2e9
-	}
 	if c.Year == 0 {
 		c.Year = DITL2018
 	}
-	if c.NumTLDs == 0 {
-		c.NumTLDs = 1000
-	}
-	if c.NumProbes == 0 {
-		c.NumProbes = 1000
-	}
 	return c
 }
+
+// World dimensions that every configuration shares.
+const (
+	// totalUsers is the modeled global user count.
+	totalUsers float64 = 1.2e9
+	// numTLDs sizes the root zone.
+	numTLDs = 1000
+	// numProbes sizes the Atlas platform before scaling.
+	numProbes = 1000
+)
 
 // scaleWarn dedups the warning for an unusable ANYCASTCTX_TEST_SCALE
 // value by the offending string, so a bad CI variable is visible exactly
