@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,27 +80,37 @@ func TestValidateFlags(t *testing.T) {
 		scale  float64
 		faults float64
 		jobs   int
-		ok     bool
+		// scenario, report, memprofile and out are the string flags.
+		scenario, report, memprofile, out string
+		// bad names the flag the error must mention; "" means accepted.
+		bad string
 	}{
-		{"defaults", 1, 0, 0, true},
-		{"small scale with faults and jobs", 0.05, 0.5, 8, true},
-		{"zero scale", 0, 0, 0, false},
-		{"negative scale", -0.2, 0, 0, false},
-		{"scale above one", 1.5, 0, 0, false},
-		{"NaN scale", math.NaN(), 0, 0, false},
-		{"infinite scale", math.Inf(1), 0, 0, false},
-		{"negative fault rate", 1, -0.1, 0, false},
-		{"fault rate one", 1, 1, 0, false},
-		{"NaN fault rate", 1, math.NaN(), 0, false},
-		{"negative jobs", 1, 0, -1, false},
+		{name: "defaults", scale: 1},
+		{name: "small scale with faults and jobs", scale: 0.05, faults: 0.5, jobs: 8},
+		{name: "zero scale", bad: "-scale"},
+		{name: "negative scale", scale: -0.2, bad: "-scale"},
+		{name: "scale above one", scale: 1.5, bad: "-scale"},
+		{name: "NaN scale", scale: math.NaN(), bad: "-scale"},
+		{name: "infinite scale", scale: math.Inf(1), bad: "-scale"},
+		{name: "negative fault rate", scale: 1, faults: -0.1, bad: "-faults"},
+		{name: "fault rate one", scale: 1, faults: 1, bad: "-faults"},
+		{name: "NaN fault rate", scale: 1, faults: math.NaN(), bad: "-faults"},
+		{name: "negative jobs", scale: 1, jobs: -1, bad: "-j"},
+		{name: "outputs without scenario", scale: 1, report: "r.json", memprofile: "m.pprof", out: "d"},
+		{name: "scenario alone", scale: 1, scenario: "surge-2x"},
+		{name: "scenario with report", scale: 1, scenario: "surge-2x", report: "r.json", bad: "-report"},
+		{name: "scenario with memprofile", scale: 1, scenario: "surge-2x", memprofile: "m.pprof", bad: "-memprofile"},
+		{name: "scenario with out", scale: 1, scenario: "surge-2x", out: "d", bad: "-out"},
 	}
 	for _, tc := range cases {
-		err := validateFlags(tc.scale, tc.faults, tc.jobs)
-		if tc.ok && err != nil {
-			t.Errorf("%s: validateFlags(%v, %v, %d) = %v, want nil", tc.name, tc.scale, tc.faults, tc.jobs, err)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("%s: validateFlags(%v, %v, %d) accepted", tc.name, tc.scale, tc.faults, tc.jobs)
+		err := validateFlags(tc.scale, tc.faults, tc.jobs, tc.scenario, tc.report, tc.memprofile, tc.out)
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("%s: validateFlags = %v, want nil", tc.name, err)
+		case tc.bad != "" && err == nil:
+			t.Errorf("%s: validateFlags accepted", tc.name)
+		case tc.bad != "" && !strings.HasPrefix(err.Error(), tc.bad+" "):
+			t.Errorf("%s: validateFlags = %q, want an error naming %s", tc.name, err, tc.bad)
 		}
 	}
 }
