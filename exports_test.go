@@ -29,6 +29,19 @@ var exportAllowlist = map[string]string{
 	"anycastctx/internal/par.WorkerPanic.Unwrap": "errors.Is and errors.As reach the recovered panic value through it",
 }
 
+// configFieldAllowlist names exported fields of Config types that only
+// tests write, each with the reason it stays a field. Keys are
+// "<pkg>.<Type>.<Field>", with <pkg> the import path. As with
+// exportAllowlist, an entry whose field is written outside tests after
+// all, or no longer exists, fails the test.
+var configFieldAllowlist = map[string]string{
+	"anycastctx/internal/cdn.Config.Rings":                         "the ring-sort and validation tests pass their own ring sets",
+	"anycastctx/internal/topology.Config.NumTier1":                 "package tests build small graphs with 3 to 12 tier-1s",
+	"anycastctx/internal/dnssim.ClientConfig.QueriesPerUserPerDay": "resolver tests set the per-user query rate their expectations assume",
+	"anycastctx/internal/dnssim.ResolverConfig.TruncationProb":     "TestTCPFallbackCountsAndCosts uses it to force the TCP path",
+	"anycastctx/internal/ditl.Config.SecondaryShareMax":            "TestStoreCheckerFiresOnConfigDrift uses it to inject drift",
+}
+
 // listedPackage is the subset of `go list -json` output the sweep reads.
 type listedPackage struct {
 	ImportPath string
@@ -75,6 +88,12 @@ type checkedFile struct {
 // Files in cmd/, examples/ and the bench module count as callers. A
 // method that satisfies some interface is exempt (it may be called only
 // through that interface), as is anything in exportAllowlist.
+//
+// The same sweep fails when an exported field of a struct type named
+// Config or *Config is never written by a non-test file: a field that
+// only ever holds its default is a constant. A write is a composite-literal
+// key or an assignment target; writes inside withDefaults or
+// DefaultConfig do not count. configFieldAllowlist names the exceptions.
 func TestExportedIdentifiersHaveCallers(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -186,6 +205,84 @@ func TestExportedIdentifiersHaveCallers(t *testing.T) {
 		if !allowed[key] {
 			t.Errorf("stale exportAllowlist entry %s: it is referenced or no longer exists", key)
 		}
+	}
+	checkConfigFieldsWritten(t, fset, files, swept)
+}
+
+// checkConfigFieldsWritten applies the Config-field rule of
+// TestExportedIdentifiersHaveCallers to the swept packages.
+func checkConfigFieldsWritten(t *testing.T, fset *token.FileSet, files []checkedFile, swept []*types.Package) {
+	t.Helper()
+	written := map[types.Object]bool{}
+	for _, cf := range files {
+		markWrites(cf, written)
+	}
+	var unwritten []string
+	allowed := map[string]bool{}
+	for _, pkg := range swept {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !strings.HasSuffix(name, "Config") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || written[f] {
+					continue
+				}
+				key := pkg.Path() + "." + name + "." + f.Name()
+				if _, ok := configFieldAllowlist[key]; ok {
+					allowed[key] = true
+					continue
+				}
+				unwritten = append(unwritten, fmt.Sprintf("%s: %s", fset.Position(f.Pos()), key))
+			}
+		}
+	}
+	sort.Strings(unwritten)
+	for _, u := range unwritten {
+		t.Errorf("config field never set outside tests and defaults, so make it a constant: %s", u)
+	}
+	for key := range configFieldAllowlist {
+		if !allowed[key] {
+			t.Errorf("stale configFieldAllowlist entry %s: it is written outside tests or no longer exists", key)
+		}
+	}
+}
+
+// markWrites records every struct field a file writes, as a
+// composite-literal key or an assignment target, outside functions named
+// withDefaults or DefaultConfig.
+func markWrites(cf checkedFile, written map[types.Object]bool) {
+	field := func(id *ast.Ident) {
+		if v, ok := cf.info.Uses[id].(*types.Var); ok && v.IsField() {
+			written[v] = true
+		}
+	}
+	for _, decl := range cf.file.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && (fd.Name.Name == "withDefaults" || fd.Name.Name == "DefaultConfig") {
+			continue
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					field(id)
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						field(sel.Sel)
+					}
+				}
+			}
+			return true
+		})
 	}
 }
 
