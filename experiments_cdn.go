@@ -385,9 +385,9 @@ func runFig6b(ctx context.Context, w *World, seed int64) (Result, error) {
 			if !ok {
 				continue
 			}
-			src := w.Graph().AS(pr.ASN)
-			chosen := geo.DistanceKm(src.Loc, dep.Sites[rt.SiteID].Loc)
-			_, minD := dep.ClosestGlobalSite(src.Loc)
+			src := w.Graph().AS(pr.ASN).Point()
+			chosen := src.DistanceKm(dep.SitePoint(rt.SiteID))
+			_, minD := dep.ClosestGlobalSiteTo(src)
 			gi := geo.GeoRTTMs(chosen - minD)
 			if gi < 0 {
 				gi = 0
@@ -568,7 +568,7 @@ func runFig14(ctx context.Context, w *World, seed int64) (Result, error) {
 	for i, rr := range regs {
 		a := byRegion[rr.id]
 		rel := (a.lat / a.users) / maxLat
-		_, minD := frontEnds.Nearest(w.Regions()[rr.id].Center)
+		_, minD := frontEnds.Nearest(geo.Prepare(w.Regions()[rr.id].Center))
 		if minD < 500 {
 			corrNear = append(corrNear, rel)
 		} else {

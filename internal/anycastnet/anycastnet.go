@@ -48,6 +48,9 @@ func newDeployment(name string, sites []bgp.Site, res *bgp.Resolver) *Deployment
 	return &Deployment{Name: name, Sites: sites, resolver: res, global: geo.NewIndex(locs), globalIDs: ids}
 }
 
+// SitePoint returns site id's Loc prepared for distance work.
+func (d *Deployment) SitePoint(id int) geo.Point { return d.resolver.SitePoint(id) }
+
 // NumGlobalSites returns the count of globally announced sites.
 func (d *Deployment) NumGlobalSites() int {
 	n := 0
@@ -127,7 +130,12 @@ func Renamed(d *Deployment, name string) *Deployment {
 // global site nearest to loc (the lowest ID on ties), or (-1, 0) if the
 // deployment has none.
 func (d *Deployment) ClosestGlobalSite(loc geo.Coord) (int, float64) {
-	i, km := d.global.Nearest(loc)
+	return d.ClosestGlobalSiteTo(geo.Prepare(loc))
+}
+
+// ClosestGlobalSiteTo is ClosestGlobalSite for a prepared query.
+func (d *Deployment) ClosestGlobalSiteTo(q geo.Point) (int, float64) {
+	i, km := d.global.Nearest(q)
 	if i < 0 {
 		return -1, 0
 	}
@@ -272,18 +280,18 @@ func NearbyUpstreams(g *topology.Graph, loc geo.Coord, rng *rand.Rand) []topolog
 func nearbyUpstreams(g *topology.Graph, loc geo.Coord, rng *rand.Rand) []topology.ASN {
 	type cand struct {
 		asn topology.ASN
-		d   float64
+		pt  geo.Point // the transit's presence point nearest to loc
 	}
-	var cands []cand
-	for _, tn := range g.Transits() {
-		_, d := g.AS(tn).NearestPresence(loc)
-		cands = append(cands, cand{tn, d})
+	q := geo.Prepare(loc)
+	cands := make([]cand, len(g.Transits()))
+	for i, tn := range g.Transits() {
+		cands[i] = cand{tn, g.AS(tn).NearestPoint(q)}
 	}
 	// Partial selection of the 3 nearest.
 	for i := 0; i < 3 && i < len(cands); i++ {
 		min := i
 		for j := i + 1; j < len(cands); j++ {
-			if cands[j].d < cands[min].d {
+			if q.Compare(cands[j].pt, cands[min].pt) < 0 {
 				min = j
 			}
 		}

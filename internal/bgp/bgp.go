@@ -120,6 +120,8 @@ type cachedRoute struct {
 type Resolver struct {
 	g     *topology.Graph
 	sites []Site
+	// pts holds each site's Loc prepared for distance work, by site ID.
+	pts []geo.Point
 	// hosts lists the deployment's host ASes in order of their first
 	// site; hostOf[siteID] is the site's index into hosts.
 	hosts  []host
@@ -154,7 +156,7 @@ func NewResolver(g *topology.Graph, sites []Site) (*Resolver, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("bgp: deployment has no sites")
 	}
-	r := &Resolver{g: g, sites: sites, hostOf: make([]int, len(sites))}
+	r := &Resolver{g: g, sites: sites, pts: make([]geo.Point, len(sites)), hostOf: make([]int, len(sites))}
 	hostNum := make(map[topology.ASN]int)
 	for i, s := range sites {
 		as := g.AS(s.Host)
@@ -170,6 +172,7 @@ func NewResolver(g *topology.Graph, sites []Site) (*Resolver, error) {
 			hostNum[s.Host] = h
 			r.hosts = append(r.hosts, host{as: as})
 		}
+		r.pts[i] = geo.Prepare(s.Loc)
 		r.hostOf[i] = h
 		hs := &r.hosts[h]
 		hs.sites = append(hs.sites, i)
@@ -195,6 +198,9 @@ func NewResolver(g *topology.Graph, sites []Site) (*Resolver, error) {
 	obsResolvers.Inc()
 	return r, nil
 }
+
+// SitePoint returns site id's Loc prepared for distance work.
+func (r *Resolver) SitePoint(id int) geo.Point { return r.pts[id] }
 
 // computeTables fills transitDist for every transit and tier-1.
 func (r *Resolver) computeTables() {
@@ -418,11 +424,11 @@ func better(key float64, site int, bestKey float64, best int) bool {
 // in km, among every site of the host when all is set and among its
 // global sites otherwise. Ties go to the lowest site ID. The source must
 // see the host (hostView.visible).
-func (r *Resolver) nearestSite(h int, c geo.Coord, all bool) (int, float64) {
+func (r *Resolver) nearestSite(h int, c geo.Point, all bool) (int, float64) {
 	hs := &r.hosts[h]
 	switch {
 	case hs.idx == nil:
-		return hs.sites[0], geo.DistanceKm(c, r.sites[hs.sites[0]].Loc)
+		return hs.sites[0], c.DistanceKm(r.pts[hs.sites[0]])
 	case all:
 		i, d := hs.idx.Nearest(c)
 		return hs.sites[i], d
@@ -432,7 +438,7 @@ func (r *Resolver) nearestSite(h int, c geo.Coord, all bool) (int, float64) {
 		if !r.sites[id].Global {
 			continue
 		}
-		if d := geo.DistanceKm(c, r.sites[id].Loc); best < 0 || d < bestD {
+		if d := c.DistanceKm(r.pts[id]); best < 0 || d < bestD {
 			best, bestD = id, d
 		}
 	}
@@ -465,6 +471,7 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, outcome) {
 	// address is routed to the nearest site in the deployment
 	// (near-optimal WAN, §6). A peered host's local sites are always in
 	// view.
+	home := S.Point()
 	views := make([]hostView, len(r.hosts))
 	best, bestKey := -1, 0.0
 	var bestVia topology.ASN
@@ -477,10 +484,10 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, outcome) {
 		if !peered {
 			continue
 		}
-		entry, dEntry := hs.as.NearestPresence(S.Loc)
+		entry := hs.as.NearestPoint(home)
 		site, d := r.nearestSite(h, entry, true)
-		if key := dEntry + d; better(key, site, bestKey, best) {
-			best, bestKey, bestVia, bestEntry = site, key, hs.as.ASN, entry
+		if key := home.DistanceKm(entry) + d; better(key, site, bestKey, best) {
+			best, bestKey, bestVia, bestEntry = site, key, hs.as.ASN, entry.Coord
 		}
 	}
 	if best >= 0 {
@@ -526,8 +533,7 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, outcome) {
 // sites the source sees on hosts at transit distance d, applying
 // hot-potato selection at each stage.
 func (r *Resolver) routeViaTransit(S *topology.AS, views []hostView, p topology.ASN, d uint8) Route {
-	P := r.g.AS(p)
-	entry, _ := P.NearestPresence(S.Loc)
+	entry := r.g.AS(p).NearestPoint(S.Point())
 	dists := r.tables()[p]
 	candidate := func(h int) bool { return dists[h] == d && views[h].visible }
 
@@ -543,17 +549,17 @@ func (r *Resolver) routeViaTransit(S *topology.AS, views []hostView, p topology.
 			if !candidate(h) {
 				continue
 			}
-			egress, dEg := r.hosts[h].as.NearestPresence(entry)
+			egress := r.hosts[h].as.NearestPoint(entry)
 			site, dSite := r.nearestSite(h, egress, views[h].all)
-			if key := dEg + dSite; better(key, site, bestKey, best) {
-				best, bestKey, bestEgress = site, key, egress
+			if key := entry.DistanceKm(egress) + dSite; better(key, site, bestKey, best) {
+				best, bestKey, bestEgress = site, key, egress.Coord
 			}
 		}
 		return Route{
 			SiteID:    best,
 			PathLen:   int(d) + 2,
 			Via:       p,
-			Waypoints: []geo.Coord{S.Loc, entry, bestEgress, r.sites[best].Loc},
+			Waypoints: []geo.Coord{S.Loc, entry.Coord, bestEgress, r.sites[best].Loc},
 		}
 	case 2:
 		// p learned the prefix from several upstream neighbors, all with
@@ -590,8 +596,7 @@ func (r *Resolver) routeViaTransit(S *topology.AS, views []hostView, p topology.
 			return ns[i].u < ns[j].u
 		})
 		for _, n := range ns {
-			U := r.g.AS(n.u)
-			uEntry, _ := U.NearestPresence(entry)
+			uEntry := r.g.AS(n.u).NearestPoint(entry)
 			best, bestKey := -1, 0.0
 			var bestIx geo.Coord
 			for h := range r.hosts {
@@ -599,10 +604,10 @@ func (r *Resolver) routeViaTransit(S *topology.AS, views []hostView, p topology.
 				if !candidate(h) || !hasProvider(H, n.u) {
 					continue
 				}
-				ix, dIx := H.NearestPresence(uEntry)
+				ix := H.NearestPoint(uEntry)
 				site, dSite := r.nearestSite(h, ix, views[h].all)
-				if key := dIx + dSite; better(key, site, bestKey, best) {
-					best, bestKey, bestIx = site, key, ix
+				if key := uEntry.DistanceKm(ix) + dSite; better(key, site, bestKey, best) {
+					best, bestKey, bestIx = site, key, ix.Coord
 				}
 			}
 			if best < 0 {
@@ -612,7 +617,7 @@ func (r *Resolver) routeViaTransit(S *topology.AS, views []hostView, p topology.
 				SiteID:    best,
 				PathLen:   int(d) + 2,
 				Via:       p,
-				Waypoints: []geo.Coord{S.Loc, entry, uEntry, bestIx, r.sites[best].Loc},
+				Waypoints: []geo.Coord{S.Loc, entry.Coord, uEntry.Coord, bestIx, r.sites[best].Loc},
 			}
 		}
 		// No neighbor found (shouldn't happen); fall through to arbitrary.
@@ -630,22 +635,19 @@ func (r *Resolver) routeViaTransit(S *topology.AS, views []hostView, p topology.
 				best, bestTie, bestHost = site, tie, h
 			}
 		}
-		t1 := r.preferredTier1(p)
-		T := r.g.AS(t1)
-		mid, _ := T.NearestPresence(entry)
+		mid := r.g.AS(r.preferredTier1(p)).NearestPoint(entry)
 		H := r.hosts[bestHost].as
-		loc := r.sites[best].Loc
 		up := H.Loc
 		if len(H.Providers) > 0 {
 			if U := r.g.AS(H.Providers[0]); U != nil {
-				up, _ = U.NearestPresence(loc)
+				up = U.NearestPoint(r.pts[best]).Coord
 			}
 		}
 		return Route{
 			SiteID:    best,
 			PathLen:   int(d) + 2,
 			Via:       p,
-			Waypoints: []geo.Coord{S.Loc, entry, mid, up, loc},
+			Waypoints: []geo.Coord{S.Loc, entry.Coord, mid.Coord, up, r.sites[best].Loc},
 		}
 	}
 }

@@ -115,7 +115,7 @@ func CoverageCurve(siteLocs []geo.Coord, locs []cdn.Location, radiiKm []float64)
 	sites := geo.NewIndex(siteLocs)
 	minDists := make([]float64, len(locs))
 	for i, l := range locs {
-		_, minDists[i] = sites.Nearest(l.Loc)
+		_, minDists[i] = sites.Nearest(geo.Prepare(l.Loc))
 		total += l.Users
 	}
 	out := make([]stats.Point, len(radiiKm))

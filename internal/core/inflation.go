@@ -29,7 +29,7 @@ func GeoInflationLetter(c *ditl.Campaign, li int, j *ditl.Join) []stats.Weighted
 			continue
 		}
 		rec := &c.Pop.Recursives[row.RecIdx]
-		gi := geoInflationMs(rec.Loc, &a, letter)
+		gi := geoInflationMs(geo.Prepare(rec.Loc), &a, letter)
 		if gi < 0 {
 			gi = 0
 		}
@@ -38,13 +38,14 @@ func GeoInflationLetter(c *ditl.Campaign, li int, j *ditl.Join) []stats.Weighted
 	return out
 }
 
-// geoInflationMs evaluates Eq. 1's bracket for one assignment.
-func geoInflationMs(loc geo.Coord, a *ditl.Assignment, letter *anycastnet.Deployment) float64 {
+// geoInflationMs evaluates Eq. 1's bracket for one assignment of the
+// recursive at q.
+func geoInflationMs(q geo.Point, a *ditl.Assignment, letter *anycastnet.Deployment) float64 {
 	var mean float64
 	for _, s := range a.Sites() {
-		mean += s.Frac * geo.DistanceKm(loc, letter.Sites[s.SiteID].Loc)
+		mean += s.Frac * q.DistanceKm(letter.SitePoint(s.SiteID))
 	}
-	_, minD := letter.ClosestGlobalSite(loc)
+	_, minD := letter.ClosestGlobalSiteTo(q)
 	return geo.GeoRTTMs(mean - minD)
 }
 
@@ -54,14 +55,14 @@ func geoInflationMs(loc geo.Coord, a *ditl.Assignment, letter *anycastnet.Deploy
 func GeoInflationAllRoots(c *ditl.Campaign, j *ditl.Join) []stats.WeightedValue {
 	out := make([]stats.WeightedValue, 0, len(j.Rows))
 	for _, row := range j.Rows {
-		rec := &c.Pop.Recursives[row.RecIdx]
+		q := geo.Prepare(c.Pop.Recursives[row.RecIdx].Loc)
 		var mean, wsum float64
 		for li := range c.Letters {
 			a := c.At(li, row.RecIdx)
 			if !a.Reachable || a.LetterWeight <= 0 {
 				continue
 			}
-			gi := geoInflationMs(rec.Loc, &a, c.Letters[li])
+			gi := geoInflationMs(q, &a, c.Letters[li])
 			if gi < 0 {
 				gi = 0
 			}
@@ -89,7 +90,7 @@ func LatencyInflationLetter(c *ditl.Campaign, li int, j *ditl.Join) []stats.Weig
 			continue
 		}
 		rec := &c.Pop.Recursives[row.RecIdx]
-		v := latencyInflationMs(rec.Loc, &a, letter)
+		v := latencyInflationMs(geo.Prepare(rec.Loc), &a, letter)
 		if v < 0 {
 			v = 0
 		}
@@ -98,7 +99,7 @@ func LatencyInflationLetter(c *ditl.Campaign, li int, j *ditl.Join) []stats.Weig
 	return out
 }
 
-func latencyInflationMs(loc geo.Coord, a *ditl.Assignment, letter *anycastnet.Deployment) float64 {
+func latencyInflationMs(q geo.Point, a *ditl.Assignment, letter *anycastnet.Deployment) float64 {
 	// Measured latency per site: the favorite carries the TCP median; the
 	// occasional secondary is approximated by the deterministic base RTT.
 	var mean float64
@@ -109,7 +110,7 @@ func latencyInflationMs(loc geo.Coord, a *ditl.Assignment, letter *anycastnet.De
 		}
 		mean += s.Frac * lat
 	}
-	_, minD := letter.ClosestGlobalSite(loc)
+	_, minD := letter.ClosestGlobalSiteTo(q)
 	return mean - geo.RTTLowerBoundMs(minD)
 }
 
@@ -118,7 +119,7 @@ func latencyInflationMs(loc geo.Coord, a *ditl.Assignment, letter *anycastnet.De
 func LatencyInflationAllRoots(c *ditl.Campaign, j *ditl.Join, usable map[string]bool) []stats.WeightedValue {
 	out := make([]stats.WeightedValue, 0, len(j.Rows))
 	for _, row := range j.Rows {
-		rec := &c.Pop.Recursives[row.RecIdx]
+		q := geo.Prepare(c.Pop.Recursives[row.RecIdx].Loc)
 		var mean, wsum float64
 		for li := range c.Letters {
 			if usable != nil && !usable[c.LetterNames[li]] {
@@ -128,7 +129,7 @@ func LatencyInflationAllRoots(c *ditl.Campaign, j *ditl.Join, usable map[string]
 			if !a.Reachable || math.IsNaN(a.TCPMedianRTTMs) || a.LetterWeight <= 0 {
 				continue
 			}
-			v := latencyInflationMs(rec.Loc, &a, c.Letters[li])
+			v := latencyInflationMs(q, &a, c.Letters[li])
 			if v < 0 {
 				v = 0
 			}
@@ -152,8 +153,9 @@ func CDNGeoInflation(rows []cdn.ServerLogRow, ring *cdn.Ring) []stats.WeightedVa
 		if r.Ring != ring.Name {
 			continue
 		}
-		chosen := geo.DistanceKm(r.Location.Loc, ring.SiteLocs[r.FrontEnd])
-		_, minD := sites.Nearest(r.Location.Loc)
+		q := geo.Prepare(r.Location.Loc)
+		chosen := q.DistanceKm(sites.Point(r.FrontEnd))
+		_, minD := sites.Nearest(q)
 		gi := geo.GeoRTTMs(chosen - minD)
 		if gi < 0 {
 			gi = 0
@@ -176,8 +178,9 @@ func CDNGeoInflationRoutes(ring *cdn.Ring, locs []cdn.Location) []stats.Weighted
 		if !ok {
 			continue
 		}
-		chosen := geo.DistanceKm(l.Loc, ring.SiteLocs[rt.SiteID])
-		_, minD := sites.Nearest(l.Loc)
+		q := geo.Prepare(l.Loc)
+		chosen := q.DistanceKm(sites.Point(rt.SiteID))
+		_, minD := sites.Nearest(q)
 		gi := geo.GeoRTTMs(chosen - minD)
 		if gi < 0 {
 			gi = 0
@@ -196,7 +199,7 @@ func CDNLatencyInflation(rows []cdn.ServerLogRow, ring *cdn.Ring) []stats.Weight
 		if r.Ring != ring.Name {
 			continue
 		}
-		_, minD := sites.Nearest(r.Location.Loc)
+		_, minD := sites.Nearest(geo.Prepare(r.Location.Loc))
 		li := r.MedianRTTMs - geo.RTTLowerBoundMs(minD)
 		if li < 0 {
 			li = 0

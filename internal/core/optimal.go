@@ -22,7 +22,7 @@ func OptimalRoute(g *topology.Graph, d *anycastnet.Deployment, src topology.ASN)
 	if S == nil {
 		return bgp.Route{}, false
 	}
-	id, _ := d.ClosestGlobalSite(S.Loc)
+	id, _ := d.ClosestGlobalSiteTo(S.Point())
 	if id < 0 {
 		return bgp.Route{}, false
 	}
@@ -148,6 +148,7 @@ func UnicastBaseline(g *topology.Graph, d *anycastnet.Deployment, model *latency
 			if !s.Global {
 				continue
 			}
+			site := d.SitePoint(si)
 			var obs []stats.WeightedValue
 			for _, e := range g.Eyeballs() {
 				as := g.AS(e)
@@ -157,7 +158,7 @@ func UnicastBaseline(g *topology.Graph, d *anycastnet.Deployment, model *latency
 				// Unicast to one site: direct great-circle at best case
 				// plus access delay — generous to unicast, so anycast
 				// wins are conservative.
-				ms := geo.RTTLowerBoundMs(geo.DistanceKm(as.Loc, s.Loc)) + model.AccessDelayMs(e)
+				ms := geo.RTTLowerBoundMs(as.Point().DistanceKm(site)) + model.AccessDelayMs(e)
 				obs = append(obs, stats.WeightedValue{Value: ms, Weight: as.UserWeight})
 			}
 			cdf, err := stats.NewCDF(obs)

@@ -39,6 +39,9 @@ func (c Coord) String() string {
 	return fmt.Sprintf("(%.3f, %.3f)", c.Lat, c.Lon)
 }
 
+// degToRad converts degrees to radians.
+const degToRad = math.Pi / 180
+
 // DistanceKm returns the great-circle distance between a and b in
 // kilometers, computed with the haversine formula. Identical points
 // return 0 without trigonometry, which is what the formula gives for them.
@@ -46,15 +49,19 @@ func DistanceKm(a, b Coord) float64 {
 	if a == b {
 		return 0
 	}
-	const degToRad = math.Pi / 180
-	lat1 := a.Lat * degToRad
-	lat2 := b.Lat * degToRad
+	return haversine(a, b, math.Cos(a.Lat*degToRad), math.Cos(b.Lat*degToRad))
+}
+
+// haversine is DistanceKm for distinct a and b whose latitude cosines
+// are cosA and cosB. Point.DistanceKm shares it, so a distance priced
+// on prepared points equals DistanceKm's bit for bit.
+func haversine(a, b Coord, cosA, cosB float64) float64 {
 	dLat := (b.Lat - a.Lat) * degToRad
 	dLon := (b.Lon - a.Lon) * degToRad
 
 	sinLat := math.Sin(dLat / 2)
 	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	h := sinLat*sinLat + cosA*cosB*sinLon*sinLon
 	if h > 1 {
 		h = 1
 	}

@@ -61,10 +61,25 @@ func TestIndexMatchesHaversineScan(t *testing.T) {
 			default:
 				c = randCoord(rng)
 			}
-			gotI, gotD := idx.Nearest(c)
+			q := Prepare(c)
+			gotI, gotD := idx.Nearest(q)
 			wantI, wantD := scanNearest(pts, c)
 			if gotI != wantI || math.Abs(gotD-wantD) > 1e-9 {
 				t.Fatalf("n=%d query %v: Nearest = (%d, %v), scan = (%d, %v)", n, c, gotI, gotD, wantI, wantD)
+			}
+			// The distance is priced on the stored cosine, so it equals
+			// DistanceKm bit for bit; Argmax names the same point
+			// without pricing it, with the dot the point's own gives.
+			if n > 0 {
+				if d := DistanceKm(c, pts[gotI]); gotD != d {
+					t.Fatalf("n=%d query %v: Nearest distance %v, DistanceKm %v", n, c, gotD, d)
+				}
+				p := idx.Point(gotI)
+				if ai, dot := idx.Argmax(q); ai != gotI || dot != q.Dot(p) || p != Prepare(pts[gotI]) {
+					t.Fatalf("n=%d query %v: Argmax = (%d, %v), Nearest = %d with dot %v", n, c, ai, dot, gotI, q.Dot(p))
+				}
+			} else if ai, _ := idx.Argmax(q); ai != -1 {
+				t.Fatalf("empty index: Argmax = %d", ai)
 			}
 			total++
 		}

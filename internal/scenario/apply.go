@@ -520,15 +520,17 @@ func ringKeeps(c *cdn.CDN, oldSize, newSize int, cdnPeer bool, cdnDirty map[topo
 		// some new front-end is strictly nearer to that point. (The all-
 		// tie d≥3 branch always keeps site 0; over-dirtying there only
 		// costs a re-resolution, never correctness.)
-		pops := c.PoPs
+		pops := make([]geo.Point, newSize)
+		for i := range pops {
+			pops[i] = geo.Prepare(c.PoPs[i])
+		}
 		keeps = append(keeps, func(src topology.ASN, rt bgp.Route, ok bool) bool {
 			if !ok {
 				return false
 			}
-			ref := rt.Waypoints[len(rt.Waypoints)-2]
-			cur := geo.DistanceKm(ref, pops[rt.SiteID])
+			ref := geo.Prepare(rt.Waypoints[len(rt.Waypoints)-2])
 			for i := oldSize; i < newSize; i++ {
-				if geo.DistanceKm(ref, pops[i]) < cur {
+				if ref.Compare(pops[i], pops[rt.SiteID]) < 0 {
 					return false
 				}
 			}
@@ -543,22 +545,30 @@ func ringKeeps(c *cdn.CDN, oldSize, newSize int, cdnPeer bool, cdnDirty map[topo
 	return keeps
 }
 
+// siteSpacing is how far placeSite keeps a new site from the letter's
+// global sites.
+var siteSpacing = geo.NewRadius(1000)
+
 // placeSite picks the heaviest region with no global site of the letter
 // within 1000 km (operators deploy where uncovered users are), jittered
 // like AddLetterSites' global sites.
 func placeSite(g2 *topology.Graph, baseSites []bgp.Site, added []addedSite, u1, u2 float64) geo.Coord {
+	var sites []geo.Point
+	for _, s := range baseSites {
+		if s.Global {
+			sites = append(sites, geo.Prepare(s.Loc))
+		}
+	}
+	for _, a := range added {
+		sites = append(sites, geo.Prepare(a.loc))
+	}
 	regions := anycastnet.HeaviestRegions(g2.Regions)
 	pick := regions[0]
 	for _, r := range regions {
+		center := geo.Prepare(r.Center)
 		covered := false
-		for _, s := range baseSites {
-			if s.Global && geo.DistanceKm(r.Center, s.Loc) < 1000 {
-				covered = true
-				break
-			}
-		}
-		for _, a := range added {
-			if geo.DistanceKm(r.Center, a.loc) < 1000 {
+		for _, s := range sites {
+			if center.Within(s, siteSpacing) {
 				covered = true
 				break
 			}

@@ -11,9 +11,11 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"anycastctx/internal/geo"
@@ -77,9 +79,11 @@ type AS struct {
 	// (eyeballs only; 0 elsewhere). Sums to 1 over all eyeballs.
 	UserWeight float64
 
-	// pidx is the nearest-point index over Presence, built when the AS
-	// is added to a graph; single-presence ASes, most of the graph, have
-	// none.
+	// loc is Loc prepared for distance work, and pidx the nearest-point
+	// index over Presence, both built when the AS is added to a graph.
+	// Single-presence ASes, most of the graph, have no index: their one
+	// presence point is Loc.
+	loc  geo.Point
 	pidx *geo.Index
 	// peers lists the ASes this AS has an explicit peering edge with, in
 	// the order the edges were recorded.
@@ -87,14 +91,28 @@ type AS struct {
 }
 
 // NearestPresence returns the AS presence point closest to c and its
-// distance in km, first-wins on ties (geo.Index). Every BGP route
-// resolution calls it per candidate AS.
+// distance in km, first-wins on ties (geo.Index).
 func (a *AS) NearestPresence(c geo.Coord) (geo.Coord, float64) {
-	if len(a.Presence) == 1 {
+	if a.pidx == nil {
 		return a.Presence[0], geo.DistanceKm(c, a.Presence[0])
 	}
-	i, d := a.pidx.Nearest(c)
-	return a.Presence[i], d
+	q := geo.Prepare(c)
+	p := a.NearestPoint(q)
+	return p.Coord, q.DistanceKm(p)
+}
+
+// Point returns Loc prepared for distance work.
+func (a *AS) Point() geo.Point { return a.loc }
+
+// NearestPoint returns the prepared presence point closest to q without
+// pricing its distance, first-wins on ties (geo.Index). Every BGP route
+// resolution calls it per candidate AS.
+func (a *AS) NearestPoint(q geo.Point) geo.Point {
+	if a.pidx == nil {
+		return a.loc
+	}
+	i, _ := a.pidx.Argmax(q)
+	return a.pidx.Point(i)
 }
 
 // Config controls graph generation.
@@ -315,25 +333,32 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 	return g, nil
 }
 
-// transitsNear returns, per region index, transits sorted by distance.
+// transitsNear returns, per region index, transits sorted by the
+// distance of their nearest presence point from the region center, ASN
+// ascending on ties.
 func (g *Graph) transitsNear(regions []geo.Region) [][]ASN {
+	// The sort moves small keys: a transit, the dot product of its
+	// nearest presence point with the center, and that point's place in
+	// near, which only a guard-band fallback reads.
+	type cand struct {
+		asn ASN
+		dot float64
+		k   int
+	}
+	near := make([]geo.Point, len(g.transits))
+	cands := make([]cand, len(g.transits))
 	out := make([][]ASN, len(regions))
 	for ri, r := range regions {
-		type cand struct {
-			asn ASN
-			d   float64
+		center := geo.Prepare(r.Center)
+		for k, tn := range g.transits {
+			near[k] = g.AS(tn).NearestPoint(center)
+			cands[k] = cand{tn, center.Dot(near[k]), k}
 		}
-		cands := make([]cand, 0, len(g.transits))
-		for _, tn := range g.transits {
-			t := g.AS(tn)
-			_, d := t.NearestPresence(r.Center)
-			cands = append(cands, cand{tn, d})
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].d != cands[j].d {
-				return cands[i].d < cands[j].d
+		slices.SortFunc(cands, func(a, b cand) int {
+			if c := center.CompareDots(near[a.k], a.dot, near[b.k], b.dot); c != 0 {
+				return c
 			}
-			return cands[i].asn < cands[j].asn
+			return cmp.Compare(a.asn, b.asn)
 		})
 		asns := make([]ASN, len(cands))
 		for i, c := range cands {
@@ -382,11 +407,12 @@ func (g *Graph) assignUserWeights() {
 // firstASN is the number of the first AS a graph holds.
 const firstASN = 100
 
-// add registers as under the next free ASN, which it assigns, and
-// indexes its presence when it has more than one point. Presence must
-// not change afterwards.
+// add registers as under the next free ASN, which it assigns, prepares
+// its Loc, and indexes its presence when it has more than one point.
+// Presence must not change afterwards.
 func (g *Graph) add(as *AS) {
 	as.ASN = firstASN + ASN(len(g.ases))
+	as.loc = geo.Prepare(as.Loc)
 	if len(as.Presence) > 1 {
 		as.pidx = geo.NewIndex(as.Presence)
 	}
@@ -435,7 +461,7 @@ func (g *Graph) Len() int { return len(g.order) }
 // The AS keeps the presence slice, which must not change afterwards.
 func (g *Graph) AddHostAS(name string, presence []geo.Coord, providers []ASN, richness float64) *AS {
 	loc := presence[0]
-	ri, _ := g.regionIdx.Nearest(loc)
+	ri, _ := g.regionIdx.Argmax(geo.Prepare(loc))
 	as := &AS{
 		Class:           ClassHost,
 		Name:            name,
@@ -577,20 +603,29 @@ func (g *Graph) peered(A, B *AS) bool {
 	return u < g.implicitPeerProb(A, B)
 }
 
+// Co-presence bands of implicitPeerProb: the distance from one AS's home
+// to the other's nearest presence point.
+var (
+	bandLocal       = geo.NewRadius(500)
+	bandRegional    = geo.NewRadius(1500)
+	bandContinental = geo.NewRadius(3000)
+)
+
 // implicitPeerProb returns the probability that A and B peer.
 func (g *Graph) implicitPeerProb(A, B *AS) float64 {
 	p := A.PeeringRichness * B.PeeringRichness
-	// Require rough geographic co-presence: peering happens at IXPs.
-	_, d := B.NearestPresence(A.Loc)
+	// Require rough geographic co-presence: peering happens at IXPs. Only
+	// the band matters, so no distance is priced outside a guard band.
+	home, near := A.loc, B.NearestPoint(A.loc)
 	if A.Class != ClassEyeball && B.Class == ClassEyeball {
-		_, d = A.NearestPresence(B.Loc)
+		home, near = B.loc, A.NearestPoint(B.loc)
 	}
 	switch {
-	case d < 500:
+	case home.Within(near, bandLocal):
 		// fully local: no penalty
-	case d < 1500:
+	case home.Within(near, bandRegional):
 		p *= 0.6
-	case d < 3000:
+	case home.Within(near, bandContinental):
 		p *= 0.25
 	default:
 		p *= 0.02
