@@ -5,9 +5,11 @@
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -49,7 +51,10 @@ func NewCDF(obs []WeightedValue) (*CDF, error) {
 	if len(filtered) == 0 {
 		return nil, ErrEmpty
 	}
-	sort.Slice(filtered, func(i, j int) bool { return filtered[i].Value < filtered[j].Value })
+	// slices.SortFunc and sort.Slice share one pdqsort, so equal values
+	// keep the order sort.Slice gave them, and with it the float sum of
+	// their merged weights.
+	slices.SortFunc(filtered, func(a, b WeightedValue) int { return cmp.Compare(a.Value, b.Value) })
 
 	c := &CDF{
 		values:  make([]float64, 0, len(filtered)),

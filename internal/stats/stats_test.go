@@ -273,3 +273,73 @@ func TestCDFAgainstSort(t *testing.T) {
 		}
 	}
 }
+
+// newCDFSortSlice is NewCDF as it was before it moved to slices.SortFunc:
+// the reference TestNewCDFMatchesSortSlice holds it to.
+func newCDFSortSlice(obs []WeightedValue) *CDF {
+	var filtered []WeightedValue
+	for _, o := range obs {
+		if o.Weight > 0 {
+			filtered = append(filtered, o)
+		}
+	}
+	sort.Slice(filtered, func(i, j int) bool { return filtered[i].Value < filtered[j].Value })
+	c := &CDF{minimum: filtered[0].Value, maximum: filtered[len(filtered)-1].Value}
+	for _, o := range filtered {
+		if n := len(c.values); n > 0 && c.values[n-1] == o.Value {
+			c.total += o.Weight
+			c.cumul[n-1] = c.total
+			continue
+		}
+		c.total += o.Weight
+		c.values = append(c.values, o.Value)
+		c.cumul = append(c.cumul, c.total)
+	}
+	return c
+}
+
+// TestNewCDFMatchesSortSlice pins the sort's permutation: with heavily
+// duplicated values and distinct weights, the order of equal values
+// decides the float sums of merged weights, so any change shows up in
+// the cumulative weights, quantiles and P bit for bit.
+func TestNewCDFMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	bits := math.Float64bits
+	for _, n := range []int{2, 7, 12, 13, 50, 333, 1000, 5000} {
+		for _, distinct := range []int{1, 3, 17, 200} {
+			obs := make([]WeightedValue, n)
+			for i := range obs {
+				obs[i] = WeightedValue{Value: float64(rng.Intn(distinct)) * 0.1, Weight: rng.ExpFloat64() * 1e3}
+				if i%9 == 0 {
+					obs[i].Weight = 0
+				}
+			}
+			obs[0].Weight = 1 // at least one observation survives
+			got, err := NewCDF(obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := newCDFSortSlice(obs)
+			if len(got.values) != len(want.values) || bits(got.total) != bits(want.total) ||
+				got.minimum != want.minimum || got.maximum != want.maximum {
+				t.Fatalf("n=%d distinct=%d: CDF shape differs from the sort.Slice reference", n, distinct)
+			}
+			for i := range got.values {
+				if got.values[i] != want.values[i] || bits(got.cumul[i]) != bits(want.cumul[i]) {
+					t.Fatalf("n=%d distinct=%d: entry %d = (%v, %v), reference (%v, %v)",
+						n, distinct, i, got.values[i], got.cumul[i], want.values[i], want.cumul[i])
+				}
+			}
+			for q := 0.0; q <= 1; q += 0.01 {
+				if g, w := got.Quantile(q), want.Quantile(q); bits(g) != bits(w) {
+					t.Fatalf("n=%d distinct=%d: Quantile(%v) = %v, reference %v", n, distinct, q, g, w)
+				}
+			}
+			for _, v := range want.values {
+				if g, w := got.P(v), want.P(v); bits(g) != bits(w) {
+					t.Fatalf("n=%d distinct=%d: P(%v) = %v, reference %v", n, distinct, v, g, w)
+				}
+			}
+		}
+	}
+}
