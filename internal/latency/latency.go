@@ -110,7 +110,15 @@ func (m *Model) MedianOfSamples(rng Sampler, base float64, n int) float64 {
 	if n <= 0 {
 		return base
 	}
-	samples := make([]float64, n)
+	// Up to 32 samples (callers draw 11 or 21) fit a stack buffer, so
+	// the call does not allocate.
+	var buf [32]float64
+	var samples []float64
+	if n <= len(buf) {
+		samples = buf[:n]
+	} else {
+		samples = make([]float64, n)
+	}
 	for i := range samples {
 		samples[i] = m.Sample(rng, base)
 	}

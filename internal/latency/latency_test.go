@@ -129,3 +129,13 @@ func TestMedianOfSamplesConverges(t *testing.T) {
 		t.Errorf("even-n median = %v", got)
 	}
 }
+
+func TestMedianOfSamplesDoesNotAllocate(t *testing.T) {
+	m := DefaultModel()
+	var rng Sampler = rand.New(rand.NewSource(6))
+	for _, n := range []int{11, 21} {
+		if allocs := testing.AllocsPerRun(100, func() { m.MedianOfSamples(rng, 80, n) }); allocs != 0 {
+			t.Errorf("MedianOfSamples(n=%d) allocates %v times per call, want 0", n, allocs)
+		}
+	}
+}
