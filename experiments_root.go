@@ -129,7 +129,8 @@ func runFig2a(ctx context.Context, w *World, seed int64) (Result, error) {
 			CDF:  cdf,
 		})
 	}
-	all, err := newCDF(core.GeoInflationAllRoots(w.Campaign(), j))
+	allObs := core.GeoInflationAllRoots(w.Campaign(), j)
+	all, err := newCDF(allObs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -137,7 +138,7 @@ func runFig2a(ctx context.Context, w *World, seed int64) (Result, error) {
 	allRootsAbove20 = all.FractionAbove(20)
 	return Result{
 		Measured: fmt.Sprintf("All-Roots zero-inflation share %.1f%%; %.1f%% of users >20 ms",
-			100*core.Efficiency(core.GeoInflationAllRoots(w.Campaign(), j), 1), 100*allRootsAbove20),
+			100*core.Efficiency(allObs, 1), 100*allRootsAbove20),
 		Output: report.RenderCDFs("Fig 2a: CDF of users vs geographic inflation (ms)",
 			"ms", msGrid(140, 10), series),
 	}, nil
