@@ -100,7 +100,7 @@ func main() {
 	}
 
 	cfg := anycastctx.Config{Seed: *seed, Scale: *scale, CacheDir: *cacheDir}
-	if err := validateFlags(*scale, *faultRate, *jobs, *scnName, *report, *memprofile, *out); err != nil {
+	if err := validateFlags(*scale, *faultRate, *jobs, *scnName, *scnOracle, *report, *memprofile, *out); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -296,11 +296,12 @@ func main() {
 }
 
 // validateFlags rejects out-of-range -scale/-faults/-j values before they
-// propagate into the world build or the fault policy, and the outputs
-// scenario mode never writes. The negated range comparisons are
-// deliberate: `x <= 0 || x > 1` is false for NaN, so a NaN scale or fault
-// rate would otherwise sail straight through.
-func validateFlags(scale, faultRate float64, jobs int, scenario, report, memprofile, out string) error {
+// propagate into the world build or the fault policy, the outputs
+// scenario mode never writes, and -scenario-oracle without a scenario to
+// check. The negated range comparisons are deliberate: `x <= 0 || x > 1`
+// is false for NaN, so a NaN scale or fault rate would otherwise sail
+// straight through.
+func validateFlags(scale, faultRate float64, jobs int, scenario string, oracle bool, report, memprofile, out string) error {
 	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("-scale %v out of (0, 1]", scale)
 	}
@@ -309,6 +310,9 @@ func validateFlags(scale, faultRate float64, jobs int, scenario, report, memprof
 	}
 	if jobs < 0 {
 		return fmt.Errorf("-j %d is negative (0 means all CPUs)", jobs)
+	}
+	if oracle && scenario == "" {
+		return fmt.Errorf("-scenario-oracle needs -scenario")
 	}
 	if scenario != "" {
 		for _, f := range []struct{ name, value string }{

@@ -71,6 +71,26 @@ func TestReportRoundTripsHeapFields(t *testing.T) {
 	}
 }
 
+// TestConfigHashDistinguishesConfigs pins what a report's config_hash
+// tells apart: the world's configuration, but not where its artifacts
+// are stored.
+func TestConfigHashDistinguishesConfigs(t *testing.T) {
+	a := configHash(anycastctx.Config{Seed: 1, Scale: 0.1})
+	b := configHash(anycastctx.Config{Seed: 2, Scale: 0.1})
+	if a == b {
+		t.Error("different configs hash equal")
+	}
+	if a != configHash(anycastctx.Config{Seed: 1, Scale: 0.1}) {
+		t.Error("equal configs hash differently")
+	}
+	if a != configHash(anycastctx.Config{Seed: 1, Scale: 0.1, CacheDir: "cdA"}) {
+		t.Error("config_hash depends on -cache-dir")
+	}
+	if len(a) != 16 {
+		t.Errorf("hash %q not 16 hex chars", a)
+	}
+}
+
 // TestValidateFlags pins the flag guards, NaN included: `*scale <= 0 ||
 // *scale > 1` is false for NaN, so validity is asserted directly — a NaN
 // passed through would only surface deep inside the world build.
@@ -80,6 +100,7 @@ func TestValidateFlags(t *testing.T) {
 		scale  float64
 		faults float64
 		jobs   int
+		oracle bool
 		// scenario, report, memprofile and out are the string flags.
 		scenario, report, memprofile, out string
 		// bad names the flag the error must mention; "" means accepted.
@@ -101,9 +122,11 @@ func TestValidateFlags(t *testing.T) {
 		{name: "scenario with report", scale: 1, scenario: "surge-2x", report: "r.json", bad: "-report"},
 		{name: "scenario with memprofile", scale: 1, scenario: "surge-2x", memprofile: "m.pprof", bad: "-memprofile"},
 		{name: "scenario with out", scale: 1, scenario: "surge-2x", out: "d", bad: "-out"},
+		{name: "scenario with oracle", scale: 1, scenario: "surge-2x", oracle: true},
+		{name: "oracle without scenario", scale: 1, oracle: true, bad: "-scenario-oracle"},
 	}
 	for _, tc := range cases {
-		err := validateFlags(tc.scale, tc.faults, tc.jobs, tc.scenario, tc.report, tc.memprofile, tc.out)
+		err := validateFlags(tc.scale, tc.faults, tc.jobs, tc.scenario, tc.oracle, tc.report, tc.memprofile, tc.out)
 		switch {
 		case tc.bad == "" && err != nil:
 			t.Errorf("%s: validateFlags = %v, want nil", tc.name, err)

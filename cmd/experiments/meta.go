@@ -41,8 +41,11 @@ func gitSHA() string {
 
 // configHash fingerprints the world configuration so two reports can be
 // compared knowing whether they ran the same world. The fault policy is
-// included via its seed/rate parameters printed by %+v.
+// included via its seed/rate parameters printed by %+v. CacheDir is
+// zeroed first, as the stage keys zero it: where artifacts live never
+// changes the world.
 func configHash(cfg anycastctx.Config) string {
+	cfg.CacheDir = ""
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", cfg)))
 	return fmt.Sprintf("%x", sum[:8])
 }

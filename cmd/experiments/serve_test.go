@@ -166,17 +166,3 @@ func TestMetricsEndpointServesOpenMetrics(t *testing.T) {
 		t.Errorf("exposition missing world_builds_total:\n%.400s", body)
 	}
 }
-
-func TestConfigHashDistinguishesConfigs(t *testing.T) {
-	a := configHash(anycastctx.Config{Seed: 1, Scale: 0.1})
-	b := configHash(anycastctx.Config{Seed: 2, Scale: 0.1})
-	if a == b {
-		t.Error("different configs hash equal")
-	}
-	if a != configHash(anycastctx.Config{Seed: 1, Scale: 0.1}) {
-		t.Error("equal configs hash differently")
-	}
-	if len(a) != 16 {
-		t.Errorf("hash %q not 16 hex chars", a)
-	}
-}

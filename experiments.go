@@ -12,7 +12,6 @@ import (
 
 	"anycastctx/internal/obs"
 	"anycastctx/internal/stage"
-	"anycastctx/internal/stats"
 	"anycastctx/internal/world"
 )
 
@@ -259,12 +258,6 @@ func RunAllCtx(ctx context.Context, w *World, workers int) ([]Result, error) {
 		out = append(out, slots[i].res)
 	}
 	return out, errors.Join(errs...)
-}
-
-// newCDF builds a CDF over weighted observations; it fails only on
-// programmer error (callers pass non-empty data).
-func newCDF(obs []stats.WeightedValue) (*stats.CDF, error) {
-	return stats.NewCDF(obs)
 }
 
 // msGrid is the x-axis sampling used when rendering CDF figures.

@@ -159,7 +159,7 @@ func runFig4a(ctx context.Context, w *World, seed int64) (Result, error) {
 		for i, p := range pings {
 			obs[i] = stats.WeightedValue{Value: p.RTTMs * RTTsPerPageLoad, Weight: 1}
 		}
-		cdf, err := newCDF(obs)
+		cdf, err := stats.NewCDF(obs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -192,7 +192,7 @@ func runFig4b(ctx context.Context, w *World, seed int64) (Result, error) {
 				obs = append(obs, stats.WeightedValue{Value: d.PerPageMs, Weight: d.Location.Users})
 			}
 		}
-		cdf, err := newCDF(obs)
+		cdf, err := stats.NewCDF(obs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -204,7 +204,7 @@ func runFig4b(ctx context.Context, w *World, seed int64) (Result, error) {
 	for _, d := range deltas {
 		all = append(all, stats.WeightedValue{Value: -d.DeltaMs, Weight: d.Location.Users})
 	}
-	allCDF, err := newCDF(all)
+	allCDF, err := stats.NewCDF(all)
 	if err != nil {
 		return Result{}, err
 	}
@@ -216,14 +216,8 @@ func runFig4b(ctx context.Context, w *World, seed int64) (Result, error) {
 	}, nil
 }
 
-// serverLogsFor returns the server-side log table — the server_logs
-// stage, so several figures (and a warm cache) share one computation.
-func serverLogsFor(ctx context.Context, w *World) ([]cdn.ServerLogRow, error) {
-	return w.ServerLogsCtx(ctx)
-}
-
 func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
-	logs, err := serverLogsFor(ctx, w)
+	logs, err := w.ServerLogsCtx(ctx)
 	if err != nil {
 		return Result{}, err
 	}
@@ -231,7 +225,7 @@ func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
 	var r110Eff float64
 	for _, ring := range w.CDN().Rings {
 		obs := core.CDNGeoInflation(logs, ring)
-		cdf, err := newCDF(obs)
+		cdf, err := stats.NewCDF(obs)
 		if err != nil {
 			return Result{}, err
 		}
@@ -242,7 +236,7 @@ func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
 	}
 	// Root DNS comparison line (All Roots, same methodology).
 	rootObs := core.GeoInflationAllRoots(w.Campaign(), w.JoinCtx(ctx))
-	rootCDF, err := newCDF(rootObs)
+	rootCDF, err := stats.NewCDF(rootObs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -256,14 +250,14 @@ func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
 }
 
 func runFig5b(ctx context.Context, w *World, seed int64) (Result, error) {
-	logs, err := serverLogsFor(ctx, w)
+	logs, err := w.ServerLogsCtx(ctx)
 	if err != nil {
 		return Result{}, err
 	}
 	var series []report.Series
 	var r110 *stats.CDF
 	for _, ring := range w.CDN().Rings {
-		cdf, err := newCDF(core.CDNLatencyInflation(logs, ring))
+		cdf, err := stats.NewCDF(core.CDNLatencyInflation(logs, ring))
 		if err != nil {
 			return Result{}, err
 		}
@@ -272,7 +266,7 @@ func runFig5b(ctx context.Context, w *World, seed int64) (Result, error) {
 			r110 = cdf
 		}
 	}
-	rootCDF, err := newCDF(core.LatencyInflationAllRoots(w.Campaign(), w.JoinCtx(ctx), anycastnet.TCPLatencyLetters2018))
+	rootCDF, err := stats.NewCDF(core.LatencyInflationAllRoots(w.Campaign(), w.JoinCtx(ctx), anycastnet.TCPLatencyLetters2018))
 	if err != nil {
 		return Result{}, err
 	}
@@ -452,7 +446,7 @@ func runFig7a(ctx context.Context, w *World, seed int64) (Result, error) {
 		eff := core.Efficiency(core.GeoInflationLetter(w.Campaign(), li, j), 1)
 		rows = append(rows, row{"root " + letter.Name, letter.NumGlobalSites(), stats.Median(vals), eff})
 	}
-	logs, err := serverLogsFor(ctx, w)
+	logs, err := w.ServerLogsCtx(ctx)
 	if err != nil {
 		return Result{}, err
 	}
@@ -463,7 +457,7 @@ func runFig7a(ctx context.Context, w *World, seed int64) (Result, error) {
 				obs = append(obs, stats.WeightedValue{Value: lr.MedianRTTMs, Weight: lr.Location.Users})
 			}
 		}
-		cdf, err := newCDF(obs)
+		cdf, err := stats.NewCDF(obs)
 		if err != nil {
 			return Result{}, err
 		}

@@ -16,7 +16,6 @@ import (
 	"anycastctx/internal/latency"
 	"anycastctx/internal/report"
 	"anycastctx/internal/stage"
-	"anycastctx/internal/topology"
 )
 
 func init() {
@@ -87,7 +86,7 @@ func runGrowth(ctx context.Context, w *World, _ int64) (Result, error) {
 		med, cov float64
 	}
 	var first, last point
-	locs := growthLocations(g)
+	locs := cdn.Locations(g, 1e9)
 	for i, yr := range rootGrowthTimeline {
 		// The paper counts global+local; roughly a quarter of root sites
 		// were global, which is what the latency analysis uses.
@@ -125,12 +124,6 @@ func runGrowth(ctx context.Context, w *World, _ int64) (Result, error) {
 			first.med, last.med, 100*first.cov, 100*last.cov),
 		Output: t.Render(),
 	}, nil
-}
-
-// growthLocations derives ⟨region, AS⟩ user locations from an ablation
-// graph (same scaling cdn.Locations applies to the shared world).
-func growthLocations(g *topology.Graph) []cdn.Location {
-	return cdn.Locations(g, 1e9)
 }
 
 func init() {

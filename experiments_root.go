@@ -120,7 +120,7 @@ func runFig2a(ctx context.Context, w *World, seed int64) (Result, error) {
 	var allRootsAbove20 float64
 	for li, name := range w.Campaign().LetterNames {
 		obs := core.GeoInflationLetter(w.Campaign(), li, j)
-		cdf, err := newCDF(obs)
+		cdf, err := stats.NewCDF(obs)
 		if err != nil {
 			return Result{}, fmt.Errorf("letter %s: %w", name, err)
 		}
@@ -130,7 +130,7 @@ func runFig2a(ctx context.Context, w *World, seed int64) (Result, error) {
 		})
 	}
 	allObs := core.GeoInflationAllRoots(w.Campaign(), j)
-	all, err := newCDF(allObs)
+	all, err := stats.NewCDF(allObs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -153,7 +153,7 @@ func runFig2b(ctx context.Context, w *World, seed int64) (Result, error) {
 			continue
 		}
 		obs := core.LatencyInflationLetter(w.Campaign(), li, j)
-		cdf, err := newCDF(obs)
+		cdf, err := stats.NewCDF(obs)
 		if err != nil {
 			return Result{}, fmt.Errorf("letter %s: %w", name, err)
 		}
@@ -162,7 +162,7 @@ func runFig2b(ctx context.Context, w *World, seed int64) (Result, error) {
 			CDF:  cdf,
 		})
 	}
-	all, err := newCDF(core.LatencyInflationAllRoots(w.Campaign(), j, usable))
+	all, err := stats.NewCDF(core.LatencyInflationAllRoots(w.Campaign(), j, usable))
 	if err != nil {
 		return Result{}, err
 	}
@@ -184,15 +184,15 @@ func runFig2b(ctx context.Context, w *World, seed int64) (Result, error) {
 
 func runFig3(ctx context.Context, w *World, seed int64) (Result, error) {
 	j := w.JoinCtx(ctx)
-	cdnLine, err := newCDF(core.QueriesPerUserCDN(w.Campaign(), j, core.ValidOnly))
+	cdnLine, err := stats.NewCDF(core.QueriesPerUserCDN(w.Campaign(), j, core.ValidOnly))
 	if err != nil {
 		return Result{}, err
 	}
-	apnicLine, err := newCDF(core.QueriesPerUserAPNIC(w.Campaign(), w.APNIC(), core.ValidOnly))
+	apnicLine, err := stats.NewCDF(core.QueriesPerUserAPNIC(w.Campaign(), w.APNIC(), core.ValidOnly))
 	if err != nil {
 		return Result{}, err
 	}
-	ideal, err := newCDF(core.QueriesPerUserCDN(w.Campaign(), j, core.IdealOncePerTTL))
+	ideal, err := stats.NewCDF(core.QueriesPerUserCDN(w.Campaign(), j, core.IdealOncePerTTL))
 	if err != nil {
 		return Result{}, err
 	}
@@ -211,19 +211,19 @@ func runFig3(ctx context.Context, w *World, seed int64) (Result, error) {
 
 func runFig8(ctx context.Context, w *World, seed int64) (Result, error) {
 	j := w.JoinCtx(ctx)
-	validCDN, err := newCDF(core.QueriesPerUserCDN(w.Campaign(), j, core.ValidOnly))
+	validCDN, err := stats.NewCDF(core.QueriesPerUserCDN(w.Campaign(), j, core.ValidOnly))
 	if err != nil {
 		return Result{}, err
 	}
-	invCDN, err := newCDF(core.QueriesPerUserCDN(w.Campaign(), j, core.IncludingInvalid))
+	invCDN, err := stats.NewCDF(core.QueriesPerUserCDN(w.Campaign(), j, core.IncludingInvalid))
 	if err != nil {
 		return Result{}, err
 	}
-	validAP, err := newCDF(core.QueriesPerUserAPNIC(w.Campaign(), w.APNIC(), core.ValidOnly))
+	validAP, err := stats.NewCDF(core.QueriesPerUserAPNIC(w.Campaign(), w.APNIC(), core.ValidOnly))
 	if err != nil {
 		return Result{}, err
 	}
-	invAP, err := newCDF(core.QueriesPerUserAPNIC(w.Campaign(), w.APNIC(), core.IncludingInvalid))
+	invAP, err := stats.NewCDF(core.QueriesPerUserAPNIC(w.Campaign(), w.APNIC(), core.IncludingInvalid))
 	if err != nil {
 		return Result{}, err
 	}
@@ -241,12 +241,12 @@ func runFig8(ctx context.Context, w *World, seed int64) (Result, error) {
 }
 
 func runFig9(ctx context.Context, w *World, seed int64) (Result, error) {
-	joined, err := newCDF(core.QueriesPerUserCDN(w.Campaign(), w.JoinCtx(ctx), core.ValidOnly))
+	joined, err := stats.NewCDF(core.QueriesPerUserCDN(w.Campaign(), w.JoinCtx(ctx), core.ValidOnly))
 	if err != nil {
 		return Result{}, err
 	}
 	byIPJoin := w.Campaign().JoinCDNCtx(ctx, w.CDNCounts(), true)
-	byIP, err := newCDF(core.QueriesPerUserCDN(w.Campaign(), byIPJoin, core.ValidOnly))
+	byIP, err := stats.NewCDF(core.QueriesPerUserCDN(w.Campaign(), byIPJoin, core.ValidOnly))
 	if err != nil {
 		return Result{}, err
 	}
@@ -266,7 +266,7 @@ func runFig10(ctx context.Context, w *World, seed int64) (Result, error) {
 	var series []report.Series
 	var worstSingle float64 = 1
 	for li, name := range w.Campaign().LetterNames {
-		cdf, err := newCDF(core.FavoriteSiteFractions(w.Campaign(), li))
+		cdf, err := stats.NewCDF(core.FavoriteSiteFractions(w.Campaign(), li))
 		if err != nil {
 			return Result{}, fmt.Errorf("letter %s: %w", name, err)
 		}
@@ -292,17 +292,17 @@ func runFig11(ctx context.Context, w *World, seed int64) (Result, error) {
 		return Result{}, err
 	}
 	j := w20.JoinCtx(ctx)
-	cdnLine, err := newCDF(core.QueriesPerUserCDN(w20.Campaign(), j, core.ValidOnly))
+	cdnLine, err := stats.NewCDF(core.QueriesPerUserCDN(w20.Campaign(), j, core.ValidOnly))
 	if err != nil {
 		return Result{}, err
 	}
-	all, err := newCDF(core.GeoInflationAllRoots(w20.Campaign(), j))
+	all, err := stats.NewCDF(core.GeoInflationAllRoots(w20.Campaign(), j))
 	if err != nil {
 		return Result{}, err
 	}
 	var series []report.Series
 	for li, name := range w20.Campaign().LetterNames {
-		cdf, err := newCDF(core.GeoInflationLetter(w20.Campaign(), li, j))
+		cdf, err := stats.NewCDF(core.GeoInflationLetter(w20.Campaign(), li, j))
 		if err != nil {
 			return Result{}, err
 		}

@@ -225,11 +225,11 @@ func AddLetterSites(g *topology.Graph, spec LetterSpec, rng *rand.Rand) ([]bgp.S
 		switch {
 		case i >= nShared:
 			site.Host = g.AddHostAS(fmt.Sprintf("root-%s-site-%d", spec.Letter, i),
-				[]geo.Coord{loc}, nearbyUpstreams(g, loc, rng), spec.Openness).ASN
+				[]geo.Coord{loc}, NearbyUpstreams(g, loc, rng), spec.Openness).ASN
 		case i == 0:
 			// The partner's upstreams are drawn at its first site; the
 			// partner joins g once all of its sites are placed.
-			sharedUps = nearbyUpstreams(g, loc, rng)
+			sharedUps = NearbyUpstreams(g, loc, rng)
 		}
 		sites = append(sites, site)
 		if i == nShared-1 {
@@ -250,7 +250,7 @@ func AddLetterSites(g *topology.Graph, spec LetterSpec, rng *rand.Rand) ([]bgp.S
 		r := regions[rng.Intn(len(regions))]
 		loc := geo.Jitter(r.Center, 120, rng.Float64(), rng.Float64())
 		h := g.AddHostAS(fmt.Sprintf("root-%s-local-%d", spec.Letter, i),
-			[]geo.Coord{loc}, nearbyUpstreams(g, loc, rng), spec.Openness*0.5)
+			[]geo.Coord{loc}, NearbyUpstreams(g, loc, rng), spec.Openness*0.5)
 		sites = append(sites, bgp.Site{ID: i, Loc: loc, Host: h.ASN, Global: false})
 	}
 	return sites, nil
@@ -269,15 +269,10 @@ func NewDeployment(g *topology.Graph, name string, sites []bgp.Site) (*Deploymen
 }
 
 // NearbyUpstreams picks the provider mix AddLetterSites gives site hosts:
-// 1-2 transits with presence near loc plus one tier-1. Exported for
-// what-if scenario mutations that add sites to a built deployment.
+// 1-2 transits with presence near loc plus one tier-1, mirroring how site
+// hosts buy local transit. What-if scenario mutations that add sites to a
+// built deployment call it too.
 func NearbyUpstreams(g *topology.Graph, loc geo.Coord, rng *rand.Rand) []topology.ASN {
-	return nearbyUpstreams(g, loc, rng)
-}
-
-// nearbyUpstreams picks 1-2 transits with presence near loc plus one
-// tier-1, mirroring how site hosts buy local transit.
-func nearbyUpstreams(g *topology.Graph, loc geo.Coord, rng *rand.Rand) []topology.ASN {
 	type cand struct {
 		asn topology.ASN
 		pt  geo.Point // the transit's presence point nearest to loc
