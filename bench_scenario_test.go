@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"anycastctx/internal/obs"
 	"anycastctx/internal/scenario"
 )
 
@@ -38,10 +37,6 @@ func benchScenario(b *testing.B, full bool) {
 		if _, err := scenario.Eval(ctx, scnBaseline, spec, scenario.Options{FullRebuild: full}); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.StopTimer()
-	if rss := obs.PeakRSSBytes(); rss > 0 {
-		b.ReportMetric(float64(rss), "peak_rss_bytes")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the analysis
 // pipeline needs: weighted empirical CDFs (every figure in the paper is a
-// CDF "of users" or "of /24s"), quantiles, means, histograms, and
-// box-and-whisker summaries (Fig 6b).
+// CDF "of users" or "of /24s"), quantiles, means, and box-and-whisker
+// summaries (Fig 6b).
 package stats
 
 import (
