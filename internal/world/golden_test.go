@@ -108,9 +108,66 @@ func TestStageGoldenDigests(t *testing.T) {
 	}
 }
 
-// graphGoldenPath holds one line per year: "<year> <sha256>" of the AS
-// graph of the scale-0.05, seed-1 world (see graphDigest).
+// graphGoldenPath holds one line per year and scale, "<year> <scale>
+// <sha256>", for the AS graph of the seed-1 world (see graphDigest). At
+// scale 0.05 the graph has the floor of 20 transits; scales 0.5 and 1
+// give the transit rankers 75 and 150.
 var graphGoldenPath = filepath.Join("testdata", "golden", "graph.sha256")
+
+// graphScales are the world scales graph.sha256 pins.
+var graphScales = []float64{0.05, 0.5, 1}
+
+// graphWorld returns the seed-1 world of year and scale with ids
+// demanded.
+func graphWorld(t *testing.T, year Year, scale float64, ids ...stage.ID) *World {
+	t.Helper()
+	w, err := New(Config{Seed: 1, Scale: scale, Year: year})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Demand(context.Background(), ids...); err != nil {
+		t.Fatalf("year %d, scale %v: %v", year, scale, err)
+	}
+	return w
+}
+
+// graphGolden reads graph.sha256 into a map from "<year> <scale>" to
+// digest, or under -update rewrites it from this run and returns nil: the
+// scale-0.05 graphs with every stage demanded, the larger ones with the
+// topology stage alone, which builds the whole graph.
+func graphGolden(t *testing.T) map[string]string {
+	t.Helper()
+	if *update {
+		var lines []string
+		for _, year := range []Year{DITL2018, DITL2020} {
+			for _, scale := range graphScales {
+				ids := []stage.ID{stage.Topology}
+				if scale == graphScales[0] {
+					ids = stage.All()
+				}
+				lines = append(lines, fmt.Sprintf("%d %v %s", year, scale, graphDigest(graphWorld(t, year, scale, ids...).Graph())))
+			}
+		}
+		if err := os.WriteFile(graphGoldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d digests to %s", len(lines), graphGoldenPath)
+		return nil
+	}
+	raw, err := os.ReadFile(graphGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (create it with: go test -run TestGraphGoldenDigests -update)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		want[f[0]+" "+f[1]] = f[2]
+	}
+	return want
+}
 
 // graphDigest hashes g through its exported API: every AS's fields in
 // All order, then every explicit peering edge.
@@ -136,49 +193,43 @@ func graphDigest(g *topology.Graph) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGraphIndependentOfDemandOrder: whichever single stage a fresh world
-// demands, its graph is the one pinned in graph.sha256, that of a world
-// with every stage demanded. Accept a deliberate change with
-// `go test -run TestGraphIndependentOfDemandOrder -update`.
+// TestGraphIndependentOfDemandOrder: whichever single stage a fresh
+// scale-0.05 world demands, its graph is the one pinned in graph.sha256,
+// that of a world with every stage demanded. Accept a deliberate change
+// with `go test -run TestGraphGoldenDigests -update`.
 func TestGraphIndependentOfDemandOrder(t *testing.T) {
-	years := []Year{DITL2018, DITL2020}
-	newWorld := func(year Year, ids ...stage.ID) *World {
-		t.Helper()
-		w, err := New(Config{Seed: 1, Scale: 0.05, Year: year})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Demand(context.Background(), ids...); err != nil {
-			t.Fatalf("year %d: %v", year, err)
-		}
-		return w
-	}
-	if *update {
-		var lines []string
-		for _, year := range years {
-			lines = append(lines, fmt.Sprintf("%d %s", year, graphDigest(newWorld(year, stage.All()...).Graph())))
-		}
-		if err := os.WriteFile(graphGoldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d digests to %s", len(lines), graphGoldenPath)
+	want := graphGolden(t)
+	if want == nil {
 		return
 	}
-	raw, err := os.ReadFile(graphGoldenPath)
-	if err != nil {
-		t.Fatalf("%v (create it with: go test -run TestGraphIndependentOfDemandOrder -update)", err)
-	}
-	want := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		if f := strings.Fields(line); len(f) == 2 {
-			want[f[0]] = f[1]
+	for _, year := range []Year{DITL2018, DITL2020} {
+		w := want[fmt.Sprintf("%d %v", year, graphScales[0])]
+		for _, id := range stage.All() {
+			if got := graphDigest(graphWorld(t, year, graphScales[0], id).Graph()); got != w {
+				t.Errorf("year %d, demanding only %s: graph digest %s, golden %s", year, id, got, w)
+			}
 		}
 	}
-	for _, year := range years {
-		for _, id := range stage.All() {
-			got := graphDigest(newWorld(year, id).Graph())
-			if w := want[fmt.Sprint(int(year))]; got != w {
-				t.Errorf("year %d, demanding only %s: graph digest %s, golden %s", year, id, got, w)
+}
+
+// TestGraphGoldenDigests pins the graphs of the scale-0.5 and scale-1
+// worlds, the only ones whose transit rankers see more than the floor of
+// 20 transits. Accept a deliberate change with
+// `go test -run TestGraphGoldenDigests -update`.
+func TestGraphGoldenDigests(t *testing.T) {
+	want := graphGolden(t)
+	if want == nil {
+		return
+	}
+	for _, year := range []Year{DITL2018, DITL2020} {
+		for _, scale := range graphScales[1:] {
+			key := fmt.Sprintf("%d %v", year, scale)
+			got := graphDigest(graphWorld(t, year, scale, stage.Topology).Graph())
+			switch w, ok := want[key]; {
+			case !ok:
+				t.Errorf("%s: no golden digest (add it with -update)", key)
+			case got != w:
+				t.Errorf("%s: graph digest %s, golden %s", key, got, w)
 			}
 		}
 	}
