@@ -22,6 +22,10 @@ func main() {
 		sites   = flag.Int("sites", 2, "number of sites to capture (from site 0)")
 	)
 	flag.Parse()
+	if err := validateFlags(*maxPkts, *sites); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	w, err := anycastctx.BuildWorld(anycastctx.Config{Seed: *seed, Scale: *scale})
 	if err != nil {
@@ -57,4 +61,17 @@ func main() {
 		}
 		fmt.Printf("%s: %d packets\n", path, written)
 	}
+}
+
+// validateFlags rejects packet and site counts below 1 before the world
+// is built: a capture of no packets, or of no sites, writes nothing
+// useful.
+func validateFlags(packets, sites int) error {
+	if packets < 1 {
+		return fmt.Errorf("-packets %d is below 1", packets)
+	}
+	if sites < 1 {
+		return fmt.Errorf("-sites %d is below 1", sites)
+	}
+	return nil
 }

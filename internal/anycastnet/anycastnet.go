@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"anycastctx/internal/artifact"
 	"anycastctx/internal/bgp"
@@ -213,7 +212,7 @@ func AddLetterSites(g *topology.Graph, spec LetterSpec, rng *rand.Rand) ([]bgp.S
 		return nil, fmt.Errorf("anycastnet: letter %s total %d < global %d",
 			spec.Letter, spec.TotalSites, spec.GlobalSites)
 	}
-	regions := HeaviestRegions(g.Regions)
+	regions := g.HeaviestRegions()
 	nShared := int(spec.SharedHostFraction * float64(spec.GlobalSites))
 	var sharedUps []topology.ASN
 
@@ -273,52 +272,9 @@ func NewDeployment(g *topology.Graph, name string, sites []bgp.Site) (*Deploymen
 // hosts buy local transit. What-if scenario mutations that add sites to a
 // built deployment call it too.
 func NearbyUpstreams(g *topology.Graph, loc geo.Coord, rng *rand.Rand) []topology.ASN {
-	type cand struct {
-		asn topology.ASN
-		pt  geo.Point // the transit's presence point nearest to loc
-	}
-	q := geo.Prepare(loc)
-	cands := make([]cand, len(g.Transits()))
-	for i, tn := range g.Transits() {
-		cands[i] = cand{tn, g.AS(tn).NearestPoint(q)}
-	}
-	// Partial selection of the 3 nearest.
-	for i := 0; i < 3 && i < len(cands); i++ {
-		min := i
-		for j := i + 1; j < len(cands); j++ {
-			if q.Compare(cands[j].pt, cands[min].pt) < 0 {
-				min = j
-			}
-		}
-		cands[i], cands[min] = cands[min], cands[i]
-	}
-	ups := []topology.ASN{}
-	n := 1 + rng.Intn(2)
-	for i := 0; i < n && i < len(cands); i++ {
-		ups = append(ups, cands[i].asn)
-	}
+	ups := g.NearestTransits(geo.Prepare(loc), 1+rng.Intn(2))
 	t1s := g.Tier1s()
-	ups = append(ups, t1s[rng.Intn(len(t1s))])
-	return ups
-}
-
-// HeaviestRegions returns a copy of regions sorted by population weight,
-// heaviest first — the order AddLetterSites places global sites and the
-// CDN its PoPs in.
-func HeaviestRegions(regions []geo.Region) []geo.Region {
-	out := make([]geo.Region, len(regions))
-	copy(out, regions)
-	// Stable sort by weight descending, ID ascending — a total order, so
-	// the result is independent of the sort algorithm.
-	sort.SliceStable(out, func(a, b int) bool { return less(out[a], out[b]) })
-	return out
-}
-
-func less(a, b geo.Region) bool {
-	if a.PopWeight != b.PopWeight {
-		return a.PopWeight > b.PopWeight
-	}
-	return a.ID < b.ID
+	return append(ups, t1s[rng.Intn(len(t1s))])
 }
 
 func clamp01(v float64) float64 {

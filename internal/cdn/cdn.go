@@ -140,7 +140,7 @@ func AddNetwork(g *topology.Graph, cfg Config, seed int64) (*topology.AS, error)
 
 	// Front-end locations: heaviest regions first, deduplicated by metro,
 	// so smaller rings keep global coverage of the biggest populations.
-	regions := anycastnet.HeaviestRegions(g.Regions)
+	regions := g.HeaviestRegions()
 	if len(regions) < maxSize {
 		return nil, fmt.Errorf("cdn: only %d regions for %d front-ends", len(regions), maxSize)
 	}

@@ -1,5 +1,7 @@
 package geo
 
+import "cmp"
+
 // Index answers nearest-point queries over a fixed set of points. It
 // stores each point's latitude cosine and unit vector once; a query
 // compares dot products, which order points as great-circle distance
@@ -50,6 +52,45 @@ func (idx *Index) Argmax(q Point) (int, float64) {
 		}
 	}
 	return best, bestDot
+}
+
+// GroupArgmax is Argmax for each group of consecutive indexed points, in
+// one pass over the points: group k holds positions offs[k] to
+// offs[k+1]-1, and best[k] and dots[k] receive the position of its point
+// closest to q (the first on ties) and that point's dot product with q,
+// or (-1, 0) if the group is empty. offs must be non-decreasing and end
+// at most at the number of points; best and dots need len(offs)-1
+// entries.
+func (idx *Index) GroupArgmax(q Point, offs []int, best []int, dots []float64) {
+	x := idx.x
+	y, z := idx.y[:len(x)], idx.z[:len(x)]
+	best, dots = best[:len(offs)-1], dots[:len(offs)-1]
+	i := offs[0]
+	for k := range best {
+		end := offs[k+1]
+		if i == end {
+			best[k], dots[k] = -1, 0
+			continue
+		}
+		b, bDot := i, x[i]*q.x+y[i]*q.y+z[i]*q.z
+		for i++; i < end; i++ {
+			if dot := x[i]*q.x + y[i]*q.y + z[i]*q.z; dot > bDot {
+				b, bDot = i, dot
+			}
+		}
+		best[k], dots[k] = b, bDot
+	}
+}
+
+// CompareDots is Point.CompareDots for the indexed points at positions i
+// and j, whose dot products with q are dotI and dotJ: only a pair inside
+// the guard band builds the two Points, for the haversines. Sorts call it
+// once per comparison, so q comes by pointer.
+func (idx *Index) CompareDots(q *Point, i int, dotI float64, j int, dotJ float64) int {
+	if c, ok := compareDots(dotI, dotJ); ok {
+		return c
+	}
+	return cmp.Compare(q.DistanceKm(idx.Point(i)), q.DistanceKm(idx.Point(j)))
 }
 
 // Nearest returns the position of the indexed point closest to q and its

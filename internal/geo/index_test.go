@@ -88,3 +88,85 @@ func TestIndexMatchesHaversineScan(t *testing.T) {
 		t.Fatalf("only %d queries checked", total)
 	}
 }
+
+// TestGroupArgmaxMatchesArgmax holds GroupArgmax to Argmax over each
+// group's own index: the same winner, first of duplicates included, and
+// the same dot product bit for bit. Groups run from empty to 9 points and
+// hold exact duplicates, within and across groups, the poles and both
+// sides of the antimeridian; queries include the points themselves.
+func TestGroupArgmaxMatchesArgmax(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	special := []Coord{
+		{Lat: 90, Lon: 0}, {Lat: -90, Lon: 0},
+		{Lat: 12, Lon: 179.6}, {Lat: -33, Lon: -179.7}, {Lat: 0, Lon: 180},
+	}
+	checked := 0
+	for set := 0; set < 50; set++ {
+		var pts []Coord
+		offs := []int{0}
+		for g := 1 + rng.Intn(30); g > 0; g-- {
+			for i := rng.Intn(10); i > 0; i-- {
+				switch c := rng.Intn(8); {
+				case c == 0 && len(pts) > 0:
+					pts = append(pts, pts[rng.Intn(len(pts))]) // a duplicate, maybe in this group
+				case c == 1:
+					pts = append(pts, special[rng.Intn(len(special))])
+				default:
+					pts = append(pts, randCoord(rng))
+				}
+			}
+			offs = append(offs, len(pts))
+		}
+		idx := NewIndex(pts)
+		best, dots := make([]int, len(offs)-1), make([]float64, len(offs)-1)
+		for q := 0; q < 200; q++ {
+			c := randCoord(rng)
+			if q%3 == 0 && len(pts) > 0 {
+				c = pts[rng.Intn(len(pts))]
+			}
+			qp := Prepare(c)
+			idx.GroupArgmax(qp, offs, best, dots)
+			for k := range best {
+				lo, hi := offs[k], offs[k+1]
+				wantI, wantDot := NewIndex(pts[lo:hi]).Argmax(qp)
+				if wantI >= 0 {
+					wantI += lo
+				}
+				if best[k] != wantI || math.Float64bits(dots[k]) != math.Float64bits(wantDot) {
+					t.Fatalf("set %d group %d [%d,%d) query %v: GroupArgmax = (%d, %v), Argmax = (%d, %v)",
+						set, k, lo, hi, c, best[k], dots[k], wantI, wantDot)
+				}
+				if wantI >= 0 && math.Float64bits(dots[k]) != math.Float64bits(qp.Dot(idx.Point(wantI))) {
+					t.Fatalf("set %d group %d: dot %v, Point.Dot %v", set, k, dots[k], qp.Dot(idx.Point(wantI)))
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 50000 {
+		t.Fatalf("only %d groups checked", checked)
+	}
+}
+
+// TestIndexCompareDotsMatchesPoint holds Index.CompareDots to
+// Point.CompareDots on the same two points, over random pairs, exact
+// duplicates and pairs equally far from the query.
+func TestIndexCompareDotsMatchesPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for n := 0; n < 5000; n++ {
+		q := Prepare(Coord{Lat: rng.Float64()*160 - 80, Lon: rng.Float64()*300 - 150})
+		lat, dLon := rng.Float64()*160-80, rng.Float64()*20
+		a := randCoord(rng)
+		pts := []Coord{a, a, randCoord(rng), {Lat: lat, Lon: q.Lon + dLon}, {Lat: lat, Lon: q.Lon - dLon}}
+		idx := NewIndex(pts)
+		for i := range pts {
+			for j := range pts {
+				pi, pj := idx.Point(i), idx.Point(j)
+				got := idx.CompareDots(&q, i, q.Dot(pi), j, q.Dot(pj))
+				if want := q.CompareDots(pi, q.Dot(pi), pj, q.Dot(pj)); got != want {
+					t.Fatalf("query %v, %v vs %v: Index.CompareDots %d, Point.CompareDots %d", q.Coord, pts[i], pts[j], got, want)
+				}
+			}
+		}
+	}
+}

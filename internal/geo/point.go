@@ -87,11 +87,22 @@ func (p Point) Compare(a, b Point) int {
 // or Index.Argmax, are already known. Dots further apart than
 // the guard band decide; closer ones fall back to the two haversines.
 func (p Point) CompareDots(a Point, dotA float64, b Point, dotB float64) int {
-	switch d := dotA - dotB; {
-	case d > guard:
-		return -1
-	case d < -guard:
-		return 1
+	if c, ok := compareDots(dotA, dotB); ok {
+		return c
 	}
 	return cmp.Compare(p.DistanceKm(a), p.DistanceKm(b))
+}
+
+// compareDots decides which of two points is nearer a query from their
+// dot products with it, -1 for the first and 1 for the second, when the
+// dots lie further apart than the guard band. Inside the band ok is
+// false: only the haversines can decide.
+func compareDots(dotA, dotB float64) (c int, ok bool) {
+	switch d := dotA - dotB; {
+	case d > guard:
+		return -1, true
+	case d < -guard:
+		return 1, true
+	}
+	return 0, false
 }

@@ -562,7 +562,7 @@ func placeSite(g2 *topology.Graph, baseSites []bgp.Site, added []addedSite, u1, 
 	for _, a := range added {
 		sites = append(sites, geo.Prepare(a.loc))
 	}
-	regions := anycastnet.HeaviestRegions(g2.Regions)
+	regions := g2.HeaviestRegions()
 	pick := regions[0]
 	for _, r := range regions {
 		center := geo.Prepare(r.Center)

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"anycastctx/internal/geo"
@@ -85,4 +87,54 @@ func TestCloneDeterministicASNs(t *testing.T) {
 	if hb.Region != hc.Region {
 		t.Errorf("region inference diverged: %d vs %d", hb.Region, hc.Region)
 	}
+}
+
+// TestCloneRanksAsOriginal: a clone shares the transit index and the
+// region order, so after host and CDN ASes join the clone, and a host
+// joins the original, both still rank transits and order regions alike,
+// also when goroutines rank on both at once.
+func TestCloneRanksAsOriginal(t *testing.T) {
+	regions := testRegions(t)
+	g, err := New(smallConfig(), regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.Clone()
+	for i, r := range g.HeaviestRegions()[:20] {
+		c.AddHostAS("clone-host", []geo.Coord{r.Center}, c.NearestTransits(geo.Prepare(r.Center), 2), 0.3)
+		if i == 10 {
+			c.AddCDNAS("clone-cdn", []geo.Coord{r.Center, regions[0].Center})
+		}
+	}
+	g.AddHostAS("base-host", []geo.Coord{regions[1].Center, regions[2].Center}, g.Transits()[:2], 0.3)
+	if !slices.Equal(c.HeaviestRegions(), g.HeaviestRegions()) {
+		t.Errorf("clone's region order differs from the original's")
+	}
+	got, want := c.transitsNear(regions), g.transitsNear(regions)
+	picks := make([][]ASN, len(regions))
+	for ri, r := range regions {
+		picks[ri] = g.NearestTransits(geo.Prepare(r.Center), 3)
+		if !slices.Equal(got[ri], want[ri]) {
+			t.Fatalf("region %d: clone ranks %v, original %v", ri, got[ri], want[ri])
+		}
+		q := geo.Prepare(geo.Jitter(r.Center, 300, 0.25, 0.5))
+		if a, b := c.NearestTransits(q, 3), g.NearestTransits(q, 3); !slices.Equal(a, b) {
+			t.Fatalf("near region %d: clone picks %v, original %v", ri, a, b)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		graph := []*Graph{g, c}[w%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ri, r := range regions {
+				if got := graph.NearestTransits(geo.Prepare(r.Center), 3); !slices.Equal(got, picks[ri]) {
+					t.Errorf("concurrent worker %d, region %d: picks %v, serially %v", w, ri, got, picks[ri])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

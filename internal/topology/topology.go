@@ -180,8 +180,20 @@ type Graph struct {
 	rng      *rand.Rand
 
 	// regionIdx indexes the region centers for AddHostAS's home-region
-	// lookup. Regions never change after New, so clones share it.
+	// lookup, and heaviest holds the regions by population weight
+	// (HeaviestRegions). Regions never change after New, so clones share
+	// both, read-only.
 	regionIdx *geo.Index
+	heaviest  []geo.Region
+
+	// transitIdx holds every transit's presence points, transit by
+	// transit: transit k of transits has positions transitOffs[k] to
+	// transitOffs[k+1]-1. The transit rankers (transitsNear,
+	// NearestTransits) answer a query with one GroupArgmax over it.
+	// AddHostAS and AddCDNAS never add a transit, so clones share it,
+	// read-only.
+	transitIdx  *geo.Index
+	transitOffs []int
 }
 
 // New generates the hierarchy: tier-1 clique, regional transits (each a
@@ -202,6 +214,13 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 		centers[i] = r.Center
 	}
 	g.regionIdx = geo.NewIndex(centers)
+	g.heaviest = slices.Clone(regions)
+	slices.SortStableFunc(g.heaviest, func(a, b geo.Region) int {
+		if c := cmp.Compare(b.PopWeight, a.PopWeight); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
 
 	anchorList := geo.Anchors()
 
@@ -284,6 +303,7 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 		g.add(as)
 		g.transits = append(g.transits, as.ASN)
 	}
+	g.indexTransits()
 
 	// Eyeballs: count per region proportional to population weight; each
 	// buys transit from 1-3 transits (preferring nearby ones), with a small
@@ -333,34 +353,47 @@ func New(cfg Config, regions []geo.Region) (*Graph, error) {
 	return g, nil
 }
 
+// indexTransits builds transitIdx and transitOffs from the transits'
+// presence points.
+func (g *Graph) indexTransits() {
+	offs := make([]int, 1, len(g.transits)+1)
+	var pts []geo.Coord
+	for _, tn := range g.transits {
+		pts = append(pts, g.AS(tn).Presence...)
+		offs = append(offs, len(pts))
+	}
+	g.transitIdx, g.transitOffs = geo.NewIndex(pts), offs
+}
+
 // transitsNear returns, per region index, transits sorted by the
 // distance of their nearest presence point from the region center, ASN
 // ascending on ties.
 func (g *Graph) transitsNear(regions []geo.Region) [][]ASN {
 	// The sort moves small keys: a transit, the dot product of its
-	// nearest presence point with the center, and that point's place in
-	// near, which only a guard-band fallback reads.
+	// nearest presence point with the center, and that point's position
+	// in transitIdx, which only a guard-band fallback reads.
 	type cand struct {
-		asn ASN
 		dot float64
-		k   int
+		pos int32
+		asn ASN
 	}
-	near := make([]geo.Point, len(g.transits))
-	cands := make([]cand, len(g.transits))
+	idx, n := g.transitIdx, len(g.transits)
+	pos, dots := make([]int, n), make([]float64, n)
+	cands := make([]cand, n)
 	out := make([][]ASN, len(regions))
 	for ri, r := range regions {
 		center := geo.Prepare(r.Center)
-		for k, tn := range g.transits {
-			near[k] = g.AS(tn).NearestPoint(center)
-			cands[k] = cand{tn, center.Dot(near[k]), k}
+		idx.GroupArgmax(center, g.transitOffs, pos, dots)
+		for k, asn := range g.transits {
+			cands[k] = cand{dots[k], int32(pos[k]), asn}
 		}
 		slices.SortFunc(cands, func(a, b cand) int {
-			if c := center.CompareDots(near[a.k], a.dot, near[b.k], b.dot); c != 0 {
+			if c := idx.CompareDots(&center, int(a.pos), a.dot, int(b.pos), b.dot); c != 0 {
 				return c
 			}
 			return cmp.Compare(a.asn, b.asn)
 		})
-		asns := make([]ASN, len(cands))
+		asns := make([]ASN, n)
 		for i, c := range cands {
 			asns[i] = c.asn
 		}
@@ -368,6 +401,43 @@ func (g *Graph) transitsNear(regions []geo.Region) [][]ASN {
 	}
 	return out
 }
+
+// NearestTransits returns the n transits whose nearest presence points
+// lie nearest q, nearest first, or every transit if there are fewer. It
+// selects them from the transits in Transits order: each pick is the
+// first strictly nearest transit not yet picked, swapped with the one in
+// its place, so equally near transits keep the order the swaps leave.
+func (g *Graph) NearestTransits(q geo.Point, n int) []ASN {
+	// pos[i] and dots[i] describe the transit in place i: the position
+	// in transitIdx of its presence point nearest q, which also names
+	// the transit, and that point's dot product with q.
+	k := len(g.transits)
+	pos, dots := make([]int, k), make([]float64, k)
+	g.transitIdx.GroupArgmax(q, g.transitOffs, pos, dots)
+	n = max(0, min(n, k))
+	out := make([]ASN, n, n+1) // a spare slot: site hosts add a tier-1
+	for i := range out {
+		m := i
+		for j := i + 1; j < k; j++ {
+			if g.transitIdx.CompareDots(&q, pos[j], dots[j], pos[m], dots[m]) < 0 {
+				m = j
+			}
+		}
+		pos[i], pos[m] = pos[m], pos[i]
+		dots[i], dots[m] = dots[m], dots[i]
+		// The transit's points are positions transitOffs[t] to
+		// transitOffs[t+1]-1.
+		t, _ := slices.BinarySearch(g.transitOffs, pos[i]+1)
+		out[i] = g.transits[t-1]
+	}
+	return out
+}
+
+// HeaviestRegions returns Regions sorted by population weight, heaviest
+// first and ID ascending on ties: the order AddLetterSites places global
+// sites in and the CDN its PoPs. New sorts them once; the slice is
+// shared with clones and must not be modified.
+func (g *Graph) HeaviestRegions() []geo.Region { return g.heaviest }
 
 // assignUserWeights splits each region's population weight across its
 // eyeballs with a heavy-tailed share (a few large ISPs per region).
@@ -420,12 +490,13 @@ func (g *Graph) add(as *AS) {
 	g.order = append(g.order, as.ASN)
 }
 
+// dedupASNs drops repeated ASNs from in, in place, keeping the first of
+// each. Provider lists hold a few entries, so scanning the kept prefix
+// beats building a set.
 func dedupASNs(in []ASN) []ASN {
-	seen := map[ASN]bool{}
 	out := in[:0]
 	for _, a := range in {
-		if !seen[a] {
-			seen[a] = true
+		if !slices.Contains(out, a) {
 			out = append(out, a)
 		}
 	}
@@ -510,17 +581,21 @@ func (g *Graph) AddCDNAS(name string, pops []geo.Coord) *AS {
 // mutation sequences applied to identical clones produce identical
 // graphs. The construction rng does not carry over: post-construction
 // mutators (AddHostAS, AddCDNAS, Peer) draw no randomness, and New is
-// never re-run on a clone.
+// never re-run on a clone. The region order and the transit index, which
+// those mutators never change, are shared read-only.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		Regions:   g.Regions,
-		ases:      make([]*AS, len(g.ases)),
-		order:     append([]ASN(nil), g.order...),
-		tier1s:    append([]ASN(nil), g.tier1s...),
-		transits:  append([]ASN(nil), g.transits...),
-		eyeballs:  append([]ASN(nil), g.eyeballs...),
-		peerSalt:  g.peerSalt,
-		regionIdx: g.regionIdx,
+		Regions:     g.Regions,
+		ases:        make([]*AS, len(g.ases)),
+		order:       append([]ASN(nil), g.order...),
+		tier1s:      append([]ASN(nil), g.tier1s...),
+		transits:    append([]ASN(nil), g.transits...),
+		eyeballs:    append([]ASN(nil), g.eyeballs...),
+		peerSalt:    g.peerSalt,
+		regionIdx:   g.regionIdx,
+		heaviest:    g.heaviest,
+		transitIdx:  g.transitIdx,
+		transitOffs: g.transitOffs,
 	}
 	copies := make([]AS, len(g.ases))
 	for i, a := range g.ases {
