@@ -158,18 +158,6 @@ func routeTableIndex(n int) (uint32, error) {
 	return uint32(n), nil
 }
 
-// appendRoute adds one deduplicated ⟨route, base RTT⟩ table entry and
-// returns its index, refusing to grow into sentinel territory.
-func (c *Campaign) appendRoute(rt bgp.Route, rttMs float64) (uint32, error) {
-	ix, err := routeTableIndex(len(c.routes))
-	if err != nil {
-		return 0, err
-	}
-	c.routes = append(c.routes, rt)
-	c.routeRTT = append(c.routeRTT, rttMs)
-	return ix, nil
-}
-
 // Campaign is the assembled measurement campaign.
 //
 // The assignment matrix is stored as struct-of-arrays rather than
@@ -261,14 +249,17 @@ func (c *Campaign) Egress(ri int) []ipaddr.Addr {
 // Build assembles the campaign. rates must parallel pop.Recursives; zone
 // may be nil when no pcap emission with real referrals is needed. ctx
 // carries the caller's span: a traced build records "ditl.build" with
-// "ditl.warm_routes" and "ditl.assemble" children under it.
+// "ditl.route_tables" (its "ditl.route_tables.shard" workers) and
+// "ditl.assemble" (its "ditl.assemble.shard" workers) under it.
 //
 // Every random quantity is drawn from a splittable stream keyed by
 // ⟨recursive, letter⟩ (rng.Split/Fork), so the per-recursive assembly
 // fans out under par.DoCtx with byte-identical columns at any worker
-// count. The route dedup tables are built in a serial pre-pass over
-// warm caches (first-appearance AS order), and the junk-source volume
-// folds in index order so the float sum is schedule-independent.
+// count. The route dedup tables come from one parallel pass over
+// ⟨letter, source⟩ cells that resolves any route the letters' caches
+// miss, compacted in letter-major, first-appearance AS order, and the
+// junk-source volume folds in index order so the float sum is
+// schedule-independent.
 func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deployment, pop *users.Population,
 	zone *dnssim.Zone, rates []dnssim.Rates, model *latency.Model, cfg Config, seed int64) (*Campaign, error) {
 	ctx, build := obs.StartSpanCtx(ctx, "ditl.build")
@@ -292,16 +283,15 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 		c.LetterNames = append(c.LetterNames, l.Name)
 	}
 
-	// Pre-warm every letter's route cache across all CPUs: recursives in
-	// one AS share routes, and each (letter, AS) route is computed exactly
-	// once in the resolver's memo, so the assembly fan-out below only ever
-	// hits warm caches.
-	srcs := UniqueSources(pop)
-	warmCtx, warm := obs.StartSpanCtx(ctx, "ditl.warm_routes")
-	for _, l := range letters {
-		l.WarmRoutesCtx(warmCtx, srcs)
+	// Route dedup tables, one entry per reachable ⟨letter, AS⟩: every
+	// recursive in an AS shares it, so the assembly below only reads them.
+	srcs, pos := sourcePositions(pop)
+	routeIx, err := c.buildRouteTables(ctx, srcs, pos, func(li, s int, rt bgp.Route) float64 {
+		return model.BaseRTTMs(srcs[s], rt)
+	})
+	if err != nil {
+		return nil, err
 	}
-	warm.End()
 
 	assembleCtx, assemble := obs.StartSpanCtx(ctx, "ditl.assemble")
 	defer assemble.End()
@@ -314,14 +304,6 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 	c.altFrac = make([]float64, nl*n)
 	c.tcpMedian = make([]float64, nl*n)
 	c.letterWeight = make([]float64, nl*n)
-
-	// Route dedup tables, built serially per ⟨letter, AS⟩ in
-	// first-appearance AS order: every recursive in an AS shares one
-	// entry per letter, so the parallel pass below only reads them.
-	routeIx, err := c.buildRouteTables(srcs)
-	if err != nil {
-		return nil, err
-	}
 
 	// The egress count per recursive depends only on rates, so the flat
 	// store is prefix-summed up front and each recursive writes its own
@@ -375,36 +357,98 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 // first-appearance order — the deterministic ordering the route dedup
 // tables key on.
 func UniqueSources(pop *users.Population) []topology.ASN {
-	srcs := make([]topology.ASN, 0, len(pop.Recursives))
-	seen := make(map[topology.ASN]bool, len(pop.Recursives))
-	for ri := range pop.Recursives {
-		if asn := pop.Recursives[ri].ASN; !seen[asn] {
-			seen[asn] = true
-			srcs = append(srcs, asn)
-		}
-	}
+	srcs, _ := sourcePositions(pop)
 	return srcs
 }
 
-// buildRouteTables fills the per-⟨letter, AS⟩ dedup tables serially in
-// srcs order. Route caches should be warm; misses resolve inline.
-func (c *Campaign) buildRouteTables(srcs []topology.ASN) ([]map[topology.ASN]uint32, error) {
-	routeIx := make([]map[topology.ASN]uint32, len(c.Letters))
-	for li := range c.Letters {
-		routeIx[li] = make(map[topology.ASN]uint32, len(srcs))
-		for _, asn := range srcs {
-			rt, ok := c.Letters[li].Route(asn)
-			if !ok {
-				continue
+// sourcePositions returns UniqueSources(pop) together with each
+// recursive's position in it.
+func sourcePositions(pop *users.Population) ([]topology.ASN, []uint32) {
+	srcs := make([]topology.ASN, 0, len(pop.Recursives))
+	pos := make([]uint32, len(pop.Recursives))
+	seen := make(map[topology.ASN]uint32, len(pop.Recursives))
+	for ri := range pop.Recursives {
+		asn := pop.Recursives[ri].ASN
+		s, ok := seen[asn]
+		if !ok {
+			s = uint32(len(srcs))
+			seen[asn] = s
+			srcs = append(srcs, asn)
+		}
+		pos[ri] = s
+	}
+	return srcs, pos
+}
+
+// routeIndex is the dense index into a campaign's route table: entry
+// holds, per ⟨letter, source position⟩ (letter-major), the table entry
+// of the letter's route from that source or noRoute, and pos maps each
+// recursive to its source position.
+type routeIndex struct {
+	entry []uint32
+	pos   []uint32
+	nSrc  int
+}
+
+// at returns the route-table entry of recursive ri on letter li.
+func (x routeIndex) at(li, ri int) uint32 { return x.entry[li*x.nSrc+int(x.pos[ri])] }
+
+// routeCell is one ⟨letter, source⟩ cell of the route-table pass: the
+// letter's route from the source and its base RTT, which is +Inf when
+// the letter has no route from the source.
+type routeCell struct {
+	rt  bgp.Route
+	rtt float64
+}
+
+// buildRouteTables fills the per-⟨letter, AS⟩ dedup tables. One parallel
+// pass resolves every cell's route (a cache hit on warm letters) and
+// prices it with price(li, s, rt); a serial pass then writes the
+// reachable cells into c.routes/c.routeRTT, allocated at their exact
+// size, in letter-major order with sources in srcs order. pos maps each
+// recursive to its position in srcs.
+func (c *Campaign) buildRouteTables(ctx context.Context, srcs []topology.ASN, pos []uint32,
+	price func(li, s int, rt bgp.Route) float64) (routeIndex, error) {
+	ctx, span := obs.StartSpanCtx(ctx, "ditl.route_tables")
+	defer span.End()
+	ns := len(srcs)
+	cells := make([]routeCell, len(c.Letters)*ns)
+	par.DoCtx(ctx, len(cells), func(ctx context.Context, lo, hi int) {
+		_, sp := obs.StartSpanCtx(ctx, "ditl.route_tables.shard")
+		defer sp.End()
+		for k := lo; k < hi; k++ {
+			li, s := k/ns, k%ns
+			if rt, ok := c.Letters[li].Route(srcs[s]); ok {
+				cells[k] = routeCell{rt, price(li, s, rt)}
+			} else {
+				cells[k].rtt = math.Inf(1)
 			}
-			ix, err := c.appendRoute(rt, c.Model.BaseRTTMs(asn, rt))
-			if err != nil {
-				return nil, err
-			}
-			routeIx[li][asn] = ix
+		}
+	})
+
+	reachable := 0
+	for k := range cells {
+		if !math.IsInf(cells[k].rtt, 1) {
+			reachable++
 		}
 	}
-	return routeIx, nil
+	c.routes = make([]bgp.Route, 0, reachable)
+	c.routeRTT = make([]float64, 0, reachable)
+	x := routeIndex{entry: make([]uint32, len(cells)), pos: pos, nSrc: ns}
+	for k := range cells {
+		if math.IsInf(cells[k].rtt, 1) {
+			x.entry[k] = noRoute
+			continue
+		}
+		ix, err := routeTableIndex(len(c.routes))
+		if err != nil {
+			return routeIndex{}, err
+		}
+		x.entry[k] = ix
+		c.routes = append(c.routes, cells[k].rt)
+		c.routeRTT = append(c.routeRTT, cells[k].rtt)
+	}
+	return x, nil
 }
 
 // assembler carries the immutable inputs of per-recursive column
@@ -414,7 +458,7 @@ func (c *Campaign) buildRouteTables(srcs []topology.ASN) ([]map[topology.ASN]uin
 // byte-identical to a full pass.
 type assembler struct {
 	c       *Campaign
-	routeIx []map[topology.ASN]uint32
+	routeIx routeIndex
 	seed    int64
 	// fillEgress is false when Rebase shares the base campaign's egress
 	// store (rates unchanged ⇒ egress identical), in which case the
@@ -435,8 +479,8 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 		k := li*n + ri
 		c.routeIdx[k] = noRoute
 		c.altSite[k] = noAltSite
-		rix, ok := as.routeIx[li][rec.ASN]
-		if !ok {
+		rix := as.routeIx.at(li, ri)
+		if rix == noRoute {
 			rtts[li] = math.Inf(1)
 			continue
 		}

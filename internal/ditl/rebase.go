@@ -3,13 +3,14 @@ package ditl
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"anycastctx/internal/anycastnet"
+	"anycastctx/internal/bgp"
 	"anycastctx/internal/dnssim"
 	"anycastctx/internal/ipaddr"
 	"anycastctx/internal/obs"
 	"anycastctx/internal/par"
-	"anycastctx/internal/topology"
 )
 
 var (
@@ -27,6 +28,14 @@ var (
 // reassembled from their RNG streams; everything else is copied from
 // base with route-table indices and secondary-site IDs remapped.
 //
+// The route table is rebuilt for the mutated letters. A route
+// bit-identical to base's route for the same letter position and source
+// carries base's RTT, which is exact because BaseRTTMs is a pure
+// function of (AS, route) and the rebased campaign keeps base.Model;
+// every other route is priced afresh. reprice prices every route afresh:
+// the scenario engine's full-rebuild oracle sets it, so the oracle
+// checks that reuse rule instead of sharing it.
+//
 // The contract — and what the scenario equivalence suite enforces — is
 // that the result is byte-identical to building from scratch on the
 // mutated world, because every random draw in assembly is keyed by
@@ -40,7 +49,7 @@ var (
 // the pool is stateful so allocating again would hand out different
 // blocks.
 func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployment, siteRemap [][]int,
-	rates []dnssim.Rates, affected []bool, seed int64) (*Campaign, error) {
+	rates []dnssim.Rates, affected []bool, reprice bool, seed int64) (*Campaign, error) {
 	ctx, span := obs.StartSpanCtx(ctx, "ditl.rebase")
 	defer span.End()
 	n := base.numRecs
@@ -75,18 +84,23 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 		c.LetterNames = append(c.LetterNames, l.Name)
 	}
 
-	// Warm every letter's route cache across all CPUs. Seeded entries
-	// make this a read-through; only the dirty set actually resolves.
-	srcs := UniqueSources(base.Pop)
-	warmCtx, warm := obs.StartSpanCtx(ctx, "ditl.warm_routes")
-	for _, l := range letters {
-		l.WarmRoutesCtx(warmCtx, srcs)
+	// Seeded route-cache entries make the table pass a read-through; only
+	// the dirty set actually resolves. Every recursive of a source shares
+	// one base table entry per letter, so the source's first recursive
+	// names it.
+	srcs, pos := sourcePositions(base.Pop)
+	first := make([]int, len(srcs))
+	for ri := n - 1; ri >= 0; ri-- {
+		first[pos[ri]] = ri
 	}
-	warm.End()
-
-	_, tables := obs.StartSpanCtx(ctx, "ditl.rebase.tables")
-	routeIx, err := c.buildRouteTables(srcs)
-	tables.End()
+	routeIx, err := c.buildRouteTables(ctx, srcs, pos, func(li, s int, rt bgp.Route) float64 {
+		if !reprice {
+			if bix := base.routeIdx[li*n+first[s]]; bix != noRoute && sameRoute(base.routes[bix], rt) {
+				return base.routeRTT[bix]
+			}
+		}
+		return c.Model.BaseRTTMs(srcs[s], rt)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +170,7 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 // reachability flipped, whose secondary site was withdrawn, or whose
 // egress count changed was mis-classified upstream and would otherwise
 // silently carry stale cells.
-func (c *Campaign) carryRecursive(base *Campaign, ri int, routeIx []map[topology.ASN]uint32,
+func (c *Campaign) carryRecursive(base *Campaign, ri int, routeIx routeIndex,
 	siteRemap [][]int, copyEgress bool) error {
 	n := c.numRecs
 	asn := c.Pop.Recursives[ri].ASN
@@ -165,17 +179,17 @@ func (c *Campaign) carryRecursive(base *Campaign, ri int, routeIx []map[topology
 		c.altFrac[k] = base.altFrac[k]
 		c.tcpMedian[k] = base.tcpMedian[k]
 		c.letterWeight[k] = base.letterWeight[k]
+		nix := routeIx.at(li, ri)
 		if base.routeIdx[k] == noRoute {
 			c.routeIdx[k] = noRoute
 			c.altSite[k] = noAltSite
-			if _, ok := routeIx[li][asn]; ok {
+			if nix != noRoute {
 				return fmt.Errorf("ditl: rebase: AS%d became reachable on %s but recursive %d was not marked affected",
 					asn, c.LetterNames[li], ri)
 			}
 			continue
 		}
-		nix, ok := routeIx[li][asn]
-		if !ok {
+		if nix == noRoute {
 			return fmt.Errorf("ditl: rebase: AS%d lost its route on %s but recursive %d was not marked affected",
 				asn, c.LetterNames[li], ri)
 		}
@@ -201,6 +215,23 @@ func (c *Campaign) carryRecursive(base *Campaign, ri int, routeIx []map[topology
 		copy(dst, src)
 	}
 	return nil
+}
+
+// sameRoute reports whether a and b are bit-identical: the same site,
+// path length, directness and first hop, and the same waypoints down to
+// the bits of every coordinate.
+func sameRoute(a, b bgp.Route) bool {
+	if a.SiteID != b.SiteID || a.PathLen != b.PathLen || a.Direct != b.Direct || a.Via != b.Via ||
+		len(a.Waypoints) != len(b.Waypoints) {
+		return false
+	}
+	for i, p := range a.Waypoints {
+		q := b.Waypoints[i]
+		if math.Float64bits(p.Lat) != math.Float64bits(q.Lat) || math.Float64bits(p.Lon) != math.Float64bits(q.Lon) {
+			return false
+		}
+	}
+	return true
 }
 
 // MarkSecondarySite flags, in affected, every recursive whose cached

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"anycastctx/internal/anycastnet"
+	"anycastctx/internal/geo"
 )
 
 // freshLetters rebuilds every deployment of f with an empty route cache,
@@ -87,7 +88,7 @@ func TestRebaseAllAffectedEqualsBuild(t *testing.T) {
 	for i := range affected {
 		affected[i] = true
 	}
-	reb, err := f.camp.Rebase(context.Background(), freshLetters(t, f), nil, nil, affected, 5)
+	reb, err := f.camp.Rebase(context.Background(), freshLetters(t, f), nil, nil, affected, false, 5)
 	if err != nil {
 		t.Fatalf("rebase: %v", err)
 	}
@@ -99,7 +100,7 @@ func TestRebaseAllAffectedEqualsBuild(t *testing.T) {
 func TestRebaseNoneAffectedCopies(t *testing.T) {
 	f := buildFixture(t)
 	affected := make([]bool, len(f.pop.Recursives))
-	reb, err := f.camp.Rebase(context.Background(), f.letters, nil, nil, affected, 5)
+	reb, err := f.camp.Rebase(context.Background(), f.letters, nil, nil, affected, false, 5)
 	if err != nil {
 		t.Fatalf("rebase: %v", err)
 	}
@@ -134,7 +135,7 @@ func TestRebaseContractViolation(t *testing.T) {
 	remap := make([][]int, len(letters))
 	remap[li] = []int{0, -1}
 	affected := make([]bool, len(f.pop.Recursives))
-	if _, err := f.camp.Rebase(context.Background(), letters, remap, nil, affected, 5); err == nil {
+	if _, err := f.camp.Rebase(context.Background(), letters, remap, nil, affected, false, 5); err == nil {
 		t.Fatalf("rebase accepted a withdrawn site with no affected recursives")
 	}
 }
@@ -145,16 +146,61 @@ func TestRebaseValidation(t *testing.T) {
 	n := len(f.pop.Recursives)
 	all := make([]bool, n)
 	ctx := context.Background()
-	if _, err := f.camp.Rebase(ctx, f.letters[:1], nil, nil, all, 5); err == nil {
+	if _, err := f.camp.Rebase(ctx, f.letters[:1], nil, nil, all, false, 5); err == nil {
 		t.Error("short letter slice accepted")
 	}
-	if _, err := f.camp.Rebase(ctx, f.letters, make([][]int, 1), nil, all, 5); err == nil {
+	if _, err := f.camp.Rebase(ctx, f.letters, make([][]int, 1), nil, all, false, 5); err == nil {
 		t.Error("short remap slice accepted")
 	}
-	if _, err := f.camp.Rebase(ctx, f.letters, nil, f.rates[:1], all, 5); err == nil {
+	if _, err := f.camp.Rebase(ctx, f.letters, nil, f.rates[:1], all, false, 5); err == nil {
 		t.Error("short rates slice accepted")
 	}
-	if _, err := f.camp.Rebase(ctx, f.letters, nil, nil, all[:1], 5); err == nil {
+	if _, err := f.camp.Rebase(ctx, f.letters, nil, nil, all[:1], false, 5); err == nil {
 		t.Error("short affected slice accepted")
+	}
+}
+
+// TestRebaseCarriesRTTOnlyForIdenticalRoutes: without reprice, a route
+// bit-identical to the base campaign's route for the same letter and
+// source carries the base RTT, and a route that differs from it in one
+// waypoint coordinate is priced afresh; with reprice every route is
+// priced afresh. The base is decoded from its artifact, so its routes
+// share no memory with the resolver caches, and its RTTs are doctored so
+// the result shows which path each entry took.
+func TestRebaseCarriesRTTOnlyForIdenticalRoutes(t *testing.T) {
+	f := buildFixture(t)
+	base, err := DecodeCampaignArtifact(f.camp.EncodeArtifact(), f.letters, f.pop, f.camp.Zone, f.rates, f.camp.Model, f.camp.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range base.routeRTT {
+		base.routeRTT[i] += 1000
+	}
+	const moved = 0
+	wp := append([]geo.Coord(nil), base.routes[moved].Waypoints...)
+	wp[len(wp)-1].Lat = math.Nextafter(wp[len(wp)-1].Lat, 90)
+	base.routes[moved].Waypoints = wp
+
+	affected := make([]bool, len(f.pop.Recursives))
+	for i := range affected {
+		affected[i] = true
+	}
+	for _, reprice := range []bool{false, true} {
+		reb, err := base.Rebase(context.Background(), f.letters, nil, nil, affected, reprice, 5)
+		if err != nil {
+			t.Fatalf("reprice=%v: rebase: %v", reprice, err)
+		}
+		if len(reb.routeRTT) != len(f.camp.routeRTT) {
+			t.Fatalf("reprice=%v: %d routes, want %d", reprice, len(reb.routeRTT), len(f.camp.routeRTT))
+		}
+		for i, fresh := range f.camp.routeRTT {
+			want := fresh
+			if !reprice && i != moved {
+				want = fresh + 1000
+			}
+			if got := reb.routeRTT[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("reprice=%v: route %d RTT %v, want %v", reprice, i, got, want)
+			}
+		}
 	}
 }

@@ -424,7 +424,7 @@ func rebaseCampaign(ctx context.Context, base *world.World, app *applied, muts m
 
 	campCtx, campSpan := obs.StartSpanCtx(ctx, "scenario.campaign")
 	defer campSpan.End()
-	return camp.Rebase(campCtx, app.letters, app.letterRemap, rates, affected, base.Cfg.Seed)
+	return camp.Rebase(campCtx, app.letters, app.letterRemap, rates, affected, full, base.Cfg.Seed)
 }
 
 // mutateLetterSites composes withdrawals and additions on one letter into

@@ -12,6 +12,7 @@ import (
 	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/ditl"
 	"anycastctx/internal/scenario"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/world"
 )
 
@@ -310,5 +311,69 @@ func TestAmbiguousSpecsRejected(t *testing.T) {
 	}
 	if _, err := scenario.Parse([]byte("{\"name\":\"x\",\"mutations\":[]}\n\t \n")); err != nil {
 		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
+// TestScenariosOnWarmWorld evaluates every builtin on worlds loaded
+// from a filled artifact store: their reports and campaigns must equal
+// those the cold world that filled the store gives. The warm base
+// campaign is decoded, so its routes share no memory with the resolver
+// caches, and the RTTs Rebase carries over must be matched by route
+// value. One warm world loads every classic stage, routes included; the
+// other loads only the campaign, so its letters' caches start empty and
+// the scenario resolves every route itself.
+func TestScenariosOnWarmWorld(t *testing.T) {
+	ctx := context.Background()
+	cfg := world.Config{Seed: 1, Scale: world.ScaleFromEnv(0.05), CacheDir: t.TempDir()}
+	cold, err := world.Build(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Demand(ctx, stage.All()...); err != nil {
+		t.Fatal(err)
+	}
+	classic, err := world.Build(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := world.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.Demand(ctx, stage.Campaign); err != nil {
+		t.Fatal(err)
+	}
+	warms := []struct {
+		name   string
+		base   *scenario.Baseline
+		routes string // the routes stage's outcome before any scenario runs
+	}{{"classic", scenario.NewBaseline(classic), "loaded"}, {"campaign-only", scenario.NewBaseline(bare), "pending"}}
+	for _, warm := range warms {
+		for _, st := range warm.base.W.StageStatuses() {
+			want := map[stage.ID]string{stage.Campaign: "loaded", stage.Routes: warm.routes}[st.ID]
+			if want != "" && st.Outcome != want {
+				t.Fatalf("%s: warm stage %s %q, want %q", warm.name, st.ID, st.Outcome, want)
+			}
+		}
+	}
+	coldBase := scenario.NewBaseline(cold)
+	for _, spec := range scenario.Builtins() {
+		want, err := scenario.Eval(ctx, coldBase, spec, scenario.Options{})
+		if err != nil {
+			t.Fatalf("%s: cold eval: %v", spec.Name, err)
+		}
+		wantRep, wantDigest := want.Report(ctx), campaignDigest(want.World.Campaign())
+		for _, warm := range warms {
+			got, err := scenario.Eval(ctx, warm.base, spec, scenario.Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: warm eval: %v", warm.name, spec.Name, err)
+			}
+			if rep := got.Report(ctx); rep != wantRep {
+				t.Errorf("%s/%s: report mismatch:\n--- cold ---\n%s\n--- warm ---\n%s", warm.name, spec.Name, wantRep, rep)
+			}
+			if d := campaignDigest(got.World.Campaign()); d != wantDigest {
+				t.Errorf("%s/%s: campaign digest: cold %x, warm %x", warm.name, spec.Name, wantDigest, d)
+			}
+		}
 	}
 }
