@@ -24,6 +24,10 @@ func main() {
 		dump      = flag.String("dump", "", "directory to write the world's datasets as CSV")
 	)
 	flag.Parse()
+	if err := validateFlags(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	w, err := anycastctx.BuildWorld(anycastctx.Config{Seed: *seed, Scale: *scale})
 	if err != nil {
@@ -173,4 +177,14 @@ func dumpDatasets(w *anycastctx.World, dir string) error {
 			r.RootInvalidPerDay, r.RootPTRPerDay, r.TCPShare, r.Anomalous, r.Forwarder)...)
 	}
 	return write("rates.csv", string(rt))
+}
+
+// validateFlags rejects a -scale outside (0, 1] before the world is
+// built: the world would read 0 as paper scale. The negated comparison
+// also rejects NaN.
+func validateFlags(scale float64) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("-scale %v out of (0, 1]", scale)
+	}
+	return nil
 }

@@ -22,7 +22,7 @@ func main() {
 		sites   = flag.Int("sites", 2, "number of sites to capture (from site 0)")
 	)
 	flag.Parse()
-	if err := validateFlags(*maxPkts, *sites); err != nil {
+	if err := validateFlags(*scale, *maxPkts, *sites); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -63,10 +63,14 @@ func main() {
 	}
 }
 
-// validateFlags rejects packet and site counts below 1 before the world
-// is built: a capture of no packets, or of no sites, writes nothing
-// useful.
-func validateFlags(packets, sites int) error {
+// validateFlags rejects a -scale outside (0, 1], and packet and site
+// counts below 1, before the world is built: the world would read scale
+// 0 as paper scale, and a capture of no packets, or of no sites, writes
+// nothing useful. The negated scale comparison also rejects NaN.
+func validateFlags(scale float64, packets, sites int) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("-scale %v out of (0, 1]", scale)
+	}
 	if packets < 1 {
 		return fmt.Errorf("-packets %d is below 1", packets)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,8 +20,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadCountsExitTwo: a packet or site count below 1 is named on
-// standard error, exits 2 before any world is built, and writes no file.
+// TestBadCountsExitTwo: a packet or site count below 1, or a scale
+// outside (0, 1] (NaN included), is named on standard error, exits 2
+// before any world is built, and writes no file. Scale 0 would otherwise
+// build the paper-scale world.
 func TestBadCountsExitTwo(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -30,6 +33,11 @@ func TestBadCountsExitTwo(t *testing.T) {
 		{[]string{"-packets", "0"}, "-packets"},
 		{[]string{"-sites", "-3"}, "-sites"},
 		{[]string{"-sites", "0", "-packets", "5"}, "-sites"},
+		{[]string{"-scale", "0"}, "-scale"},
+		{[]string{"-scale", "-0.5"}, "-scale"},
+		{[]string{"-scale", "1.5"}, "-scale"},
+		{[]string{"-scale", "NaN"}, "-scale"},
+		{[]string{"-scale", "+Inf", "-packets", "0"}, "-scale"},
 	}
 	for _, tc := range cases {
 		dir := t.TempDir()
@@ -54,24 +62,30 @@ func TestBadCountsExitTwo(t *testing.T) {
 
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
+		scale          float64
 		packets, sites int
 		bad            string // the flag the error must name; "" means accepted
 	}{
-		{20000, 2, ""},
-		{1, 1, ""},
-		{0, 1, "-packets"},
-		{-100, 1, "-packets"},
-		{5, 0, "-sites"},
-		{5, -3, "-sites"},
-		{0, 0, "-packets"},
+		{0.15, 20000, 2, ""},
+		{1, 1, 1, ""},
+		{0.15, 0, 1, "-packets"},
+		{0.15, -100, 1, "-packets"},
+		{0.15, 5, 0, "-sites"},
+		{0.15, 5, -3, "-sites"},
+		{0.15, 0, 0, "-packets"},
+		{0, 5, 1, "-scale"},
+		{-1, 5, 1, "-scale"},
+		{1.0000001, 5, 1, "-scale"},
+		{math.NaN(), 5, 1, "-scale"},
+		{math.Inf(1), 0, 0, "-scale"},
 	}
 	for _, tc := range cases {
-		err := validateFlags(tc.packets, tc.sites)
+		err := validateFlags(tc.scale, tc.packets, tc.sites)
 		switch {
 		case tc.bad == "" && err != nil:
-			t.Errorf("validateFlags(%d, %d) = %v, want nil", tc.packets, tc.sites, err)
+			t.Errorf("validateFlags(%v, %d, %d) = %v, want nil", tc.scale, tc.packets, tc.sites, err)
 		case tc.bad != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.bad+" ")):
-			t.Errorf("validateFlags(%d, %d) = %v, want an error naming %s", tc.packets, tc.sites, err, tc.bad)
+			t.Errorf("validateFlags(%v, %d, %d) = %v, want an error naming %s", tc.scale, tc.packets, tc.sites, err, tc.bad)
 		}
 	}
 }
