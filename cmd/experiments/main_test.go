@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"anycastctx"
+	"anycastctx/internal/ditl"
 	"anycastctx/internal/obs"
 )
 
@@ -166,5 +169,57 @@ func TestResolveScenarioSpec(t *testing.T) {
 	}
 	if _, err := resolveScenarioSpec(t.TempDir()); err == nil {
 		t.Error("directory accepted as spec file")
+	}
+}
+
+// TestCompareWithRebuildComparesCampaigns: the scenario oracle fails two
+// campaigns whose reports agree but whose encodings differ in one TCP
+// median, and passes two equal ones.
+func TestCompareWithRebuildComparesCampaigns(t *testing.T) {
+	w, err := anycastctx.NewWorld(anycastctx.TestScaleConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := w.Campaign()
+	li, ri := -1, -1
+	for l := range c.Letters {
+		for r := 0; r < c.NumRecursives() && li < 0; r++ {
+			if !math.IsNaN(c.At(l, r).TCPMedianRTTMs) {
+				li, ri = l, r
+			}
+		}
+	}
+	if li < 0 {
+		t.Fatal("no cell drew a TCP median")
+	}
+	med := c.At(li, ri).TCPMedianRTTMs
+	blob := c.EncodeArtifact()
+	var bits [8]byte
+	binary.LittleEndian.PutUint64(bits[:], math.Float64bits(med))
+	if n := bytes.Count(blob, bits[:]); n != 1 {
+		t.Fatalf("median %v appears %d times in the encoding, want once", med, n)
+	}
+	doctored := append([]byte(nil), blob...)
+	doctored[bytes.Index(blob, bits[:])] ^= 1
+	decode := func(blob []byte) *ditl.Campaign {
+		t.Helper()
+		d, err := ditl.DecodeCampaignArtifact(blob, c.Letters, c.Pop, c.Zone, c.Rates, c.Model, c.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	other := decode(doctored)
+	if got := other.At(li, ri).TCPMedianRTTMs; got == med {
+		t.Fatalf("doctored campaign kept median %v", med)
+	}
+
+	const rep = "scenario report\n"
+	if err := compareWithRebuild(rep, rep, c, decode(blob)); err != nil {
+		t.Errorf("equal campaigns: %v", err)
+	}
+	err = compareWithRebuild(rep, rep, c, other)
+	if err == nil || !strings.Contains(err.Error(), "incremental campaign differs from full rebuild") {
+		t.Errorf("campaigns one TCP median apart: err = %v", err)
 	}
 }
