@@ -286,8 +286,12 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 	// Route dedup tables, one entry per reachable ⟨letter, AS⟩: every
 	// recursive in an AS shares it, so the assembly below only reads them.
 	srcs, pos := sourcePositions(pop)
-	routeIx, err := c.buildRouteTables(ctx, srcs, pos, func(li, s int, rt bgp.Route) float64 {
-		return model.BaseRTTMs(srcs[s], rt)
+	routeIx, err := c.buildRouteTables(ctx, len(srcs), pos, func(li, s int) routeCell {
+		rt, ok := letters[li].Route(srcs[s])
+		if !ok {
+			return unreachable
+		}
+		return routeCell{rt, model.BaseRTTMs(srcs[s], rt)}
 	})
 	if err != nil {
 		return nil, err
@@ -401,28 +405,36 @@ type routeCell struct {
 	rtt float64
 }
 
+// unreachable is the route-table cell of a letter with no route from a
+// source.
+var unreachable = routeCell{rtt: math.Inf(1)}
+
+// rtt returns recursive ri's base RTT on letter li, +Inf when the
+// letter has no route from its AS.
+func (c *Campaign) rtt(li, ri int) float64 {
+	ix := c.routeIdx[li*c.numRecs+ri]
+	if ix == noRoute {
+		return math.Inf(1)
+	}
+	return c.routeRTT[ix]
+}
+
 // buildRouteTables fills the per-⟨letter, AS⟩ dedup tables. One parallel
-// pass resolves every cell's route (a cache hit on warm letters) and
-// prices it with price(li, s, rt); a serial pass then writes the
-// reachable cells into c.routes/c.routeRTT, allocated at their exact
-// size, in letter-major order with sources in srcs order. pos maps each
-// recursive to its position in srcs.
-func (c *Campaign) buildRouteTables(ctx context.Context, srcs []topology.ASN, pos []uint32,
-	price func(li, s int, rt bgp.Route) float64) (routeIndex, error) {
+// pass fills each ⟨letter li, source position s⟩ cell with cell(li, s);
+// a serial pass then writes the reachable cells into
+// c.routes/c.routeRTT, allocated at their exact size, in letter-major
+// order with sources in position order. ns is the number of sources, and
+// pos maps each recursive to its source position.
+func (c *Campaign) buildRouteTables(ctx context.Context, ns int, pos []uint32,
+	cell func(li, s int) routeCell) (routeIndex, error) {
 	ctx, span := obs.StartSpanCtx(ctx, "ditl.route_tables")
 	defer span.End()
-	ns := len(srcs)
 	cells := make([]routeCell, len(c.Letters)*ns)
 	par.DoCtx(ctx, len(cells), func(ctx context.Context, lo, hi int) {
 		_, sp := obs.StartSpanCtx(ctx, "ditl.route_tables.shard")
 		defer sp.End()
 		for k := lo; k < hi; k++ {
-			li, s := k/ns, k%ns
-			if rt, ok := c.Letters[li].Route(srcs[s]); ok {
-				cells[k] = routeCell{rt, price(li, s, rt)}
-			} else {
-				cells[k].rtt = math.Inf(1)
-			}
+			cells[k] = cell(k/ns, k%ns)
 		}
 	})
 
@@ -464,6 +476,13 @@ type assembler struct {
 	// store (rates unchanged ⇒ egress identical), in which case the
 	// assembly must not write into the shared backing array.
 	fillEgress bool
+	// base, when set, is the campaign Rebase derives c from, built with
+	// the same seed, config and latency model. Draws that depend only on
+	// an RTT it shares bit for bit are carried from it instead of redrawn:
+	// a cell's TCP median, and a recursive's letter weights when every
+	// one of its RTTs is unchanged. Build and the full rebuild leave it
+	// nil.
+	base *Campaign
 }
 
 // recursive fills every column of recursive ri across all letters.
@@ -498,30 +517,40 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 		}
 	}
 
-	// Letter preference: softmax over per-recursive jittered RTTs.
-	var sum float64
-	for li := range weights {
-		weights[li] = 0
-	}
-	for li := range c.Letters {
-		if math.IsInf(rtts[li], 1) {
-			continue
-		}
-		cell := prefStream.Fork(uint64(li))
-		jitter := 1 + 0.1*cell.NormFloat64()
-		weights[li] = math.Exp(-rtts[li] * jitter / c.Cfg.TauMs)
-		if weights[li] < 0.005 {
-			weights[li] = 0.005 // exploration floor
-		}
-		sum += weights[li]
-	}
-	if sum > 0 {
+	// Letter preference: softmax over per-recursive jittered RTTs. The
+	// jitter is keyed by ⟨seed, recursive, letter⟩ and the temperature is
+	// the base's, so weights over bit-identical RTTs are base's weights.
+	if as.base != nil && as.base.sameRTTs(ri, rtts) {
 		for li := range c.Letters {
-			c.letterWeight[li*n+ri] = weights[li] / sum
+			c.letterWeight[li*n+ri] = as.base.letterWeight[li*n+ri]
+		}
+	} else {
+		var sum float64
+		for li := range weights {
+			weights[li] = 0
+		}
+		for li := range c.Letters {
+			if math.IsInf(rtts[li], 1) {
+				continue
+			}
+			cell := prefStream.Fork(uint64(li))
+			jitter := 1 + 0.1*cell.NormFloat64()
+			weights[li] = math.Exp(-rtts[li] * jitter / c.Cfg.TauMs)
+			if weights[li] < 0.005 {
+				weights[li] = 0.005 // exploration floor
+			}
+			sum += weights[li]
+		}
+		if sum > 0 {
+			for li := range c.Letters {
+				c.letterWeight[li*n+ri] = weights[li] / sum
+			}
 		}
 	}
 
-	// TCP medians where volume suffices.
+	// TCP medians where volume suffices. The median is a pure function of
+	// ⟨seed, recursive, letter, RTT⟩, so a base cell that drew one over
+	// the same RTT bits already holds it.
 	for li := range c.Letters {
 		k := li*n + ri
 		c.tcpMedian[k] = math.NaN()
@@ -529,10 +558,16 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 			continue
 		}
 		tcpVol := c.Rates[ri].RootValidPerDay * c.letterWeight[k] * c.Rates[ri].TCPShare
-		if tcpVol >= minTCPSamples {
-			cell := tcpStream.Fork(uint64(li))
-			c.tcpMedian[k] = c.Model.MedianOfSamples(&cell, c.routeRTT[c.routeIdx[k]]+0.5, 11)
+		if tcpVol < minTCPSamples {
+			continue
 		}
+		if b := as.base; b != nil && !math.IsNaN(b.tcpMedian[k]) &&
+			math.Float64bits(b.rtt(li, ri)) == math.Float64bits(rtts[li]) {
+			c.tcpMedian[k] = b.tcpMedian[k]
+			continue
+		}
+		cell := tcpStream.Fork(uint64(li))
+		c.tcpMedian[k] = c.Model.MedianOfSamples(&cell, rtts[li]+0.5, 11)
 	}
 
 	// Egress IPs: high offsets in the /24, with a small chance of
@@ -543,13 +578,24 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 	}
 	egStream := rng.Split(as.seed, rng.PhaseDITLEgress, uint64(ri))
 	off := int(c.egressOff[ri])
-	for k := 0; k < numEgress(c.Rates[ri]); k++ {
+	for k := 0; k < int(c.egressOff[ri+1])-off; k++ {
 		if egStream.Float64() < egressOverlapProb && k < len(rec.IPs) {
 			c.egressFlat[off+k] = rec.IPs[k]
 		} else {
 			c.egressFlat[off+k] = rec.Key.Prefix().Nth(uint64(100 + k))
 		}
 	}
+}
+
+// sameRTTs reports whether rtts holds, bit for bit, recursive ri's base
+// RTT on every letter (+Inf where the letter has no route).
+func (c *Campaign) sameRTTs(ri int, rtts []float64) bool {
+	for li, r := range rtts {
+		if math.Float64bits(c.rtt(li, ri)) != math.Float64bits(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // numEgress returns how many DITL egress addresses a recursive exposes:

@@ -26,15 +26,34 @@ var (
 // rates is nil to reuse the base query rates or a full replacement
 // slice, and affected flags the recursives whose columns must be
 // reassembled from their RNG streams; everything else is copied from
-// base with route-table indices and secondary-site IDs remapped.
+// base with route-table indices and secondary-site IDs remapped. seed
+// must be the seed base was built with: the copies, and the three reuse
+// rules below, stand in for draws keyed by it.
 //
-// The route table is rebuilt for the mutated letters. A route
-// bit-identical to base's route for the same letter position and source
-// carries base's RTT, which is exact because BaseRTTMs is a pure
-// function of (AS, route) and the rebased campaign keeps base.Model;
-// every other route is priced afresh. reprice prices every route afresh:
-// the scenario engine's full-rebuild oracle sets it, so the oracle
-// checks that reuse rule instead of sharing it.
+// Rebase re-derives only what changed, by three reuse rules:
+//
+//   - A letter passed as the very deployment at that position in
+//     base.Letters, with no site remap, copies base's route-table cells
+//     without a Route call. A deployment memoizes one decision per source
+//     over an immutable graph and site set, and base's table holds those
+//     routes priced by the same Model. Every other letter is resolved,
+//     and a route bit-identical to base's route for the same letter
+//     position and source carries base's RTT, which is exact because
+//     BaseRTTMs is a pure function of (AS, route); other routes are
+//     priced afresh. A base deployment passed with a site remap is an
+//     error.
+//   - A reassembled cell that passes the TCP volume gate, on the new
+//     weights and rates, carries base's TCP median when base drew one
+//     over the same RTT bits: the median is a pure function of ⟨seed,
+//     recursive, letter position, RTT⟩.
+//   - A reassembled recursive whose RTT on every letter has base's bits
+//     (+Inf on both sides where unreachable) carries base's letter
+//     weights: the softmax jitter is keyed by ⟨seed, recursive, letter
+//     position⟩, and the rebased campaign keeps base.Cfg.TauMs.
+//
+// reprice turns all three rules off and re-derives every cell the
+// affected set names: the scenario engine's full-rebuild oracle sets it,
+// so the oracle checks the rules instead of sharing them.
 //
 // The contract — and what the scenario equivalence suite enforces — is
 // that the result is byte-identical to building from scratch on the
@@ -66,6 +85,18 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 	if len(affected) != n {
 		return nil, fmt.Errorf("ditl: rebase with %d affected flags for %d recursives", len(affected), n)
 	}
+	// copied[li]: letter li is base's own deployment, so its cells are
+	// base's.
+	copied := make([]bool, nl)
+	for li, l := range letters {
+		if l != base.Letters[li] {
+			continue
+		}
+		if siteRemap != nil && siteRemap[li] != nil {
+			return nil, fmt.Errorf("ditl: rebase: letter %s is the base deployment but has a site remap", l.Name)
+		}
+		copied[li] = !reprice
+	}
 
 	c := &Campaign{
 		Letters: letters,
@@ -93,13 +124,22 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 	for ri := n - 1; ri >= 0; ri-- {
 		first[pos[ri]] = ri
 	}
-	routeIx, err := c.buildRouteTables(ctx, srcs, pos, func(li, s int, rt bgp.Route) float64 {
-		if !reprice {
-			if bix := base.routeIdx[li*n+first[s]]; bix != noRoute && sameRoute(base.routes[bix], rt) {
-				return base.routeRTT[bix]
+	routeIx, err := c.buildRouteTables(ctx, len(srcs), pos, func(li, s int) routeCell {
+		bix := base.routeIdx[li*n+first[s]]
+		if copied[li] {
+			if bix == noRoute {
+				return unreachable
 			}
+			return routeCell{base.routes[bix], base.routeRTT[bix]}
 		}
-		return c.Model.BaseRTTMs(srcs[s], rt)
+		rt, ok := letters[li].Route(srcs[s])
+		if !ok {
+			return unreachable
+		}
+		if !reprice && bix != noRoute && sameRoute(base.routes[bix], rt) {
+			return routeCell{rt, base.routeRTT[bix]}
+		}
+		return routeCell{rt, c.Model.BaseRTTMs(srcs[s], rt)}
 	})
 	if err != nil {
 		return nil, err
@@ -134,6 +174,9 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 	}
 
 	asm := &assembler{c: c, routeIx: routeIx, seed: seed, fillEgress: rates != nil}
+	if !reprice {
+		asm.base = base
+	}
 	errs := make([]error, n)
 	assembleCtx, assemble := obs.StartSpanCtx(ctx, "ditl.rebase.assemble")
 	par.DoCtx(assembleCtx, n, func(ctx context.Context, lo, hi int) {

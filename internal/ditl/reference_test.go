@@ -119,10 +119,10 @@ func sameRouteBits(a, b bgp.Route) bool {
 // TestRouteTablesMatchSerialReference pins the one parallel route-table
 // pass to the serial warm-then-walk reference it replaced, bit for bit:
 // the table, its RTTs and every cell's index. It covers Rebase for every
-// builtin scenario, incremental (RTTs carried for unchanged routes) and
-// full rebuild (every RTT priced afresh), Build on a world's warm
-// letters, and Build on cold letters as abl-tau builds them, at
-// GOMAXPROCS 1 and 4 on two seeds.
+// builtin scenario, incremental (untouched letters' cells copied, RTTs
+// carried for unchanged routes) and full rebuild (every route resolved
+// and priced afresh), Build on a world's warm letters, and Build on cold
+// letters as abl-tau builds them, at GOMAXPROCS 1 and 4 on two seeds.
 func TestRouteTablesMatchSerialReference(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2} {
