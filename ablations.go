@@ -263,13 +263,19 @@ func runAblTau(ctx context.Context, w *World, _ int64) (Result, error) {
 			return Result{}, err
 		}
 	}
+	// The temperature only weighs letters, so every campaign shares one
+	// route table.
+	routes, err := ditl.BuildRouteTable(ctx, letters, pop, model)
+	if err != nil {
+		return Result{}, err
+	}
 	t := report.Table{
 		Title:   "Ablation: letter-preference temperature vs per-query inflation",
 		Headers: []string{"Tau (ms)", "All-Roots median inflation (ms)", ">20ms share"},
 	}
 	var sharp, flat float64
 	for i, tau := range []float64{5, 25, 120, 100000} {
-		camp, err := ditl.Build(ctx, g, letters, pop, zone, rates, model, ditl.Config{TauMs: tau}, ablSeed)
+		camp, err := ditl.Assemble(ctx, routes, letters, pop, zone, rates, model, ditl.Config{TauMs: tau}, ablSeed)
 		if err != nil {
 			return Result{}, err
 		}

@@ -174,7 +174,8 @@ func TestResolveScenarioSpec(t *testing.T) {
 
 // TestCompareWithRebuildComparesCampaigns: the scenario oracle fails two
 // campaigns whose reports agree but whose encodings differ in one TCP
-// median, and passes two equal ones.
+// median, or whose columns agree but whose route tables differ in one
+// base RTT, and passes two equal ones.
 func TestCompareWithRebuildComparesCampaigns(t *testing.T) {
 	w, err := anycastctx.NewWorld(anycastctx.TestScaleConfig(3))
 	if err != nil {
@@ -201,25 +202,49 @@ func TestCompareWithRebuildComparesCampaigns(t *testing.T) {
 	}
 	doctored := append([]byte(nil), blob...)
 	doctored[bytes.Index(blob, bits[:])] ^= 1
-	decode := func(blob []byte) *ditl.Campaign {
+	decode := func(blob []byte, table *ditl.RouteTable) *ditl.Campaign {
 		t.Helper()
-		d, err := ditl.DecodeCampaignArtifact(blob, c.Letters, c.Pop, c.Zone, c.Rates, c.Model, c.Cfg)
+		d, err := ditl.DecodeCampaignArtifact(blob, table, c.Letters, c.Pop, c.Zone, c.Rates, c.Model, c.Cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
-	other := decode(doctored)
+	other := decode(doctored, c.RouteTable())
 	if got := other.At(li, ri).TCPMedianRTTMs; got == med {
 		t.Fatalf("doctored campaign kept median %v", med)
 	}
 
+	// The same columns on a table one base RTT apart.
+	rtt := c.At(li, ri).BaseRTTMs
+	tblob := c.RouteTable().EncodeArtifact()
+	binary.LittleEndian.PutUint64(bits[:], math.Float64bits(rtt))
+	at := bytes.LastIndex(tblob, bits[:])
+	if at < 0 {
+		t.Fatalf("base RTT %v not in the route table encoding", rtt)
+	}
+	tdoctored := append([]byte(nil), tblob...)
+	tdoctored[at] ^= 1
+	table, err := ditl.DecodeRouteTable(tdoctored, c.Letters, c.Pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := decode(blob, table)
+	if !bytes.Equal(moved.EncodeArtifact(), blob) {
+		t.Fatal("campaign on the doctored table encodes different columns")
+	}
+
 	const rep = "scenario report\n"
-	if err := compareWithRebuild(rep, rep, c, decode(blob)); err != nil {
+	if err := compareWithRebuild(rep, rep, c, decode(blob, c.RouteTable())); err != nil {
 		t.Errorf("equal campaigns: %v", err)
 	}
-	err = compareWithRebuild(rep, rep, c, other)
-	if err == nil || !strings.Contains(err.Error(), "incremental campaign differs from full rebuild") {
-		t.Errorf("campaigns one TCP median apart: err = %v", err)
+	for _, tc := range []struct {
+		name  string
+		other *ditl.Campaign
+	}{{"one TCP median apart", other}, {"one base RTT apart", moved}} {
+		err := compareWithRebuild(rep, rep, c, tc.other)
+		if err == nil || !strings.Contains(err.Error(), "incremental campaign differs from full rebuild") {
+			t.Errorf("campaigns %s: err = %v", tc.name, err)
+		}
 	}
 }

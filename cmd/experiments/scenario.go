@@ -67,14 +67,16 @@ func runScenario(ctx context.Context, w *anycastctx.World, arg string, oracle, c
 
 // compareWithRebuild errors unless an incremental evaluation's report
 // and campaign equal the full rebuild's byte for byte. The report renders
-// no base RTT, TCP median or letter weight, so the campaigns' artifact
-// encodings are compared too.
+// no base RTT, TCP median or letter weight, so the artifact encodings of
+// the campaigns and of the route tables they were assembled on are
+// compared too.
 func compareWithRebuild(rep, fullRep string, camp, fullCamp *ditl.Campaign) error {
 	if rep != fullRep {
 		fmt.Fprintf(os.Stderr, "--- incremental ---\n%s--- full rebuild ---\n%s", rep, fullRep)
 		return fmt.Errorf("incremental report differs from full rebuild")
 	}
-	if !bytes.Equal(camp.EncodeArtifact(), fullCamp.EncodeArtifact()) {
+	if !bytes.Equal(camp.EncodeArtifact(), fullCamp.EncodeArtifact()) ||
+		!bytes.Equal(camp.RouteTable().EncodeArtifact(), fullCamp.RouteTable().EncodeArtifact()) {
 		return fmt.Errorf("incremental campaign differs from full rebuild")
 	}
 	return nil

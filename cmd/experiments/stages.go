@@ -20,7 +20,7 @@ import (
 // Deliberately NOT closed over dependencies: the demand engine recurses
 // itself, and when a persisted stage loads from the store it demands only
 // its load-deps — pre-demanding the full closure would force stages (like
-// routes) that a warm run never needs.
+// usercounts behind a join hit) that a warm run never needs.
 func neededStages(run string, scenario, check bool) []stage.ID {
 	var ids []stage.ID
 	seen := make(map[stage.ID]bool)

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"anycastctx/internal/artifact"
 	"anycastctx/internal/bgp"
 	"anycastctx/internal/geo"
 	"anycastctx/internal/topology"
@@ -101,18 +100,6 @@ func Derive(base *Deployment, g *topology.Graph, name string, sites []bgp.Site,
 	}
 	res.SeedFrom(base.resolver, remap, keep)
 	return newDeployment(name, sites, res), nil
-}
-
-// AppendRouteState persists the deployment's resolved route state for
-// srcs (see bgp.Resolver.AppendState).
-func (d *Deployment) AppendRouteState(w *artifact.Writer, srcs []topology.ASN) error {
-	return d.resolver.AppendState(w, srcs)
-}
-
-// RestoreRouteState seeds the deployment's resolver from a persisted
-// artifact (see bgp.Resolver.RestoreState).
-func (d *Deployment) RestoreRouteState(r *artifact.Reader) error {
-	return d.resolver.RestoreState(r)
 }
 
 // Renamed returns a view of d under a different name, sharing d's sites,

@@ -21,6 +21,7 @@ package bgp
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -92,6 +93,23 @@ func (r Route) Dist() float64 {
 	return d
 }
 
+// Equal reports whether r and o are the same decision bit for bit: the
+// same site, path length, directness and first hop, and the same
+// waypoints down to the bits of every coordinate.
+func (r Route) Equal(o Route) bool {
+	if r.SiteID != o.SiteID || r.PathLen != o.PathLen || r.Direct != o.Direct || r.Via != o.Via ||
+		len(r.Waypoints) != len(o.Waypoints) {
+		return false
+	}
+	for i, p := range r.Waypoints {
+		q := o.Waypoints[i]
+		if math.Float64bits(p.Lat) != math.Float64bits(q.Lat) || math.Float64bits(p.Lon) != math.Float64bits(q.Lon) {
+			return false
+		}
+	}
+	return true
+}
+
 // routeCacheShards stripes the route memo so concurrent cache fills from
 // catchment workers contend on different locks (sources hash by ASN).
 const routeCacheShards = 64
@@ -128,10 +146,9 @@ type Resolver struct {
 	hostOf []int
 	// transitDist[p][h] = AS hops from transit/tier-1 p to hosts[h]
 	// (1 = adjacent, 2 = via one intermediate, 3 = via tier-1 mesh).
-	// Computed lazily on the first route resolution (or seeded from a
-	// persisted artifact) under tablesOnce: a resolver whose routes are
-	// never asked for costs nothing but its host list. The graph must not
-	// change once the resolver exists.
+	// Computed lazily on the first route resolution under tablesOnce: a
+	// resolver whose routes are never asked for costs nothing but its
+	// host list. The graph must not change once the resolver exists.
 	transitDist map[topology.ASN][]uint8
 	tablesOnce  sync.Once
 

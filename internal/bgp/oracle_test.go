@@ -428,7 +428,7 @@ func TestResolverMatchesPerSiteOracle(t *testing.T) {
 				for _, src := range c.g.All() {
 					got, gotOK := r.Route(src)
 					want, wantOK := ref.route(src)
-					if gotOK != wantOK || (gotOK && !routesSame(got, want)) {
+					if gotOK != wantOK || (gotOK && !got.Equal(want)) {
 						t.Fatalf("deployment %d, AS%d: resolver (%+v, %v), per-site oracle (%+v, %v)",
 							di, src, got, gotOK, want, wantOK)
 					}

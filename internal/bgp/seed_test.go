@@ -7,22 +7,6 @@ import (
 	"anycastctx/internal/topology"
 )
 
-// routesSame compares two route decisions field-for-field.
-func routesSame(a, b Route) bool {
-	if a.SiteID != b.SiteID || a.PathLen != b.PathLen || a.Direct != b.Direct || a.Via != b.Via {
-		return false
-	}
-	if len(a.Waypoints) != len(b.Waypoints) {
-		return false
-	}
-	for i := range a.Waypoints {
-		if a.Waypoints[i] != b.Waypoints[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestSeedFromIdentity: seeding everything with nil remap/keep makes the
 // new resolver answer every query from cache, identically to base.
 func TestSeedFromIdentity(t *testing.T) {
@@ -46,7 +30,7 @@ func TestSeedFromIdentity(t *testing.T) {
 	for _, s := range srcs {
 		brt, bok := base.Route(s)
 		frt, fok := fresh.Route(s)
-		if bok != fok || (bok && !routesSame(brt, frt)) {
+		if bok != fok || (bok && !brt.Equal(frt)) {
 			t.Fatalf("AS%d: seeded route differs from base", s)
 		}
 	}
@@ -107,7 +91,7 @@ func TestSeedFromRemapAndKeep(t *testing.T) {
 	for _, s := range srcs {
 		mrt, mok := mut.Route(s)
 		ort, ook := oracle.Route(s)
-		if mok != ook || (mok && !routesSame(mrt, ort)) {
+		if mok != ook || (mok && !mrt.Equal(ort)) {
 			t.Fatalf("AS%d: seeded resolver disagrees with fresh resolver", s)
 		}
 	}
@@ -145,7 +129,7 @@ func TestSeedFromSkipsStaleSites(t *testing.T) {
 	for _, s := range srcs {
 		mrt, mok := mut.Route(s)
 		ort, ook := oracle.Route(s)
-		if mok != ook || (mok && !routesSame(mrt, ort)) {
+		if mok != ook || (mok && !mrt.Equal(ort)) {
 			t.Fatalf("AS%d: stale seed leaked into resolver", s)
 		}
 		if mok && mrt.SiteID >= len(newSites) {

@@ -85,25 +85,10 @@ func checkDeployment(w *world.World, label string, d *anycastnet.Deployment, r *
 		if !ok {
 			continue
 		}
-		if !routesEqual(e.rt, rt) {
+		if !e.rt.Equal(rt) {
 			r.addf("%s: AS%d cached route %s, fresh resolution %s", label, e.src, routeString(e.rt), routeString(rt))
 		}
 	}
-}
-
-func routesEqual(a, b bgp.Route) bool {
-	if a.SiteID != b.SiteID || a.PathLen != b.PathLen || a.Direct != b.Direct || a.Via != b.Via {
-		return false
-	}
-	if len(a.Waypoints) != len(b.Waypoints) {
-		return false
-	}
-	for i := range a.Waypoints {
-		if a.Waypoints[i] != b.Waypoints[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func routeString(rt bgp.Route) string {

@@ -55,11 +55,9 @@ func (CampaignStore) Check(_ context.Context, w *world.World) []Violation {
 		if !ok {
 			continue
 		}
-		if a.Route.SiteID != rt.SiteID || a.Route.PathLen != rt.PathLen ||
-			a.Route.Direct != rt.Direct || a.Route.Via != rt.Via {
-			r.addf("letter %s recursive %d: stored route (site %d, len %d, via %d) != oracle (site %d, len %d, via %d)",
-				c.LetterNames[li], ri, a.Route.SiteID, a.Route.PathLen, a.Route.Via,
-				rt.SiteID, rt.PathLen, rt.Via)
+		if !a.Route.Equal(rt) {
+			r.addf("letter %s recursive %d: stored route %s != oracle %s",
+				c.LetterNames[li], ri, routeString(a.Route), routeString(rt))
 		}
 		// BaseRTTMs is a pure function of (AS, route), deduplicated in the
 		// store on exactly that key, so the oracle must match bit-for-bit.

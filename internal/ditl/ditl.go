@@ -140,33 +140,22 @@ const (
 	minTCPSamples float64 = 10
 )
 
-// Sentinels for the compact assignment store's uint32 index columns.
+// Sentinels for the compact store's uint32 index columns.
 const (
-	noRoute   = ^uint32(0) // routeIdx: letter unreachable from this AS
+	noRoute   = ^uint32(0) // route index: letter unreachable from this AS
 	noAltSite = ^uint32(0) // altSite: all queries go to the favorite site
 )
-
-// routeTableIndex validates dedup-table length n before narrowing it to
-// the next entry's uint32 index: ^uint32(0) is reserved as the noRoute
-// sentinel, so a table of that length would make its next entry
-// indistinguishable from "unreachable", and one more would wrap to index
-// 0 — either way every cell referencing the entry is silently corrupted.
-func routeTableIndex(n int) (uint32, error) {
-	if uint64(n) >= uint64(noRoute) {
-		return 0, fmt.Errorf("ditl: route dedup table full: entry %d would collide with the noRoute sentinel %d", n, noRoute)
-	}
-	return uint32(n), nil
-}
 
 // Campaign is the assembled measurement campaign.
 //
 // The assignment matrix is stored as struct-of-arrays rather than
 // [][]Assignment: recursives in one AS share a BGP route and a base RTT,
-// so per-cell storage is a uint32 into a per-⟨letter, AS⟩ table plus the
-// few floats that really vary per cell. At scale 1 this cuts the hot
-// structure from ~150 B to ~32 B per ⟨/24, letter⟩ cell and removes two
-// heap objects (the Sites slice and the per-letter row) per cell.
-// Campaign.At materializes the classic Assignment view on demand.
+// which live once per ⟨letter, AS⟩ in the RouteTable the campaign was
+// assembled on, so per-cell storage is only the few values that really
+// vary per cell. At scale 1 this cuts the hot structure from ~150 B to
+// ~28 B per ⟨/24, letter⟩ cell and removes two heap objects (the Sites
+// slice and the per-letter row) per cell. Campaign.At materializes the
+// classic Assignment view on demand.
 type Campaign struct {
 	Letters     []*anycastnet.Deployment
 	LetterNames []string
@@ -181,21 +170,17 @@ type Campaign struct {
 
 	numRecs int
 
-	// Assignment columns, indexed li*numRecs+ri. routeIdx points into the
-	// routes/routeRTT tables (noRoute = unreachable); altSite/altFrac
+	// table holds every cell's route and base RTT: cell (li, ri) reads
+	// entry table.ix.at(li, ri), noRoute when unreachable.
+	table *RouteTable
+
+	// Assignment columns, indexed li*numRecs+ri. altSite/altFrac
 	// describe the occasional secondary site (noAltSite = single-site,
 	// favorite share reconstructed as 1-altFrac).
-	routeIdx     []uint32
 	altSite      []uint32
 	altFrac      []float64
 	tcpMedian    []float64
 	letterWeight []float64
-
-	// routes/routeRTT are deduplicated per ⟨letter, AS⟩: every recursive
-	// in an AS shares one entry per letter. BaseRTTMs is a pure function
-	// of (AS, route), so it dedups on the same key.
-	routes   []bgp.Route
-	routeRTT []float64
 
 	// Egress addresses for all recursives, flattened: recursive ri owns
 	// egressFlat[egressOff[ri]:egressOff[ri+1]].
@@ -211,6 +196,9 @@ type Campaign struct {
 // NumRecursives returns the number of recursive /24s in the campaign.
 func (c *Campaign) NumRecursives() int { return c.numRecs }
 
+// RouteTable returns the route table the campaign was assembled on.
+func (c *Campaign) RouteTable() *RouteTable { return c.table }
+
 // At materializes the assignment for letter li and recursive ri.
 func (c *Campaign) At(li, ri int) Assignment {
 	k := li*c.numRecs + ri
@@ -218,13 +206,13 @@ func (c *Campaign) At(li, ri int) Assignment {
 		TCPMedianRTTMs: c.tcpMedian[k],
 		LetterWeight:   c.letterWeight[k],
 	}
-	rix := c.routeIdx[k]
+	rix := c.table.ix.at(li, ri)
 	if rix == noRoute {
 		return a
 	}
 	a.Reachable = true
-	a.Route = c.routes[rix]
-	a.BaseRTTMs = c.routeRTT[rix]
+	a.Route = c.table.routes[rix]
+	a.BaseRTTMs = c.table.rtt[rix]
 	if alt := c.altSite[k]; alt != noAltSite {
 		share := c.altFrac[k]
 		a.sites = [2]SiteShare{
@@ -239,6 +227,16 @@ func (c *Campaign) At(li, ri int) Assignment {
 	return a
 }
 
+// rtt returns recursive ri's base RTT on letter li, +Inf when the
+// letter has no route from its AS.
+func (c *Campaign) rtt(li, ri int) float64 {
+	ix := c.table.ix.at(li, ri)
+	if ix == noRoute {
+		return math.Inf(1)
+	}
+	return c.table.rtt[ix]
+}
+
 // Egress returns recursive ri's DITL query-source addresses (empty for
 // forwarders, which never appear in DITL). The slice aliases campaign
 // storage; callers must not modify it.
@@ -246,68 +244,60 @@ func (c *Campaign) Egress(ri int) []ipaddr.Addr {
 	return c.egressFlat[c.egressOff[ri]:c.egressOff[ri+1]]
 }
 
-// Build assembles the campaign. rates must parallel pop.Recursives; zone
-// may be nil when no pcap emission with real referrals is needed. ctx
-// carries the caller's span: a traced build records "ditl.build" with
-// "ditl.route_tables" (its "ditl.route_tables.shard" workers) and
-// "ditl.assemble" (its "ditl.assemble.shard" workers) under it.
-//
-// Every random quantity is drawn from a splittable stream keyed by
-// ⟨recursive, letter⟩ (rng.Split/Fork), so the per-recursive assembly
-// fans out under par.DoCtx with byte-identical columns at any worker
-// count. The route dedup tables come from one parallel pass over
-// ⟨letter, source⟩ cells that resolves any route the letters' caches
-// miss, compacted in letter-major, first-appearance AS order, and the
-// junk-source volume folds in index order so the float sum is
-// schedule-independent.
+// Build assembles the campaign on a route table of its own:
+// BuildRouteTable, then Assemble, under one "ditl.build" span. g is the
+// graph the letters were deployed on; the table reads it through them.
 func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deployment, pop *users.Population,
 	zone *dnssim.Zone, rates []dnssim.Rates, model *latency.Model, cfg Config, seed int64) (*Campaign, error) {
 	ctx, build := obs.StartSpanCtx(ctx, "ditl.build")
 	defer build.End()
-	cfg = cfg.withDefaults()
-	if len(letters) == 0 {
-		return nil, fmt.Errorf("ditl: no letters")
+	t, err := BuildRouteTable(ctx, letters, pop, model)
+	if err != nil {
+		return nil, err
 	}
-	if len(rates) != len(pop.Recursives) {
-		return nil, fmt.Errorf("ditl: %d rates for %d recursives", len(rates), len(pop.Recursives))
+	return Assemble(ctx, t, letters, pop, zone, rates, model, cfg, seed)
+}
+
+// Assemble builds the campaign's columns on route table t, which must be
+// the table of letters and pop. rates must parallel pop.Recursives; zone
+// may be nil when no pcap emission with real referrals is needed. ctx
+// carries the caller's span: a traced assembly records "ditl.assemble"
+// with its "ditl.assemble.shard" workers.
+//
+// Every random quantity is drawn from a splittable stream keyed by
+// ⟨recursive, letter⟩ (rng.Split/Fork), so the per-recursive assembly
+// fans out under par.DoCtx with byte-identical columns at any worker
+// count, and the junk-source volume folds in index order so the float
+// sum is schedule-independent. Junk /24s come from pop.Pool, so each
+// call draws different blocks.
+func Assemble(ctx context.Context, t *RouteTable, letters []*anycastnet.Deployment, pop *users.Population,
+	zone *dnssim.Zone, rates []dnssim.Rates, model *latency.Model, cfg Config, seed int64) (*Campaign, error) {
+	n, nl := len(pop.Recursives), len(letters)
+	if len(rates) != n {
+		return nil, fmt.Errorf("ditl: %d rates for %d recursives", len(rates), n)
 	}
+	if err := t.fits(letters, n); err != nil {
+		return nil, err
+	}
+	ctx, assemble := obs.StartSpanCtx(ctx, "ditl.assemble")
+	defer assemble.End()
 	c := &Campaign{
-		Letters: letters,
-		Pop:     pop,
-		Zone:    zone,
-		Rates:   rates,
-		Model:   model,
-		Cfg:     cfg,
+		Letters:      letters,
+		Pop:          pop,
+		Zone:         zone,
+		Rates:        rates,
+		Model:        model,
+		Cfg:          cfg.withDefaults(),
+		numRecs:      n,
+		table:        t,
+		altSite:      make([]uint32, nl*n),
+		altFrac:      make([]float64, nl*n),
+		tcpMedian:    make([]float64, nl*n),
+		letterWeight: make([]float64, nl*n),
 	}
 	for _, l := range letters {
 		c.LetterNames = append(c.LetterNames, l.Name)
 	}
-
-	// Route dedup tables, one entry per reachable ⟨letter, AS⟩: every
-	// recursive in an AS shares it, so the assembly below only reads them.
-	srcs, pos := sourcePositions(pop)
-	routeIx, err := c.buildRouteTables(ctx, len(srcs), pos, func(li, s int) routeCell {
-		rt, ok := letters[li].Route(srcs[s])
-		if !ok {
-			return unreachable
-		}
-		return routeCell{rt, model.BaseRTTMs(srcs[s], rt)}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	assembleCtx, assemble := obs.StartSpanCtx(ctx, "ditl.assemble")
-	defer assemble.End()
-
-	n := len(pop.Recursives)
-	nl := len(letters)
-	c.numRecs = n
-	c.routeIdx = make([]uint32, nl*n)
-	c.altSite = make([]uint32, nl*n)
-	c.altFrac = make([]float64, nl*n)
-	c.tcpMedian = make([]float64, nl*n)
-	c.letterWeight = make([]float64, nl*n)
 
 	// The egress count per recursive depends only on rates, so the flat
 	// store is prefix-summed up front and each recursive writes its own
@@ -320,21 +310,23 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 	}
 	c.egressFlat = make([]ipaddr.Addr, totalEgress)
 
-	asm := &assembler{c: c, routeIx: routeIx, seed: seed, fillEgress: true}
-	par.DoCtx(assembleCtx, n, func(ctx context.Context, lo, hi int) {
+	asm := &assembler{c: c, seed: seed, fillEgress: true}
+	par.DoCtx(ctx, n, func(ctx context.Context, lo, hi int) {
 		_, sp := obs.StartSpanCtx(ctx, "ditl.assemble.shard")
 		defer sp.End()
 		rtts := make([]float64, nl)
 		weights := make([]float64, nl)
+		reachable := 0
 		for ri := lo; ri < hi; ri++ {
-			asm.recursive(ri, rtts, weights)
+			reachable += asm.recursive(ri, rtts, weights)
 		}
+		obsAssignReachable.Add(uint64(reachable))
 	})
 
 	// Junk-only sources: addresses and volumes draw per-block streams in
 	// parallel; the volume sum folds serially in index order so the float
 	// total is schedule-independent.
-	nJunk := int(junkSlash24sPerRecursive * float64(len(pop.Recursives)))
+	nJunk := int(junkSlash24sPerRecursive * float64(n))
 	blocks, err := pop.Pool.AllocSlash24s(nJunk)
 	if err != nil {
 		return nil, fmt.Errorf("ditl: allocating junk sources: %w", err)
@@ -352,126 +344,19 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 		c.JunkQueriesPerDay += v
 	}
 	obsCampaigns.Inc()
-	obsAssignments.Add(uint64(len(letters) * len(pop.Recursives)))
+	obsAssignments.Add(uint64(nl * n))
 	obsJunk24s.Add(uint64(len(c.JunkSources)))
 	return c, nil
 }
 
-// UniqueSources lists the distinct ASes of pop's recursives in
-// first-appearance order — the deterministic ordering the route dedup
-// tables key on.
-func UniqueSources(pop *users.Population) []topology.ASN {
-	srcs, _ := sourcePositions(pop)
-	return srcs
-}
-
-// sourcePositions returns UniqueSources(pop) together with each
-// recursive's position in it.
-func sourcePositions(pop *users.Population) ([]topology.ASN, []uint32) {
-	srcs := make([]topology.ASN, 0, len(pop.Recursives))
-	pos := make([]uint32, len(pop.Recursives))
-	seen := make(map[topology.ASN]uint32, len(pop.Recursives))
-	for ri := range pop.Recursives {
-		asn := pop.Recursives[ri].ASN
-		s, ok := seen[asn]
-		if !ok {
-			s = uint32(len(srcs))
-			seen[asn] = s
-			srcs = append(srcs, asn)
-		}
-		pos[ri] = s
-	}
-	return srcs, pos
-}
-
-// routeIndex is the dense index into a campaign's route table: entry
-// holds, per ⟨letter, source position⟩ (letter-major), the table entry
-// of the letter's route from that source or noRoute, and pos maps each
-// recursive to its source position.
-type routeIndex struct {
-	entry []uint32
-	pos   []uint32
-	nSrc  int
-}
-
-// at returns the route-table entry of recursive ri on letter li.
-func (x routeIndex) at(li, ri int) uint32 { return x.entry[li*x.nSrc+int(x.pos[ri])] }
-
-// routeCell is one ⟨letter, source⟩ cell of the route-table pass: the
-// letter's route from the source and its base RTT, which is +Inf when
-// the letter has no route from the source.
-type routeCell struct {
-	rt  bgp.Route
-	rtt float64
-}
-
-// unreachable is the route-table cell of a letter with no route from a
-// source.
-var unreachable = routeCell{rtt: math.Inf(1)}
-
-// rtt returns recursive ri's base RTT on letter li, +Inf when the
-// letter has no route from its AS.
-func (c *Campaign) rtt(li, ri int) float64 {
-	ix := c.routeIdx[li*c.numRecs+ri]
-	if ix == noRoute {
-		return math.Inf(1)
-	}
-	return c.routeRTT[ix]
-}
-
-// buildRouteTables fills the per-⟨letter, AS⟩ dedup tables. One parallel
-// pass fills each ⟨letter li, source position s⟩ cell with cell(li, s);
-// a serial pass then writes the reachable cells into
-// c.routes/c.routeRTT, allocated at their exact size, in letter-major
-// order with sources in position order. ns is the number of sources, and
-// pos maps each recursive to its source position.
-func (c *Campaign) buildRouteTables(ctx context.Context, ns int, pos []uint32,
-	cell func(li, s int) routeCell) (routeIndex, error) {
-	ctx, span := obs.StartSpanCtx(ctx, "ditl.route_tables")
-	defer span.End()
-	cells := make([]routeCell, len(c.Letters)*ns)
-	par.DoCtx(ctx, len(cells), func(ctx context.Context, lo, hi int) {
-		_, sp := obs.StartSpanCtx(ctx, "ditl.route_tables.shard")
-		defer sp.End()
-		for k := lo; k < hi; k++ {
-			cells[k] = cell(k/ns, k%ns)
-		}
-	})
-
-	reachable := 0
-	for k := range cells {
-		if !math.IsInf(cells[k].rtt, 1) {
-			reachable++
-		}
-	}
-	c.routes = make([]bgp.Route, 0, reachable)
-	c.routeRTT = make([]float64, 0, reachable)
-	x := routeIndex{entry: make([]uint32, len(cells)), pos: pos, nSrc: ns}
-	for k := range cells {
-		if math.IsInf(cells[k].rtt, 1) {
-			x.entry[k] = noRoute
-			continue
-		}
-		ix, err := routeTableIndex(len(c.routes))
-		if err != nil {
-			return routeIndex{}, err
-		}
-		x.entry[k] = ix
-		c.routes = append(c.routes, cells[k].rt)
-		c.routeRTT = append(c.routeRTT, cells[k].rtt)
-	}
-	return x, nil
-}
-
 // assembler carries the immutable inputs of per-recursive column
-// assembly. Build (all recursives) and Rebase (only the affected set)
+// assembly. Assemble (all recursives) and Rebase (only the affected set)
 // share it: every random draw is keyed by ⟨seed, phase, recursive,
 // letter⟩ alone, so assembling any subset of recursives writes cells
 // byte-identical to a full pass.
 type assembler struct {
-	c       *Campaign
-	routeIx routeIndex
-	seed    int64
+	c    *Campaign
+	seed int64
 	// fillEgress is false when Rebase shares the base campaign's egress
 	// store (rates unchanged ⇒ egress identical), in which case the
 	// assembly must not write into the shared backing array.
@@ -480,15 +365,17 @@ type assembler struct {
 	// the same seed, config and latency model. Draws that depend only on
 	// an RTT it shares bit for bit are carried from it instead of redrawn:
 	// a cell's TCP median, and a recursive's letter weights when every
-	// one of its RTTs is unchanged. Build and the full rebuild leave it
-	// nil.
+	// one of its RTTs is unchanged. Assemble and the full rebuild leave
+	// it nil.
 	base *Campaign
 }
 
-// recursive fills every column of recursive ri across all letters.
-// rtts and weights are caller-owned scratch of length len(c.Letters).
-func (as *assembler) recursive(ri int, rtts, weights []float64) {
+// recursive fills every column of recursive ri across all letters and
+// returns how many letters reach it. rtts and weights are caller-owned
+// scratch of length len(c.Letters).
+func (as *assembler) recursive(ri int, rtts, weights []float64) (reachable int) {
 	c := as.c
+	t := c.table
 	n := c.numRecs
 	rec := &c.Pop.Recursives[ri]
 	siteStream := rng.Split(as.seed, rng.PhaseDITLSites, uint64(ri))
@@ -496,21 +383,19 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 	tcpStream := rng.Split(as.seed, rng.PhaseDITLTCP, uint64(ri))
 	for li := range c.Letters {
 		k := li*n + ri
-		c.routeIdx[k] = noRoute
 		c.altSite[k] = noAltSite
-		rix := as.routeIx.at(li, ri)
+		rix := t.ix.at(li, ri)
 		if rix == noRoute {
 			rtts[li] = math.Inf(1)
 			continue
 		}
-		obsAssignReachable.Inc()
-		c.routeIdx[k] = rix
-		rtts[li] = c.routeRTT[rix]
+		reachable++
+		rtts[li] = t.rtt[rix]
 
 		// Site shares: favorite plus an occasional secondary.
 		cell := siteStream.Fork(uint64(li))
 		if cell.Float64() < secondarySiteProb {
-			if alt, ok := alternateSite(c.Letters[li], c.routes[rix].SiteID); ok {
+			if alt, ok := alternateSite(c.Letters[li], t.routes[rix].SiteID); ok {
 				c.altSite[k] = uint32(alt)
 				c.altFrac[k] = cell.Float64() * c.Cfg.SecondaryShareMax
 			}
@@ -554,7 +439,7 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 	for li := range c.Letters {
 		k := li*n + ri
 		c.tcpMedian[k] = math.NaN()
-		if c.routeIdx[k] == noRoute {
+		if t.ix.at(li, ri) == noRoute {
 			continue
 		}
 		tcpVol := c.Rates[ri].RootValidPerDay * c.letterWeight[k] * c.Rates[ri].TCPShare
@@ -574,7 +459,7 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 	// reusing the CDN-observable resolver IPs. Forwarders never
 	// appear as DITL sources.
 	if !as.fillEgress {
-		return
+		return reachable
 	}
 	egStream := rng.Split(as.seed, rng.PhaseDITLEgress, uint64(ri))
 	off := int(c.egressOff[ri])
@@ -585,6 +470,7 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) {
 			c.egressFlat[off+k] = rec.Key.Prefix().Nth(uint64(100 + k))
 		}
 	}
+	return reachable
 }
 
 // sameRTTs reports whether rtts holds, bit for bit, recursive ri's base

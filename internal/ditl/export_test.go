@@ -2,9 +2,10 @@ package ditl
 
 import "anycastctx/internal/bgp"
 
-// RouteTable exposes the campaign's deduplicated route table, its base
-// RTTs and every cell's index into it (li*NumRecursives()+ri) to the
-// external reference test.
-func (c *Campaign) RouteTable() ([]bgp.Route, []float64, []uint32) {
-	return c.routes, c.routeRTT, c.routeIdx
-}
+// Entries exposes the table's routes and their base RTTs, in entry
+// order, to the external reference test.
+func (t *RouteTable) Entries() ([]bgp.Route, []float64) { return t.routes, t.rtt }
+
+// CellEntry returns the table entry recursive ri reads on letter li,
+// ^uint32(0) when the letter has no route from its AS.
+func (t *RouteTable) CellEntry(li, ri int) uint32 { return t.ix.at(li, ri) }

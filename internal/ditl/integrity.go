@@ -7,11 +7,12 @@ import (
 
 // IntegrityViolations validates the compact assignment store's internal
 // structure — the parts no public accessor can reach: column lengths,
-// route-index bounds, secondary-site sanity, and the egress flat-store
-// offsets. It returns one message per violated invariant (empty when the
-// store is sound). The invariant checker (internal/check) folds these
-// into the pipeline-wide check run; everything observable through At and
-// Egress is cross-checked there against slow oracles instead.
+// the route table's shape and index bounds, secondary-site sanity, and
+// the egress flat-store offsets. It returns one message per violated
+// invariant (empty when the store is sound). The invariant checker
+// (internal/check) folds these into the pipeline-wide check run;
+// everything observable through At and Egress is cross-checked there
+// against slow oracles instead.
 func (c *Campaign) IntegrityViolations() []string {
 	var out []string
 	addf := func(format string, args ...any) {
@@ -22,6 +23,7 @@ func (c *Campaign) IntegrityViolations() []string {
 
 	nl, n := len(c.Letters), c.numRecs
 	cells := nl * n
+	t := c.table
 	if n != len(c.Pop.Recursives) {
 		addf("numRecs %d != %d population recursives", n, len(c.Pop.Recursives))
 	}
@@ -32,7 +34,6 @@ func (c *Campaign) IntegrityViolations() []string {
 		name string
 		got  int
 	}{
-		{"routeIdx", len(c.routeIdx)},
 		{"altSite", len(c.altSite)},
 		{"altFrac", len(c.altFrac)},
 		{"tcpMedian", len(c.tcpMedian)},
@@ -44,26 +45,32 @@ func (c *Campaign) IntegrityViolations() []string {
 				name, got, nl, n, cells)
 		}
 	}
-	if len(c.routes) != len(c.routeRTT) {
-		addf("route table %d entries vs %d RTT entries", len(c.routes), len(c.routeRTT))
+	if len(t.routes) != len(t.rtt) {
+		addf("route table %d entries vs %d RTT entries", len(t.routes), len(t.rtt))
+	}
+	if len(t.ix.entry) != nl*t.ix.nSrc {
+		addf("route index has %d cells, want %d letters x %d sources", len(t.ix.entry), nl, t.ix.nSrc)
+	}
+	if len(t.ix.pos) != n {
+		addf("route index places %d recursives, want %d", len(t.ix.pos), n)
 	}
 	if len(out) > 0 {
-		// Column shapes are off: the per-cell scans below would index out
-		// of range, so stop at the structural report.
+		// Column or index shapes are off: the per-cell scans below would
+		// index out of range, so stop at the structural report.
 		return out
 	}
 
-	for i, rtt := range c.routeRTT {
+	for i, rtt := range t.rtt {
 		if math.IsNaN(rtt) || math.IsInf(rtt, 0) || rtt < 0 {
-			addf("routeRTT[%d] = %v not a finite non-negative RTT", i, rtt)
+			addf("route RTT[%d] = %v not a finite non-negative RTT", i, rtt)
 		}
 	}
 	for k := 0; k < cells; k++ {
 		li, ri := k/n, k%n
-		rix := c.routeIdx[k]
-		if rix != noRoute && int(rix) >= len(c.routes) {
-			addf("routeIdx[letter %d, recursive %d] = %d out of range (%d routes)",
-				li, ri, rix, len(c.routes))
+		rix := t.ix.at(li, ri)
+		if rix != noRoute && int(rix) >= len(t.routes) {
+			addf("route index [letter %d, recursive %d] = %d out of range (%d routes)",
+				li, ri, rix, len(t.routes))
 			continue
 		}
 		alt := c.altSite[k]
@@ -82,7 +89,7 @@ func (c *Campaign) IntegrityViolations() []string {
 			addf("altSite[letter %d, recursive %d] = %d out of range (%d sites)",
 				li, ri, alt, len(c.Letters[li].Sites))
 		}
-		if int(alt) == c.routes[rix].SiteID {
+		if int(alt) == t.routes[rix].SiteID {
 			addf("secondary site equals favorite site %d [letter %d, recursive %d]", alt, li, ri)
 		}
 		if f := c.altFrac[k]; !(f >= 0 && f <= c.Cfg.SecondaryShareMax) {

@@ -21,19 +21,27 @@ func TestIntegrityViolationsCleanAndFiring(t *testing.T) {
 
 	// Each case corrupts one cell or column, asserts the validator reports
 	// it, then restores the original value so cases stay independent.
+	tb := c.table
 	t.Run("routeRTT not finite", func(t *testing.T) {
-		old := c.routeRTT[0]
-		c.routeRTT[0] = math.NaN()
-		defer func() { c.routeRTT[0] = old }()
-		requireViolation(t, c, "routeRTT[0]")
+		old := tb.rtt[0]
+		tb.rtt[0] = math.NaN()
+		defer func() { tb.rtt[0] = old }()
+		requireViolation(t, c, "route RTT[0]")
 	})
 
 	t.Run("routeIdx out of range", func(t *testing.T) {
-		k := findCell(t, c, func(k int) bool { return c.routeIdx[k] != noRoute })
-		old := c.routeIdx[k]
-		c.routeIdx[k] = uint32(len(c.routes)) + 7
-		defer func() { c.routeIdx[k] = old }()
+		e := tableEntry(c, findCell(t, c, func(k int) bool { return cellEntry(c, k) != noRoute }))
+		old := tb.ix.entry[e]
+		tb.ix.entry[e] = uint32(len(tb.routes)) + 7
+		defer func() { tb.ix.entry[e] = old }()
 		requireViolation(t, c, "out of range")
+	})
+
+	t.Run("truncated route index stops at structural report", func(t *testing.T) {
+		old := tb.ix.entry
+		tb.ix.entry = tb.ix.entry[:len(tb.ix.entry)-1]
+		defer func() { tb.ix.entry = old }()
+		requireViolation(t, c, "route index has")
 	})
 
 	t.Run("altFrac without secondary site", func(t *testing.T) {
@@ -47,17 +55,17 @@ func TestIntegrityViolationsCleanAndFiring(t *testing.T) {
 	t.Run("secondary site on unreachable cell", func(t *testing.T) {
 		// The fixture reaches every cell, so manufacture the contradiction:
 		// keep the secondary site but delete the route under it.
-		k := findCell(t, c, func(k int) bool { return c.altSite[k] != noAltSite })
-		old := c.routeIdx[k]
-		c.routeIdx[k] = noRoute
-		defer func() { c.routeIdx[k] = old }()
+		e := tableEntry(c, findCell(t, c, func(k int) bool { return c.altSite[k] != noAltSite }))
+		old := tb.ix.entry[e]
+		tb.ix.entry[e] = noRoute
+		defer func() { tb.ix.entry[e] = old }()
 		requireViolation(t, c, "unreachable cell")
 	})
 
 	t.Run("secondary equals favorite", func(t *testing.T) {
 		k := findCell(t, c, func(k int) bool { return c.altSite[k] != noAltSite })
 		old := c.altSite[k]
-		c.altSite[k] = uint32(c.routes[c.routeIdx[k]].SiteID)
+		c.altSite[k] = uint32(tb.routes[cellEntry(c, k)].SiteID)
 		defer func() { c.altSite[k] = old }()
 		requireViolation(t, c, "secondary site equals favorite")
 	})
@@ -93,6 +101,16 @@ func findCell(t *testing.T, c *Campaign, pred func(k int) bool) int {
 	t.Fatal("no cell in fixture matches the corruption predicate")
 	return -1
 }
+
+// tableEntry returns the position in c's route index that cell k
+// (li*NumRecursives()+ri) reads.
+func tableEntry(c *Campaign, k int) int {
+	li, ri := k/c.numRecs, k%c.numRecs
+	return li*c.table.ix.nSrc + int(c.table.ix.pos[ri])
+}
+
+// cellEntry returns the route-table entry cell k reads.
+func cellEntry(c *Campaign, k int) uint32 { return c.table.ix.entry[tableEntry(c, k)] }
 
 func requireViolation(t *testing.T, c *Campaign, substr string) {
 	t.Helper()

@@ -3,10 +3,8 @@ package ditl
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"anycastctx/internal/anycastnet"
-	"anycastctx/internal/bgp"
 	"anycastctx/internal/dnssim"
 	"anycastctx/internal/ipaddr"
 	"anycastctx/internal/obs"
@@ -26,9 +24,10 @@ var (
 // rates is nil to reuse the base query rates or a full replacement
 // slice, and affected flags the recursives whose columns must be
 // reassembled from their RNG streams; everything else is copied from
-// base with route-table indices and secondary-site IDs remapped. seed
-// must be the seed base was built with: the copies, and the three reuse
-// rules below, stand in for draws keyed by it.
+// base with secondary-site IDs remapped. Rebase builds a route table of
+// its own for letters, over base's sources. seed must be the seed base
+// was built with: the copies, and the three reuse rules below, stand in
+// for draws keyed by it.
 //
 // Rebase re-derives only what changed, by three reuse rules:
 //
@@ -64,7 +63,7 @@ var (
 // and return an error rather than carrying stale cells.
 //
 // Junk sources are shared with base, not re-derived: their draws depend
-// only on ⟨seed, block⟩ and the address-pool allocation Build made, and
+// only on ⟨seed, block⟩ and the address-pool allocation Assemble made, and
 // the pool is stateful so allocating again would hand out different
 // blocks.
 func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployment, siteRemap [][]int,
@@ -116,36 +115,31 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 	}
 
 	// Seeded route-cache entries make the table pass a read-through; only
-	// the dirty set actually resolves. Every recursive of a source shares
-	// one base table entry per letter, so the source's first recursive
-	// names it.
-	srcs, pos := sourcePositions(base.Pop)
-	first := make([]int, len(srcs))
-	for ri := n - 1; ri >= 0; ri-- {
-		first[pos[ri]] = ri
-	}
-	routeIx, err := c.buildRouteTables(ctx, len(srcs), pos, func(li, s int) routeCell {
-		bix := base.routeIdx[li*n+first[s]]
+	// the dirty set actually resolves. The table keeps base's sources, so
+	// a cell's base entry sits at the same ⟨letter, source position⟩.
+	bt := base.table
+	ns := bt.ix.nSrc
+	t, err := buildRouteTable(ctx, letters, bt.srcs, bt.ix.pos, func(li, s int) routeCell {
+		bix := bt.ix.entry[li*ns+s]
 		if copied[li] {
 			if bix == noRoute {
 				return unreachable
 			}
-			return routeCell{base.routes[bix], base.routeRTT[bix]}
+			return routeCell{bt.routes[bix], bt.rtt[bix]}
 		}
-		rt, ok := letters[li].Route(srcs[s])
+		rt, ok := letters[li].Route(bt.srcs[s])
 		if !ok {
 			return unreachable
 		}
-		if !reprice && bix != noRoute && sameRoute(base.routes[bix], rt) {
-			return routeCell{rt, base.routeRTT[bix]}
+		if !reprice && bix != noRoute && bt.routes[bix].Equal(rt) {
+			return routeCell{rt, bt.rtt[bix]}
 		}
-		return routeCell{rt, c.Model.BaseRTTMs(srcs[s], rt)}
+		return routeCell{rt, c.Model.BaseRTTMs(bt.srcs[s], rt)}
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	c.routeIdx = make([]uint32, nl*n)
+	c.table = t
 	c.altSite = make([]uint32, nl*n)
 	c.altFrac = make([]float64, nl*n)
 	c.tcpMedian = make([]float64, nl*n)
@@ -173,7 +167,7 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 		}
 	}
 
-	asm := &assembler{c: c, routeIx: routeIx, seed: seed, fillEgress: rates != nil}
+	asm := &assembler{c: c, seed: seed, fillEgress: rates != nil}
 	if !reprice {
 		asm.base = base
 	}
@@ -184,13 +178,15 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 		defer sp.End()
 		rtts := make([]float64, nl)
 		weights := make([]float64, nl)
+		reachable := 0
 		for ri := lo; ri < hi; ri++ {
 			if affected[ri] {
-				asm.recursive(ri, rtts, weights)
+				reachable += asm.recursive(ri, rtts, weights)
 				continue
 			}
-			errs[ri] = c.carryRecursive(base, ri, routeIx, siteRemap, rates != nil)
+			errs[ri] = c.carryRecursive(base, ri, siteRemap, rates != nil)
 		}
+		obsAssignReachable.Add(uint64(reachable))
 	})
 	assemble.End()
 	for _, err := range errs {
@@ -206,15 +202,14 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 	return c, nil
 }
 
-// carryRecursive copies recursive ri's cells from base, remapping route
-// table indices (the rebuilt dedup tables renumber entries) and
-// secondary-site IDs (mutations renumber sites). It errors when the copy
-// contradicts the affected-set contract: an unaffected recursive whose
-// reachability flipped, whose secondary site was withdrawn, or whose
-// egress count changed was mis-classified upstream and would otherwise
-// silently carry stale cells.
-func (c *Campaign) carryRecursive(base *Campaign, ri int, routeIx routeIndex,
-	siteRemap [][]int, copyEgress bool) error {
+// carryRecursive copies recursive ri's cells from base, remapping
+// secondary-site IDs (mutations renumber sites); its routes are the
+// rebuilt table's. It errors when the copy contradicts the affected-set
+// contract: an unaffected recursive whose reachability flipped, whose
+// secondary site was withdrawn, or whose egress count changed was
+// mis-classified upstream and would otherwise silently carry stale
+// cells.
+func (c *Campaign) carryRecursive(base *Campaign, ri int, siteRemap [][]int, copyEgress bool) error {
 	n := c.numRecs
 	asn := c.Pop.Recursives[ri].ASN
 	for li := range c.Letters {
@@ -222,21 +217,19 @@ func (c *Campaign) carryRecursive(base *Campaign, ri int, routeIx routeIndex,
 		c.altFrac[k] = base.altFrac[k]
 		c.tcpMedian[k] = base.tcpMedian[k]
 		c.letterWeight[k] = base.letterWeight[k]
-		nix := routeIx.at(li, ri)
-		if base.routeIdx[k] == noRoute {
-			c.routeIdx[k] = noRoute
+		reachable := c.table.ix.at(li, ri) != noRoute
+		if base.table.ix.at(li, ri) == noRoute {
 			c.altSite[k] = noAltSite
-			if nix != noRoute {
+			if reachable {
 				return fmt.Errorf("ditl: rebase: AS%d became reachable on %s but recursive %d was not marked affected",
 					asn, c.LetterNames[li], ri)
 			}
 			continue
 		}
-		if nix == noRoute {
+		if !reachable {
 			return fmt.Errorf("ditl: rebase: AS%d lost its route on %s but recursive %d was not marked affected",
 				asn, c.LetterNames[li], ri)
 		}
-		c.routeIdx[k] = nix
 		alt := base.altSite[k]
 		if alt != noAltSite && siteRemap != nil && siteRemap[li] != nil {
 			m := siteRemap[li]
@@ -258,23 +251,6 @@ func (c *Campaign) carryRecursive(base *Campaign, ri int, routeIx routeIndex,
 		copy(dst, src)
 	}
 	return nil
-}
-
-// sameRoute reports whether a and b are bit-identical: the same site,
-// path length, directness and first hop, and the same waypoints down to
-// the bits of every coordinate.
-func sameRoute(a, b bgp.Route) bool {
-	if a.SiteID != b.SiteID || a.PathLen != b.PathLen || a.Direct != b.Direct || a.Via != b.Via ||
-		len(a.Waypoints) != len(b.Waypoints) {
-		return false
-	}
-	for i, p := range a.Waypoints {
-		q := b.Waypoints[i]
-		if math.Float64bits(p.Lat) != math.Float64bits(q.Lat) || math.Float64bits(p.Lon) != math.Float64bits(q.Lon) {
-			return false
-		}
-	}
-	return true
 }
 
 // MarkSecondarySite flags, in affected, every recursive whose cached

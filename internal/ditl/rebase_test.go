@@ -32,8 +32,7 @@ func sameAssignment(a, b Assignment) bool {
 	if !a.Reachable {
 		return true
 	}
-	if a.Route.SiteID != b.Route.SiteID || a.Route.PathLen != b.Route.PathLen ||
-		a.Route.Direct != b.Route.Direct || a.Route.Via != b.Route.Via {
+	if !a.Route.Equal(b.Route) {
 		return false
 	}
 	if math.Float64bits(a.BaseRTTMs) != math.Float64bits(b.BaseRTTMs) ||
@@ -102,7 +101,7 @@ func TestRebaseNoneAffectedCopies(t *testing.T) {
 		t.Fatalf("rebase: %v", err)
 	}
 	requireSameCampaign(t, f.camp, reb)
-	if &reb.routes[0] == &f.camp.routes[0] {
+	if &reb.table.routes[0] == &f.camp.table.routes[0] {
 		t.Fatalf("rebase aliased the base route table")
 	}
 }
@@ -162,12 +161,17 @@ func TestRebaseValidation(t *testing.T) {
 	}
 }
 
-// decodeBase decodes f's campaign from its artifact, so the copy shares
-// no memory with f.camp or the resolver caches and can be doctored to
-// show which cells a rebase carries from it.
+// decodeBase decodes f's campaign and route table from their
+// artifacts, so the copy shares no memory with f.camp or the resolver
+// caches and can be doctored to show which cells a rebase carries from
+// it.
 func decodeBase(t *testing.T, f *fixture) *Campaign {
 	t.Helper()
-	base, err := DecodeCampaignArtifact(f.camp.EncodeArtifact(), f.letters, f.pop, f.camp.Zone, f.rates, f.camp.Model, f.camp.Cfg)
+	table, err := DecodeRouteTable(f.camp.table.EncodeArtifact(), f.letters, f.pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := DecodeCampaignArtifact(f.camp.EncodeArtifact(), table, f.letters, f.pop, f.camp.Zone, f.rates, f.camp.Model, f.camp.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +181,9 @@ func decodeBase(t *testing.T, f *fixture) *Campaign {
 // nudgeRoute moves the last waypoint of base route ix by one ULP, so no
 // resolved route equals it bit for bit.
 func nudgeRoute(base *Campaign, ix uint32) {
-	wp := append([]geo.Coord(nil), base.routes[ix].Waypoints...)
+	wp := append([]geo.Coord(nil), base.table.routes[ix].Waypoints...)
 	wp[len(wp)-1].Lat = math.Nextafter(wp[len(wp)-1].Lat, 90)
-	base.routes[ix].Waypoints = wp
+	base.table.routes[ix].Waypoints = wp
 }
 
 func allAffected(n int) []bool {
@@ -200,8 +204,8 @@ func allAffected(n int) []bool {
 func TestRebaseCarriesRTTOnlyForIdenticalRoutes(t *testing.T) {
 	f := buildFixture(t)
 	base := decodeBase(t, f)
-	for i := range base.routeRTT {
-		base.routeRTT[i] += 1000
+	for i := range base.table.rtt {
+		base.table.rtt[i] += 1000
 	}
 	const moved = 0
 	nudgeRoute(base, moved)
@@ -215,15 +219,15 @@ func TestRebaseCarriesRTTOnlyForIdenticalRoutes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reprice=%v: rebase: %v", reprice, err)
 		}
-		if len(reb.routeRTT) != len(f.camp.routeRTT) {
-			t.Fatalf("reprice=%v: %d routes, want %d", reprice, len(reb.routeRTT), len(f.camp.routeRTT))
+		if len(reb.table.rtt) != len(f.camp.table.rtt) {
+			t.Fatalf("reprice=%v: %d routes, want %d", reprice, len(reb.table.rtt), len(f.camp.table.rtt))
 		}
-		for i, fresh := range f.camp.routeRTT {
+		for i, fresh := range f.camp.table.rtt {
 			want := fresh
 			if !reprice && i != moved {
 				want = fresh + 1000
 			}
-			if got := reb.routeRTT[i]; math.Float64bits(got) != math.Float64bits(want) {
+			if got := reb.table.rtt[i]; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("reprice=%v: route %d RTT %v, want %v", reprice, i, got, want)
 			}
 		}
@@ -238,13 +242,13 @@ func TestRebaseCarriesRTTOnlyForIdenticalRoutes(t *testing.T) {
 func TestRebaseCopiesBaseDeploymentCells(t *testing.T) {
 	f := buildFixture(t)
 	base := decodeBase(t, f)
-	for i := range base.routeRTT {
-		base.routeRTT[i] += 1000
+	for i := range base.table.rtt {
+		base.table.rtt[i] += 1000
 	}
 	const li = 0
-	moved := base.routeIdx[li*base.numRecs]
+	moved := base.table.ix.at(li, 0)
 	for ri := 1; moved == noRoute; ri++ {
-		moved = base.routeIdx[li*base.numRecs+ri]
+		moved = base.table.ix.at(li, ri)
 	}
 	nudgeRoute(base, moved)
 
@@ -270,11 +274,11 @@ func TestRebaseCopiesBaseDeploymentCells(t *testing.T) {
 		if tc.copied {
 			want = base
 		}
-		if got := reb.routes[moved]; !sameRoute(got, want.routes[moved]) {
-			t.Errorf("%s: route %d is %+v, want %+v", tc.name, moved, got, want.routes[moved])
+		if got := reb.table.routes[moved]; !got.Equal(want.table.routes[moved]) {
+			t.Errorf("%s: route %d is %+v, want %+v", tc.name, moved, got, want.table.routes[moved])
 		}
-		if got := reb.routeRTT[moved]; math.Float64bits(got) != math.Float64bits(want.routeRTT[moved]) {
-			t.Errorf("%s: route %d RTT %v, want %v", tc.name, moved, got, want.routeRTT[moved])
+		if got := reb.table.rtt[moved]; math.Float64bits(got) != math.Float64bits(want.table.rtt[moved]) {
+			t.Errorf("%s: route %d RTT %v, want %v", tc.name, moved, got, want.table.rtt[moved])
 		}
 	}
 }
@@ -291,8 +295,8 @@ func TestRebaseCarriesMediansAndWeightsForUnchangedRTTs(t *testing.T) {
 	base := decodeBase(t, f)
 	n := base.numRecs
 	moved, ml := noRoute, 0
-	for k, ix := range base.routeIdx {
-		if ix != noRoute && !math.IsNaN(base.tcpMedian[k]) {
+	for k := range base.tcpMedian {
+		if ix := cellEntry(base, k); ix != noRoute && !math.IsNaN(base.tcpMedian[k]) {
 			moved, ml = ix, k/n
 			break
 		}
@@ -301,7 +305,7 @@ func TestRebaseCarriesMediansAndWeightsForUnchangedRTTs(t *testing.T) {
 		t.Fatal("no cell drew a TCP median")
 	}
 	nudgeRoute(base, moved)
-	base.routeRTT[moved] += 1000
+	base.table.rtt[moved] += 1000
 	for k := range base.tcpMedian {
 		base.tcpMedian[k] += 1000 // NaN stays NaN: undrawn cells stay undrawn
 		base.letterWeight[k] = math.Nextafter(base.letterWeight[k], 2)
@@ -314,7 +318,7 @@ func TestRebaseCarriesMediansAndWeightsForUnchangedRTTs(t *testing.T) {
 	}
 	recomputed, redrawn := 0, 0
 	for ri := 0; ri < n; ri++ {
-		onMoved := base.routeIdx[ml*n+ri] == moved
+		onMoved := base.table.ix.at(ml, ri) == moved
 		if onMoved {
 			recomputed++
 		}
@@ -328,7 +332,7 @@ func TestRebaseCarriesMediansAndWeightsForUnchangedRTTs(t *testing.T) {
 				t.Fatalf("letter %d recursive %d (on moved route: %v): weight %v, want %v", li, ri, onMoved, got, wantW)
 			}
 			wantM := base.tcpMedian[k]
-			if base.routeIdx[k] == moved {
+			if base.table.ix.at(li, ri) == moved {
 				wantM = f.camp.tcpMedian[k]
 				if !math.IsNaN(wantM) {
 					redrawn++

@@ -68,10 +68,11 @@ func freshLetters(t *testing.T, g *topology.Graph, letters []*anycastnet.Deploym
 }
 
 // requireTables fails unless c's route table, its RTTs and every cell's
-// route index equal ref bit for bit.
+// entry equal ref bit for bit.
 func requireTables(t *testing.T, c *ditl.Campaign, ref routeTables) {
 	t.Helper()
-	routes, rtts, idx := c.RouteTable()
+	table := c.RouteTable()
+	routes, rtts := table.Entries()
 	if len(routes) != len(ref.routes) || len(rtts) != len(ref.rtts) {
 		t.Fatalf("table has %d routes and %d RTTs, reference %d and %d", len(routes), len(rtts), len(ref.routes), len(ref.rtts))
 	}
@@ -79,7 +80,7 @@ func requireTables(t *testing.T, c *ditl.Campaign, ref routeTables) {
 		t.Errorf("table allocated for %d routes and %d RTTs, holds %d", cap(routes), cap(rtts), len(routes))
 	}
 	for i, want := range ref.routes {
-		if !sameRouteBits(routes[i], want) {
+		if !routes[i].Equal(want) {
 			t.Fatalf("route %d is %+v, reference %+v", i, routes[i], want)
 		}
 		if math.Float64bits(rtts[i]) != math.Float64bits(ref.rtts[i]) {
@@ -93,27 +94,11 @@ func requireTables(t *testing.T, c *ditl.Campaign, ref routeTables) {
 			if !ok {
 				want = ^uint32(0)
 			}
-			if got := idx[li*n+ri]; got != want {
+			if got := table.CellEntry(li, ri); got != want {
 				t.Fatalf("letter %d recursive %d: route index %d, reference %d", li, ri, got, want)
 			}
 		}
 	}
-}
-
-// sameRouteBits reports whether a and b agree field by field, with
-// waypoint coordinates compared as bits.
-func sameRouteBits(a, b bgp.Route) bool {
-	if a.SiteID != b.SiteID || a.PathLen != b.PathLen || a.Direct != b.Direct || a.Via != b.Via ||
-		len(a.Waypoints) != len(b.Waypoints) {
-		return false
-	}
-	for i, p := range a.Waypoints {
-		q := b.Waypoints[i]
-		if math.Float64bits(p.Lat) != math.Float64bits(q.Lat) || math.Float64bits(p.Lon) != math.Float64bits(q.Lon) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestRouteTablesMatchSerialReference pins the one parallel route-table

@@ -317,11 +317,12 @@ func TestAmbiguousSpecsRejected(t *testing.T) {
 // TestScenariosOnWarmWorld evaluates every builtin on worlds loaded
 // from a filled artifact store: their reports and campaigns must equal
 // those the cold world that filled the store gives. The warm base
-// campaign is decoded, so its routes share no memory with the resolver
-// caches, and the RTTs Rebase carries over must be matched by route
-// value. One warm world loads every classic stage, routes included; the
-// other loads only the campaign, so its letters' caches start empty and
-// the scenario resolves every route itself.
+// campaign and its route table are decoded, so its routes share no
+// memory with the resolver caches, and the RTTs Rebase carries over must
+// be matched by route value. One warm world demands every classic stage,
+// the other only the campaign, which loads the route table as a
+// load-dep; in both the letters' caches start empty and the scenario
+// resolves every route it reads itself.
 func TestScenariosOnWarmWorld(t *testing.T) {
 	ctx := context.Background()
 	cfg := world.Config{Seed: 1, Scale: world.ScaleFromEnv(0.05), CacheDir: t.TempDir()}
@@ -344,13 +345,12 @@ func TestScenariosOnWarmWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	warms := []struct {
-		name   string
-		base   *scenario.Baseline
-		routes string // the routes stage's outcome before any scenario runs
-	}{{"classic", scenario.NewBaseline(classic), "loaded"}, {"campaign-only", scenario.NewBaseline(bare), "pending"}}
+		name string
+		base *scenario.Baseline
+	}{{"classic", scenario.NewBaseline(classic)}, {"campaign-only", scenario.NewBaseline(bare)}}
 	for _, warm := range warms {
 		for _, st := range warm.base.W.StageStatuses() {
-			want := map[stage.ID]string{stage.Campaign: "loaded", stage.Routes: warm.routes}[st.ID]
+			want := map[stage.ID]string{stage.Campaign: "loaded", stage.Routes: "loaded"}[st.ID]
 			if want != "" && st.Outcome != want {
 				t.Fatalf("%s: warm stage %s %q, want %q", warm.name, st.ID, st.Outcome, want)
 			}

@@ -34,9 +34,8 @@ const (
 	Rates ID = "rates"
 	// Letters deploys the root letters on their site hosts.
 	Letters ID = "letters"
-	// Routes resolves and memoizes every letter's catchment routes for
-	// all recursive source ASes (the per-letter transit tables plus the
-	// warmed route caches, negative entries included).
+	// Routes builds the campaign's route table: every letter's route
+	// from every recursive source AS, with its base RTT.
 	Routes ID = "routes"
 	// Campaign assembles the DITL campaign columns.
 	Campaign ID = "campaign"
@@ -87,9 +86,9 @@ var all = []Info{
 	{ID: Zone, Version: 1},
 	{ID: Rates, Deps: []ID{Population, Zone}, LoadDeps: []ID{Population}, Persisted: true, Version: 1},
 	{ID: Letters, Deps: []ID{Topology}, Version: 1},
-	{ID: Routes, Deps: []ID{Letters, Population}, LoadDeps: []ID{Letters, Population}, Persisted: true, Version: 1},
+	{ID: Routes, Deps: []ID{Letters, Population}, LoadDeps: []ID{Letters, Population}, Persisted: true, Version: 2},
 	{ID: Campaign, Deps: []ID{Letters, Population, Zone, Rates, Routes},
-		LoadDeps: []ID{Letters, Population, Zone, Rates}, Persisted: true, Version: 1},
+		LoadDeps: []ID{Letters, Population, Zone, Rates, Routes}, Persisted: true, Version: 2},
 	{ID: CDN, Deps: []ID{Topology}, Version: 1},
 	{ID: UserCounts, Deps: []ID{Topology, Population}, Version: 1},
 	{ID: Atlas, Deps: []ID{Topology}, Version: 1},

@@ -204,6 +204,39 @@ func TestCorruptArtifactRecovery(t *testing.T) {
 			t.Errorf("stage %s: outcome %q after repair, want loaded", st.ID, st.Outcome)
 		}
 	}
+
+	// A route table cut short under a valid header: the routes stage
+	// recomputes, and the campaign, whose artifact is intact, loads
+	// against the recomputed table.
+	routes := coldBytes[stage.Routes]
+	if err := cold.store.Save(string(stage.Routes), cold.Key(stage.Routes), routes[:len(routes)-1]); err != nil {
+		t.Fatal(err)
+	}
+	fixed, err := Build(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("warm build over a damaged route table: %v", err)
+	}
+	demandAll(t, fixed)
+	for _, st := range fixed.StageStatuses() {
+		if !st.Persisted {
+			continue
+		}
+		want := "loaded"
+		if st.ID == stage.Routes {
+			want = "computed"
+			if !st.Corrupt {
+				t.Errorf("stage %s: damaged table not flagged", st.ID)
+			}
+		}
+		if st.Outcome != want {
+			t.Errorf("stage %s: outcome %q after a damaged route table, want %s", st.ID, st.Outcome, want)
+		}
+	}
+	for id, got := range stageBytes(t, fixed) {
+		if !bytes.Equal(got, coldBytes[id]) {
+			t.Errorf("stage %s: bytes after a damaged route table differ from cold build", id)
+		}
+	}
 }
 
 // TestOverlayIsolationStoreBacked: a scenario overlay of a store-backed

@@ -226,13 +226,14 @@ func (w *World) computeStage(ctx context.Context, id stage.ID) error {
 		obsLetters.Set(float64(len(letters)))
 
 	case stage.Routes:
-		srcs := ditl.UniqueSources(w.pop)
-		for _, l := range w.letters {
-			l.WarmRoutesCtx(ctx, srcs)
+		t, err := ditl.BuildRouteTable(ctx, w.letters, w.pop, w.model)
+		if err != nil {
+			return fmt.Errorf("world: routes: %w", err)
 		}
+		w.routes = t
 
 	case stage.Campaign:
-		camp, err := ditl.Build(ctx, w.graph, w.letters, w.pop, w.zone, w.rates, w.model, ditl.Config{}, cfg.Seed)
+		camp, err := ditl.Assemble(ctx, w.routes, w.letters, w.pop, w.zone, w.rates, w.model, ditl.Config{}, cfg.Seed)
 		if err != nil {
 			return fmt.Errorf("world: campaign: %w", err)
 		}
@@ -292,7 +293,7 @@ func (w *World) encodeStage(id stage.ID) ([]byte, error) {
 	case stage.Rates:
 		return dnssim.EncodeRates(w.rates), nil
 	case stage.Routes:
-		return w.encodeRoutes()
+		return w.routes.EncodeArtifact(), nil
 	case stage.Campaign:
 		return w.campaign.EncodeArtifact(), nil
 	case stage.ServerLogs:
@@ -317,9 +318,14 @@ func (w *World) decodeStage(id stage.ID, blob []byte) error {
 		w.rates = rates
 		return nil
 	case stage.Routes:
-		return w.decodeRoutes(blob)
+		t, err := ditl.DecodeRouteTable(blob, w.letters, w.pop)
+		if err != nil {
+			return err
+		}
+		w.routes = t
+		return nil
 	case stage.Campaign:
-		camp, err := ditl.DecodeCampaignArtifact(blob, w.letters, w.pop, w.zone, w.rates, w.model, ditl.Config{})
+		camp, err := ditl.DecodeCampaignArtifact(blob, w.routes, w.letters, w.pop, w.zone, w.rates, w.model, ditl.Config{})
 		if err != nil {
 			return err
 		}
@@ -349,48 +355,4 @@ func (w *World) decodeStage(id stage.ID, blob []byte) error {
 		return nil
 	}
 	return fmt.Errorf("world: no codec for stage %q", id)
-}
-
-// encodeRoutes persists every letter's resolver state: transit tables
-// plus the warmed route cache over the campaign's source ASes. The routes
-// were just resolved over exactly those sources, so an error here is a
-// bug, not an environmental condition.
-func (w *World) encodeRoutes() ([]byte, error) {
-	srcs := ditl.UniqueSources(w.pop)
-	aw := artifact.NewWriter(1 << 20)
-	aw.U64(uint64(len(w.letters)))
-	for _, l := range w.letters {
-		aw.Str(l.Name)
-		if err := l.AppendRouteState(aw, srcs); err != nil {
-			return nil, fmt.Errorf("world: encoding routes: %w", err)
-		}
-	}
-	return aw.Bytes(), nil
-}
-
-// decodeRoutes seeds every letter's freshly built resolver from the
-// artifact, pinning transit tables and warming the route caches without
-// resolving anything.
-func (w *World) decodeRoutes(blob []byte) error {
-	r := artifact.NewReader(blob)
-	n := int(r.U64())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(w.letters) {
-		return fmt.Errorf("world: routes artifact has %d letters, world has %d", n, len(w.letters))
-	}
-	for _, l := range w.letters {
-		name := r.Str()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if name != l.Name {
-			return fmt.Errorf("world: routes artifact letter %q, world has %q", name, l.Name)
-		}
-		if err := l.RestoreRouteState(r); err != nil {
-			return err
-		}
-	}
-	return r.Done()
 }
