@@ -1,10 +1,11 @@
 package anycastctx
 
 // Scenario-engine benchmarks: the incremental/full-rebuild pair measures
-// what the engine's dirty-set machinery buys. Both evaluate the same
-// builtin single-site withdrawal against the shared bench world; the
-// equivalence suite guarantees their outputs are byte-identical, so the
-// pair isolates pure recomputation cost.
+// what the engine's route-cache seeding and the campaign rebase's reuse
+// rules buy. Both evaluate the same builtin single-site withdrawal
+// against the shared bench world; the equivalence suite guarantees their
+// outputs are byte-identical, so the pair isolates pure recomputation
+// cost.
 
 import (
 	"context"
@@ -41,8 +42,8 @@ func benchScenario(b *testing.B, full bool) {
 }
 
 // BenchmarkScenarioIncremental evaluates a single-site withdrawal with
-// the dirty-set shortcuts on: only invalidated routes re-resolve and only
-// affected recursives reassemble.
+// the shortcuts on: only invalidated routes re-resolve, and the rebase
+// re-derives only the cells whose inputs moved.
 func BenchmarkScenarioIncremental(b *testing.B) { benchScenario(b, false) }
 
 // BenchmarkScenarioFullRebuild evaluates the same withdrawal with every

@@ -20,7 +20,6 @@ import (
 
 var (
 	obsApplied       = obs.NewCounter("scenario.mutations_applied")
-	obsAffectedRecs  = obs.NewCounter("scenario.recursives_affected")
 	obsCampaignShare = obs.NewCounter("scenario.campaigns_shared")
 )
 
@@ -58,7 +57,7 @@ type letterMut struct {
 }
 
 // applied is one spec applied to a base world: the overlay plus the
-// remapping metadata the report and campaign rebase need.
+// remapping metadata the report needs.
 type applied struct {
 	ov      *world.World
 	letters []*anycastnet.Deployment
@@ -76,8 +75,8 @@ type applied struct {
 
 // apply builds the mutated overlay world. With full set it ignores every
 // incremental shortcut: fresh resolvers for all deployments and a
-// campaign rebase with every recursive reassembled — the from-scratch
-// oracle the incremental path must match byte-for-byte.
+// campaign rebase that re-derives every cell — the from-scratch oracle
+// the incremental path must match byte-for-byte.
 func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*applied, error) {
 	ctx, span := obs.StartSpanCtx(ctx, "scenario.apply")
 	defer span.End()
@@ -338,7 +337,8 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 	routes.End()
 
 	// Campaign: ring-only scenarios leave it untouched — share it, and
-	// the join with it. Anything touching letters or rates rebases.
+	// the join with it. Anything touching letters or rates rebases, and
+	// the rebase decides from its inputs which cells it can reuse.
 	rates, camp := base.Rates(), base.Campaign()
 	var join *ditl.Join
 	var err error
@@ -347,10 +347,15 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 		app.campaignShared = true
 		obsCampaignShare.Inc()
 	} else {
+		var surged []dnssim.Rates
 		if surge != 0 {
-			rates = surgeRates(rates, surge)
+			surged = surgeRates(rates, surge)
+			rates = surged
 		}
-		if camp, err = rebaseCampaign(ctx, base, app, muts, rates, full); err != nil {
+		campCtx, campSpan := obs.StartSpanCtx(ctx, "scenario.campaign")
+		camp, err = camp.Rebase(campCtx, app.letters, surged, full, seed)
+		campSpan.End()
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -358,73 +363,6 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 		return nil, err
 	}
 	return app, nil
-}
-
-// rebaseCampaign reassembles the base campaign on the mutated letters
-// and rates, copying the cells of every recursive the mutations cannot
-// affect.
-func rebaseCampaign(ctx context.Context, base *world.World, app *applied, muts map[int]*letterMut,
-	rates []dnssim.Rates, full bool) (*ditl.Campaign, error) {
-	camp := base.Campaign()
-	n := len(base.Pop().Recursives)
-	affected := make([]bool, n)
-	allAffected := full || app.surge != 0
-	for _, li := range app.mutatedLetters {
-		lm := muts[li]
-		if lm.swapWith >= 0 || len(lm.added) > 0 {
-			// Swapping changes the deployment at a position outright, and
-			// appending a site moves alternateSite's cyclic wrap point
-			// (and can consume an extra draw where none was before), so
-			// no cell is safely copyable.
-			allAffected = true
-		}
-	}
-	if allAffected {
-		for ri := range affected {
-			affected[ri] = true
-		}
-	} else {
-		for _, li := range app.mutatedLetters {
-			lm := muts[li]
-			if len(lm.removed) > 0 {
-				// Renumbering shifts every site ID >= the lowest removed
-				// one, and BaseRTTMs is keyed by site ID (circuity), so
-				// any recursive routed at or beyond it gets a different
-				// RTT — which feeds its softmax across ALL letters.
-				w := len(base.Letters()[li].Sites)
-				for s := range lm.removed {
-					if s < w {
-						w = s
-					}
-				}
-				for ri := 0; ri < n; ri++ {
-					if affected[ri] {
-						continue
-					}
-					if a := camp.At(li, ri); a.Reachable && a.Route.SiteID >= w {
-						affected[ri] = true
-					}
-				}
-				camp.MarkSecondarySite(li, func(s int) bool { return lm.removed[s] }, affected)
-			}
-			for ri := 0; ri < n; ri++ {
-				if !affected[ri] && lm.dirtySrc[base.Pop().Recursives[ri].ASN] {
-					affected[ri] = true
-				}
-			}
-		}
-	}
-	nAff := 0
-	for _, a := range affected {
-		if a {
-			nAff++
-		}
-	}
-	obsAffectedRecs.Add(uint64(nAff))
-
-	campCtx, campSpan := obs.StartSpanCtx(ctx, "scenario.campaign")
-	defer campSpan.End()
-	return camp.Rebase(campCtx, app.letters, app.letterRemap, rates, affected, full, base.Cfg.Seed)
 }
 
 // mutateLetterSites composes withdrawals and additions on one letter into
