@@ -85,20 +85,17 @@ func (d *Deployment) ForEachCachedRoute(fn func(src topology.ASN, rt bgp.Route, 
 	d.resolver.ForEachCached(fn)
 }
 
-// Derive builds a deployment for a mutated variant of base: the same
-// service on a new graph and site set, with base's memoized routes
-// carried over for every source keep approves (see
-// bgp.Resolver.SeedFrom; remap translates base site IDs to the new site
-// set, negative = withdrawn). Sources not kept re-resolve lazily against
-// g — this is how scenario overlays avoid recomputing the whole
-// catchment.
-func Derive(base *Deployment, g *topology.Graph, name string, sites []bgp.Site,
-	remap []int, keep func(src topology.ASN, rt bgp.Route, ok bool) bool) (*Deployment, error) {
+// Derive builds a deployment for a what-if variant of base: the same
+// service on a new graph and site set, seeded with every route memoized
+// in base that the variant cannot decide differently (see
+// bgp.Resolver.SeedFrom). Other sources re-resolve lazily against g —
+// this is how scenario overlays avoid recomputing the whole catchment.
+func Derive(base *Deployment, g *topology.Graph, name string, sites []bgp.Site) (*Deployment, error) {
 	res, err := bgp.NewResolver(g, sites)
 	if err != nil {
 		return nil, fmt.Errorf("anycastnet: derive %s: %w", name, err)
 	}
-	res.SeedFrom(base.resolver, remap, keep)
+	res.SeedFrom(base.resolver)
 	return newDeployment(name, sites, res), nil
 }
 

@@ -104,6 +104,10 @@ func (a *AS) NearestPresence(c geo.Coord) (geo.Coord, float64) {
 // Point returns Loc prepared for distance work.
 func (a *AS) Point() geo.Point { return a.loc }
 
+// Peers returns the ASes a has an explicit peering edge with, in the
+// order the edges were recorded. The slice is shared and read-only.
+func (a *AS) Peers() []ASN { return a.peers }
+
 // NearestPoint returns the prepared presence point closest to q without
 // pricing its distance, first-wins on ties (geo.Index). Every BGP route
 // resolution calls it per candidate AS.
