@@ -9,6 +9,7 @@ package latency
 import (
 	"anycastctx/internal/bgp"
 	"anycastctx/internal/geo"
+	"anycastctx/internal/rng"
 	"anycastctx/internal/topology"
 )
 
@@ -76,27 +77,18 @@ func (m *Model) BaseRTTMs(src topology.ASN, rt bgp.Route) float64 {
 	return geo.RTTLowerBoundMs(dist) + m.HopPenaltyMs*hops + m.AccessDelayMs(src)
 }
 
-// Sampler is the randomness surface a measurement draw needs. Both
-// *rand.Rand and *rng.Stream satisfy it, so serial simulations keep
-// passing their shared rand while parallel loops pass a per-entity
-// splittable stream.
-type Sampler interface {
-	Float64() float64
-	NormFloat64() float64
-	ExpFloat64() float64
-}
-
-// Sample draws one noisy measurement around base using rng:
-// multiplicative lognormal-ish noise plus occasional queueing spikes.
-func (m *Model) Sample(rng Sampler, base float64) float64 {
-	noise := 1 + m.NoiseFrac*rng.NormFloat64()
+// Sample draws one noisy measurement around base from st, the caller's
+// per-entity stream: multiplicative lognormal-ish noise plus occasional
+// queueing spikes.
+func (m *Model) Sample(st *rng.Stream, base float64) float64 {
+	noise := 1 + m.NoiseFrac*st.NormFloat64()
 	if noise < 0.7 {
 		noise = 0.7
 	}
 	v := base * noise
 	// Rare tail spikes: transient queueing.
-	if rng.Float64() < 0.02 {
-		v += rng.ExpFloat64() * 20
+	if st.Float64() < 0.02 {
+		v += st.ExpFloat64() * 20
 	}
 	if v < 0.05 {
 		v = 0.05
@@ -104,9 +96,10 @@ func (m *Model) Sample(rng Sampler, base float64) float64 {
 	return v
 }
 
-// MedianOfSamples draws n samples and returns their median — how the
-// paper estimates per-⟨root, resolver, site⟩ latency from TCP handshakes.
-func (m *Model) MedianOfSamples(rng Sampler, base float64, n int) float64 {
+// MedianOfSamples draws n samples from st and returns their median — how
+// the paper estimates per-⟨root, resolver, site⟩ latency from TCP
+// handshakes.
+func (m *Model) MedianOfSamples(st *rng.Stream, base float64, n int) float64 {
 	if n <= 0 {
 		return base
 	}
@@ -120,7 +113,7 @@ func (m *Model) MedianOfSamples(rng Sampler, base float64, n int) float64 {
 		samples = make([]float64, n)
 	}
 	for i := range samples {
-		samples[i] = m.Sample(rng, base)
+		samples[i] = m.Sample(st, base)
 	}
 	// Insertion sort: n is small.
 	for i := 1; i < len(samples); i++ {

@@ -2,11 +2,11 @@ package latency
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"anycastctx/internal/bgp"
 	"anycastctx/internal/geo"
+	"anycastctx/internal/rng"
 	"anycastctx/internal/topology"
 )
 
@@ -96,12 +96,12 @@ func TestAccessDelayWithinBounds(t *testing.T) {
 
 func TestSamplePositiveAndCentered(t *testing.T) {
 	m := DefaultModel()
-	rng := rand.New(rand.NewSource(5))
+	st := rng.Split(5, rng.PhaseDITLTCP, 0)
 	base := 50.0
 	var sum float64
 	const n = 5000
 	for i := 0; i < n; i++ {
-		s := m.Sample(rng, base)
+		s := m.Sample(&st, base)
 		if s <= 0 {
 			t.Fatalf("non-positive sample %v", s)
 		}
@@ -115,26 +115,33 @@ func TestSamplePositiveAndCentered(t *testing.T) {
 
 func TestMedianOfSamplesConverges(t *testing.T) {
 	m := DefaultModel()
-	rng := rand.New(rand.NewSource(6))
+	st := rng.Split(6, rng.PhaseDITLTCP, 0)
 	base := 80.0
-	med := m.MedianOfSamples(rng, base, 99)
+	med := m.MedianOfSamples(&st, base, 99)
 	if math.Abs(med-base) > base*0.1 {
 		t.Errorf("median of 99 samples %v too far from base %v", med, base)
 	}
-	if got := m.MedianOfSamples(rng, base, 0); got != base {
+	if got := m.MedianOfSamples(&st, base, 0); got != base {
 		t.Errorf("n=0 should return base, got %v", got)
 	}
 	// Even n path.
-	if got := m.MedianOfSamples(rng, base, 10); got <= 0 {
+	if got := m.MedianOfSamples(&st, base, 10); got <= 0 {
 		t.Errorf("even-n median = %v", got)
 	}
 }
 
+// TestMedianOfSamplesDoesNotAllocate draws the way the DITL assembler
+// does: a stream forked per cell and passed by address, which must stay
+// on the caller's stack.
 func TestMedianOfSamplesDoesNotAllocate(t *testing.T) {
 	m := DefaultModel()
-	var rng Sampler = rand.New(rand.NewSource(6))
+	tcp := rng.Split(6, rng.PhaseDITLTCP, 0)
 	for _, n := range []int{11, 21} {
-		if allocs := testing.AllocsPerRun(100, func() { m.MedianOfSamples(rng, 80, n) }); allocs != 0 {
+		allocs := testing.AllocsPerRun(100, func() {
+			cell := tcp.Fork(uint64(n))
+			m.MedianOfSamples(&cell, 80, n)
+		})
+		if allocs != 0 {
 			t.Errorf("MedianOfSamples(n=%d) allocates %v times per call, want 0", n, allocs)
 		}
 	}
