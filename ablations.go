@@ -79,6 +79,26 @@ func ablGraph(w *World, offset int64) (*topology.Graph, *rand.Rand, error) {
 	return g, rng, err
 }
 
+// ablDeploy adds every spec's sites to g, in spec order, and only then
+// deploys them, so no resolver reads g before it holds every AS.
+func ablDeploy(g *topology.Graph, specs []anycastnet.LetterSpec, rng *rand.Rand) ([]*anycastnet.Deployment, error) {
+	sites := make([][]bgp.Site, len(specs))
+	for i, spec := range specs {
+		var err error
+		if sites[i], err = anycastnet.AddLetterSites(g, spec, rng); err != nil {
+			return nil, err
+		}
+	}
+	deps := make([]*anycastnet.Deployment, len(specs))
+	for i, spec := range specs {
+		var err error
+		if deps[i], err = anycastnet.NewDeployment(g, spec.Letter, sites[i]); err != nil {
+			return nil, err
+		}
+	}
+	return deps, nil
+}
+
 func runAblSize(ctx context.Context, w *World, _ int64) (Result, error) {
 	g, rng, err := ablGraph(w, 1)
 	if err != nil {
@@ -95,18 +115,18 @@ func runAblSize(ctx context.Context, w *World, _ int64) (Result, error) {
 		eff float64
 	}
 	var first, last point
+	var specs []anycastnet.LetterSpec
 	for _, n := range []int{2, 5, 10, 20, 50, 100} {
-		name := fmt.Sprintf("size%d", n)
-		sites, err := anycastnet.AddLetterSites(g, anycastnet.LetterSpec{
-			Letter: name, GlobalSites: n, TotalSites: n, Openness: 0.25,
-		}, rng)
-		if err != nil {
-			return Result{}, err
-		}
-		d, err := anycastnet.NewDeployment(g, name, sites)
-		if err != nil {
-			return Result{}, err
-		}
+		specs = append(specs, anycastnet.LetterSpec{
+			Letter: fmt.Sprintf("size%d", n), GlobalSites: n, TotalSites: n, Openness: 0.25,
+		})
+	}
+	deps, err := ablDeploy(g, specs, rng)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, d := range deps {
+		n := specs[i].GlobalSites
 		rc, err := core.CompareRouting(g, d, model)
 		if err != nil {
 			return Result{}, err
@@ -205,18 +225,16 @@ func runAblRouting(ctx context.Context, w *World, _ int64) (Result, error) {
 		Headers: []string{"Deployment", "BGP (ms)", "Optimal anycast (ms)", "Best unicast site (ms)"},
 	}
 	var headline string
-	for _, spec := range []anycastnet.LetterSpec{
+	specs := []anycastnet.LetterSpec{
 		{Letter: "small", GlobalSites: 5, TotalSites: 5, Openness: 0.25},
 		{Letter: "large", GlobalSites: 80, TotalSites: 80, Openness: 0.25},
-	} {
-		sites, err := anycastnet.AddLetterSites(g, spec, rng)
-		if err != nil {
-			return Result{}, err
-		}
-		d, err := anycastnet.NewDeployment(g, spec.Letter, sites)
-		if err != nil {
-			return Result{}, err
-		}
+	}
+	deps, err := ablDeploy(g, specs, rng)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, d := range deps {
+		spec := specs[i]
 		rc, err := core.CompareRouting(g, d, model)
 		if err != nil {
 			return Result{}, err
@@ -244,25 +262,17 @@ func runAblTau(ctx context.Context, w *World, _ int64) (Result, error) {
 		return Result{}, err
 	}
 	model := latency.DefaultModel()
-	pop, err := users.Build(g, users.AddPublicDNS(g), 1e9, ablSeed)
+	public := users.AddPublicDNS(g)
+	letters, err := ablDeploy(g, anycastnet.Letters2018(), rng)
+	if err != nil {
+		return Result{}, err
+	}
+	pop, err := users.Build(g, public, 1e9, ablSeed)
 	if err != nil {
 		return Result{}, err
 	}
 	zone := dnssim.NewZone(500, ablSeed)
 	rates := dnssim.ComputeRates(pop, zone, ablSeed)
-	specs := anycastnet.Letters2018()
-	letterSites := make([][]bgp.Site, len(specs))
-	for i, spec := range specs {
-		if letterSites[i], err = anycastnet.AddLetterSites(g, spec, rng); err != nil {
-			return Result{}, err
-		}
-	}
-	letters := make([]*anycastnet.Deployment, len(specs))
-	for i, spec := range specs {
-		if letters[i], err = anycastnet.NewDeployment(g, spec.Letter, letterSites[i]); err != nil {
-			return Result{}, err
-		}
-	}
 	// The temperature only weighs letters, so every campaign shares one
 	// route table.
 	routes, err := ditl.BuildRouteTable(ctx, letters, pop, model)

@@ -86,25 +86,25 @@ func runGrowth(ctx context.Context, w *World, _ int64) (Result, error) {
 		med, cov float64
 	}
 	var first, last point
-	locs := cdn.Locations(g, 1e9)
-	for i, yr := range rootGrowthTimeline {
+	var specs []anycastnet.LetterSpec
+	for _, yr := range rootGrowthTimeline {
 		// The paper counts global+local; roughly a quarter of root sites
 		// were global, which is what the latency analysis uses.
 		globals := yr.Sites / 4
-		name := fmt.Sprintf("roots%d", yr.Year)
-		sites, err := anycastnet.AddLetterSites(g, anycastnet.LetterSpec{
-			Letter:      name,
+		specs = append(specs, anycastnet.LetterSpec{
+			Letter:      fmt.Sprintf("roots%d", yr.Year),
 			GlobalSites: globals,
 			TotalSites:  globals,
 			Openness:    0.28,
-		}, rng)
-		if err != nil {
-			return Result{}, err
-		}
-		d, err := anycastnet.NewDeployment(g, name, sites)
-		if err != nil {
-			return Result{}, err
-		}
+		})
+	}
+	deps, err := ablDeploy(g, specs, rng)
+	if err != nil {
+		return Result{}, err
+	}
+	locs := cdn.Locations(g, 1e9)
+	for i, d := range deps {
+		yr := rootGrowthTimeline[i]
 		rc, err := core.CompareRouting(g, d, model)
 		if err != nil {
 			return Result{}, err
