@@ -63,7 +63,7 @@ func main() {
 		serve      = flag.String("serve", "", "serve /metrics (OpenMetrics), /progress (JSON), and /debug/pprof on this address (e.g. :9090) for the duration of the run")
 		checkInv   = flag.Bool("check", false, "run pipeline-wide invariant checkers after the world build and after the experiments; violations go to stderr and exit 1")
 		scnName    = flag.String("scenario", "", "evaluate a what-if scenario (builtin name or JSON spec file) instead of running experiments")
-		scnOracle  = flag.Bool("scenario-oracle", false, "with -scenario: also evaluate via full rebuild and exit 1 unless the reports are byte-identical")
+		scnOracle  = flag.Bool("scenario-oracle", false, "with -scenario: evaluate incrementally again on warm base caches, then via full rebuild, and exit 1 unless every report and campaign is byte-identical")
 		cacheDir   = flag.String("cache-dir", "", "persist stage artifacts under this directory; reruns with the same config load instead of recomputing")
 		stagesFlag = flag.Bool("stages", false, "print the stage DAG (keys, dependencies, artifact-store state) and exit")
 		explain    = flag.String("explain", "", "print which stages an experiment demands (declared needs plus transitive closure) and exit")

@@ -107,20 +107,38 @@ func withProcs(t *testing.T, procs int, fn func()) {
 }
 
 // TestScenarioEquivalence is the engine's oracle: for every builtin
-// scenario (all six mutation kinds), at two scales and two GOMAXPROCS
-// settings, the incremental evaluation must match a from-scratch rebuild
-// byte-for-byte — report text, campaign cells, and catchments.
+// scenario (all six mutation kinds) and the example specs that compose
+// them, at two scales and two GOMAXPROCS settings, the incremental
+// evaluation must match a from-scratch rebuild byte-for-byte — report
+// text, campaign cells, and catchments. Every base letter and ring is
+// warmed over the eyeballs first, so each mutated deployment seeds its
+// route cache from a full base cache.
 func TestScenarioEquivalence(t *testing.T) {
 	scales := []float64{0.05, 0.12}
 	if testing.Short() {
 		scales = scales[:1]
 	}
+	specs := scenario.Builtins()
+	for _, name := range []string{"cdn-expansion", "emergency-drain"} {
+		spec, err := scenario.ParseFile("../../examples/scenarios/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
 	for _, scale := range scales {
 		w := buildWorld(t, scale)
+		eyeballs := w.Graph().Eyeballs()
+		for _, l := range w.Letters() {
+			l.WarmRoutesCtx(context.Background(), eyeballs)
+		}
+		for _, ring := range w.CDN().Rings {
+			ring.Deployment.WarmRoutesCtx(context.Background(), eyeballs)
+		}
 		b := scenario.NewBaseline(w)
 		baseDigest := campaignDigest(w.Campaign())
 		for _, procs := range []int{1, 0} {
-			for _, spec := range scenario.Builtins() {
+			for _, spec := range specs {
 				spec := spec
 				t.Run(fmt.Sprintf("scale%g/j%d/%s", scale, procs, spec.Name), func(t *testing.T) {
 					withProcs(t, procs, func() {
