@@ -19,10 +19,10 @@ const routeCacheSample = 64
 
 // RouteCacheCoherence asserts that every deployment's memoized route
 // cache agrees with a fresh resolution from the live graph. The scenario
-// engine seeds mutated deployments from a base world's caches (keeping
-// only entries its dirty-set analysis proves still valid), so a stale or
-// mis-remapped entry here means the incremental evaluation diverged from
-// a from-scratch build.
+// engine seeds mutated deployments from a base world's caches
+// (bgp.Resolver.SeedFrom keeps only the entries it proves the mutation
+// cannot change), so a stale or mis-remapped entry here means the
+// incremental evaluation diverged from a from-scratch build.
 type RouteCacheCoherence struct{}
 
 // Name implements Checker.

@@ -99,8 +99,9 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 	}
 
 	// Seeded route-cache entries make the table pass a read-through; only
-	// the dirty set actually resolves. The table keeps base's sources, so
-	// a cell's base entry sits at the same ⟨letter, source position⟩.
+	// the sources SeedFrom left unseeded resolve. The table keeps base's
+	// sources, so a cell's base entry sits at the same ⟨letter, source
+	// position⟩.
 	bt := base.table
 	c.table = bt
 	shared := true

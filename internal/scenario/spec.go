@@ -8,12 +8,12 @@
 // The incremental path never rebuilds what a mutation cannot touch: each
 // mutated deployment's route cache is seeded from the base world's,
 // keeping exactly the entries whose BGP decision is provably unchanged
-// (the per-mutation dirty-set rules live in apply.go), and the DITL
-// campaign is rebased by ditl.Campaign.Rebase, whose reuse rules carry
-// every cell whose inputs the mutation left bit-identical. The contract
-// — enforced by the equivalence test suite and the -scenario-oracle flag
-// — is that the incremental result is byte-identical to rebuilding the
-// mutated world from scratch.
+// (bgp.Resolver.SeedFrom works them out from the two resolvers), and
+// the DITL campaign is rebased by ditl.Campaign.Rebase, whose reuse
+// rules carry every cell whose inputs the mutation left bit-identical.
+// The contract — enforced by the equivalence test suite and the
+// -scenario-oracle flag — is that the incremental result is
+// byte-identical to rebuilding the mutated world from scratch.
 package scenario
 
 import (
