@@ -80,7 +80,7 @@ func (d *Deployment) WarmRoutesCtx(ctx context.Context, srcs []topology.ASN) {
 
 // ForEachCachedRoute exposes the deployment's memoized route decisions
 // (see bgp.Resolver.ForEachCached): one call per cached source, positive
-// and negative entries alike, in unspecified order.
+// and negative entries alike, in ascending source ASN order.
 func (d *Deployment) ForEachCachedRoute(fn func(src topology.ASN, rt bgp.Route, ok bool)) {
 	d.resolver.ForEachCached(fn)
 }

@@ -25,6 +25,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"anycastctx/internal/geo"
 	"anycastctx/internal/obs"
@@ -39,7 +40,7 @@ import (
 // misses, once the route has entered the cache (it is stored exactly once
 // per resolver lifetime, and a fill that loses a concurrent race counts
 // as a hit); route_cache_hits counts calls served from the memo, and
-// route_cache_entries gauges total cached routes across all resolvers.
+// route_cache_seeded the entries SeedFrom copied.
 var (
 	obsResolvers     = obs.NewCounter("bgp.resolvers_built")
 	obsRoutes        = obs.NewCounter("bgp.routes_resolved")
@@ -50,7 +51,6 @@ var (
 	obsDeepDecisions = obs.NewCounter("bgp.deep_path_decisions")
 	obsCacheHits     = obs.NewCounter("bgp.route_cache_hits")
 	obsCacheMisses   = obs.NewCounter("bgp.route_cache_misses")
-	obsCacheEntries  = obs.NewGauge("bgp.route_cache_entries")
 	obsCacheSeeded   = obs.NewCounter("bgp.route_cache_seeded")
 )
 
@@ -111,17 +111,8 @@ func (r Route) Equal(o Route) bool {
 	return true
 }
 
-// routeCacheShards stripes the route memo so concurrent cache fills from
-// catchment workers contend on different locks (sources hash by ASN).
-const routeCacheShards = 64
-
-// routeCacheShard is one stripe of the per-resolver route memo.
-type routeCacheShard struct {
-	mu sync.RWMutex
-	m  map[topology.ASN]cachedRoute
-}
-
 // cachedRoute is one memoized Route outcome, including the failure case.
+// It never changes once published.
 type cachedRoute struct {
 	rt Route
 	ok bool
@@ -134,8 +125,8 @@ type cachedRoute struct {
 // by host once, precomputes per-transit reachability per host, and
 // memoizes each source's route so the decision (and its Waypoints
 // allocation) runs exactly once per resolver lifetime. The topology and
-// site set are immutable after construction; the internal cache is
-// stripe-locked, so a Resolver is safe for concurrent use.
+// site set are immutable after construction, and the memo publishes each
+// entry atomically, so a Resolver is safe for concurrent use.
 type Resolver struct {
 	g     *topology.Graph
 	sites []Site
@@ -153,7 +144,11 @@ type Resolver struct {
 	transitDist map[topology.ASN][]uint8
 	tablesOnce  sync.Once
 
-	cache [routeCacheShards]routeCacheShard
+	// memo holds each source's decision at the source's slot in g
+	// (Graph.Slot); an entry is nil until the first Route call for its
+	// source. slots allocates the slice on first use.
+	memo     []atomic.Pointer[cachedRoute]
+	memoOnce sync.Once
 }
 
 // host is one AS announcing sites of the deployment.
@@ -170,6 +165,9 @@ type host struct {
 }
 
 // NewResolver prepares catchment computation for the given sites on g.
+// Routes are decided lazily against g and memoized per source AS, so g
+// must not change while the resolver is in use: add every AS and peering
+// edge before building resolvers on it.
 func NewResolver(g *topology.Graph, sites []Site) (*Resolver, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("bgp: deployment has no sites")
@@ -209,9 +207,6 @@ func NewResolver(g *topology.Graph, sites []Site) (*Resolver, error) {
 			}
 			hs.idx = geo.NewIndex(locs)
 		}
-	}
-	for i := range r.cache {
-		r.cache[i].m = make(map[topology.ASN]cachedRoute)
 	}
 	obsResolvers.Inc()
 	return r, nil
@@ -307,38 +302,45 @@ func (o outcome) count() {
 }
 
 // Route resolves the catchment decision for source AS src. ok is false if
-// src is unknown or no site is visible. The result is memoized: repeated
-// calls for the same source return the cached Route (including the shared
-// Waypoints slice, which callers must treat as read-only — every caller
-// does, via Route.Dist or direct iteration). The route counters advance
-// only for the call whose result enters the cache, so a fill that loses
-// a concurrent race counts as a hit.
+// no site is visible, or if src has no slot in the resolver's graph; such
+// a source is neither memoized nor counted. The result is memoized:
+// repeated calls for the same source return the cached Route
+// (including the shared Waypoints slice, which callers must treat as
+// read-only — every caller does, via Route.Dist or direct iteration).
+// The first entry published for a source wins, and the route counters
+// advance only for the call that published it, so a fill that loses a
+// concurrent race counts as a hit.
 func (r *Resolver) Route(src topology.ASN) (Route, bool) {
-	sh := &r.cache[uint32(src)%routeCacheShards]
-	sh.mu.RLock()
-	c, hit := sh.m[src]
-	sh.mu.RUnlock()
-	if hit {
+	memo := r.slots()
+	i := r.g.Slot(src)
+	if uint(i) >= uint(len(memo)) {
+		return Route{}, false
+	}
+	slot := &memo[i]
+	if c := slot.Load(); c != nil {
 		obsCacheHits.Inc()
 		return c.rt, c.ok
 	}
 	rt, o := r.resolveRoute(src)
-	ok := o != unreachable
-	sh.mu.Lock()
-	if c, hit = sh.m[src]; hit {
-		// Lost a concurrent fill race; keep the first entry so every
-		// caller shares one Waypoints slice.
-		sh.mu.Unlock()
+	c := &cachedRoute{rt, o != unreachable}
+	if !slot.CompareAndSwap(nil, c) {
+		c = slot.Load()
 		obsCacheHits.Inc()
 		return c.rt, c.ok
 	}
-	sh.m[src] = cachedRoute{rt, ok}
-	sh.mu.Unlock()
 	o.count()
 	obsCacheMisses.Inc()
-	obsCacheEntries.Add(1)
-	return rt, ok
+	return c.rt, c.ok
 }
+
+// slots returns the memo, sized to the graph on first use: a world
+// loaded from the store builds resolvers that never resolve a route.
+func (r *Resolver) slots() []atomic.Pointer[cachedRoute] {
+	r.memoOnce.Do(r.allocMemo)
+	return r.memo
+}
+
+func (r *Resolver) allocMemo() { r.memo = make([]atomic.Pointer[cachedRoute], r.g.Len()) }
 
 // WarmCtx fills the route cache for srcs across one worker per CPU. It is
 // a pure pre-computation: outputs of later Route calls are
@@ -358,17 +360,15 @@ func (r *Resolver) WarmCtx(ctx context.Context, srcs []topology.ASN) {
 }
 
 // ForEachCached calls fn once per memoized route decision, including
-// negative (unreachable) entries. Iteration order is unspecified (it
-// follows the shard maps), so callers must fold results
-// order-independently. Must not run concurrently with cache fills.
+// negative (unreachable) entries, in ascending source ASN order. It may
+// run while other goroutines fill the memo: it visits the entries
+// published by the time it reaches their slot.
 func (r *Resolver) ForEachCached(fn func(src topology.ASN, rt Route, ok bool)) {
-	for i := range r.cache {
-		sh := &r.cache[i]
-		sh.mu.RLock()
-		for src, c := range sh.m {
+	memo := r.slots()
+	for i, src := range r.g.All()[:len(memo)] {
+		if c := memo[i].Load(); c != nil {
 			fn(src, c.rt, c.ok)
 		}
-		sh.mu.RUnlock()
 	}
 }
 
@@ -402,42 +402,41 @@ func (r *Resolver) ForEachCached(fn func(src topology.ASN, rt Route, ok bool)) {
 //     branch of a one-host decision measures from (the d ≥ 3 branch
 //     keeps the first site, so a drop there only costs a re-resolution).
 //
-// Route values are copied shallowly: the Waypoints backing arrays stay
+// A kept entry whose site keeps its ID is shared with base; a renumbered
+// one is copied shallowly. Either way the Waypoints backing arrays stay
 // shared with base, which is safe because Routes are read-only
-// everywhere by contract.
+// everywhere by contract. r's graph is a clone of base's, so a source
+// has the same slot in both memos, and r's memo extends base's by the
+// ASes the clone added.
 func (r *Resolver) SeedFrom(base *Resolver) int {
 	remap, keep := r.diff(base)
 	if keep == nil {
 		return 0
 	}
+	srcs, from, memo := base.g.All(), base.slots(), r.slots()
 	seeded := 0
-	for i := range base.cache {
-		bsh := &base.cache[i]
-		sh := &r.cache[i] // same shard function on both resolvers
-		bsh.mu.RLock()
-		sh.mu.Lock()
-		for src, c := range bsh.m {
-			if !keep(src, c) {
-				continue
-			}
-			if c.ok {
-				c.rt.SiteID = remap[c.rt.SiteID]
-			}
-			sh.m[src] = c
+	for i := range from {
+		c := from[i].Load()
+		if c == nil || !keep(srcs[i], c) {
+			continue
+		}
+		if c.ok && remap[c.rt.SiteID] != c.rt.SiteID {
+			renumbered := *c
+			renumbered.rt.SiteID = remap[c.rt.SiteID]
+			c = &renumbered
+		}
+		if memo[i].CompareAndSwap(nil, c) {
 			seeded++
 		}
-		sh.mu.Unlock()
-		bsh.mu.RUnlock()
 	}
 	obsCacheSeeded.Add(uint64(seeded))
-	obsCacheEntries.Add(float64(seeded))
 	return seeded
 }
 
 // diff works out what r changed from base for SeedFrom: the site remap
 // (base ID to r's, -1 for a withdrawn site) and the drop rules as a keep
 // predicate, nil when SeedFrom must seed nothing.
-func (r *Resolver) diff(base *Resolver) ([]int, func(topology.ASN, cachedRoute) bool) {
+func (r *Resolver) diff(base *Resolver) ([]int, func(topology.ASN, *cachedRoute) bool) {
 	remap := make([]int, len(base.sites))
 	n := 0 // r.sites[:n] survive from base, r.sites[n:] are appended
 	for i, s := range base.sites {
@@ -471,7 +470,7 @@ func (r *Resolver) diff(base *Resolver) ([]int, func(topology.ASN, cachedRoute) 
 			peered[e] = true
 		}
 	}
-	return remap, func(src topology.ASN, c cachedRoute) bool {
+	return remap, func(src topology.ASN, c *cachedRoute) bool {
 		switch {
 		case peered[src]:
 			return false
@@ -552,10 +551,7 @@ func (r *Resolver) firstSite(h int, all bool) int {
 // resolveRoute computes the BGP decision for src (the uncached path; see
 // Route) and the phase that made it.
 func (r *Resolver) resolveRoute(src topology.ASN) (Route, outcome) {
-	S := r.g.AS(src)
-	if S == nil {
-		return Route{}, unreachable
-	}
+	S := r.g.AS(src) // Route checked that src has a slot
 
 	// One pass over the hosts settles what the source sees of each and
 	// runs phase 1: direct peer routes (path length 2), which BGP prefers

@@ -2,6 +2,8 @@ package bgp
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,7 +19,8 @@ import (
 // simultaneously on one shared resolver — maximum contention on a cold
 // cache — and checks every goroutine observes the exact route a serial
 // resolver computes. The route counters must advance once per source, as
-// the cache misses do, however the fills race.
+// the cache misses do, however the fills race. Meanwhile ForEachCached
+// walks the filling memo and must still yield ascending sources.
 func TestRouteConcurrentCacheFill(t *testing.T) {
 	g := buildWorld(t, 11)
 	sites := deploySites(g, 12, 0.3)
@@ -39,6 +42,24 @@ func TestRouteConcurrentCacheFill(t *testing.T) {
 
 	const goroutines = 16
 	before := obs.TakeSnapshot()
+	stop, walked := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(walked)
+		for {
+			prev := topology.ASN(0)
+			shared.ForEachCached(func(src topology.ASN, _ Route, _ bool) {
+				if src <= prev {
+					t.Errorf("ForEachCached yielded AS%d after AS%d", src, prev)
+				}
+				prev = src
+			})
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for k := 0; k < goroutines; k++ {
 		wg.Add(1)
@@ -63,6 +84,8 @@ func TestRouteConcurrentCacheFill(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+	close(stop)
+	<-walked
 
 	delta := obs.TakeSnapshot().CounterDeltas(before)
 	resolved, misses := delta["bgp.routes_resolved"], delta["bgp.route_cache_misses"]
@@ -121,7 +144,9 @@ func TestCatchmentsConcurrent(t *testing.T) {
 }
 
 // TestWarmDoesNotChangeRoutes checks Warm is a pure pre-computation: a
-// warmed resolver answers exactly like a cold one.
+// warmed resolver answers exactly like a cold one. It warms a shuffled
+// half of the eyeballs, after which ForEachCached must yield exactly
+// those sources, in ascending ASN order.
 func TestWarmDoesNotChangeRoutes(t *testing.T) {
 	g := buildWorld(t, 13)
 	sites := deploySites(g, 6, 0.3)
@@ -133,7 +158,16 @@ func TestWarmDoesNotChangeRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmed.WarmCtx(context.Background(), g.Eyeballs())
+	srcs := append([]topology.ASN(nil), g.Eyeballs()...)
+	rand.New(rand.NewSource(13)).Shuffle(len(srcs), func(i, j int) { srcs[i], srcs[j] = srcs[j], srcs[i] })
+	srcs = srcs[:len(srcs)/2]
+	warmed.WarmCtx(context.Background(), srcs)
+	var cached []topology.ASN
+	warmed.ForEachCached(func(src topology.ASN, _ Route, _ bool) { cached = append(cached, src) })
+	slices.Sort(srcs)
+	if !slices.Equal(cached, srcs) {
+		t.Fatalf("ForEachCached yielded %d sources, want the %d warmed ones in ascending order", len(cached), len(srcs))
+	}
 	for _, e := range g.Eyeballs() {
 		a, aok := warmed.Route(e)
 		b, bok := cold.Route(e)

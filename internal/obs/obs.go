@@ -103,8 +103,7 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a float64 metric holding the latest set (or accumulated)
-// value.
+// Gauge is a float64 metric holding the latest set value.
 type Gauge struct {
 	name string
 	bits atomic.Uint64
@@ -122,17 +121,6 @@ func (r *Registry) NewGauge(name string) *Gauge {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add atomically adds v.
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -30,24 +30,25 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGaugeConcurrentAdd(t *testing.T) {
+func TestGaugeConcurrentSet(t *testing.T) {
 	r := NewRegistry()
 	g := r.NewGauge("test.level")
 	const workers, perWorker = 8, 2000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				g.Add(0.5)
+				g.Set(float64(w) + 0.5)
+				if v := g.Value(); v != math.Trunc(v)+0.5 || v < 0 || v >= workers {
+					t.Errorf("gauge read %v, which no worker set", v)
+					return
+				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
-	if got, want := g.Value(), float64(workers*perWorker)*0.5; got != want {
-		t.Errorf("gauge = %v, want %v", got, want)
-	}
 	g.Set(-3)
 	if g.Value() != -3 {
 		t.Errorf("gauge after Set = %v, want -3", g.Value())

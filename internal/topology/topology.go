@@ -515,6 +515,12 @@ func (g *Graph) AS(n ASN) *AS {
 	return nil
 }
 
+// Slot returns n's dense position in g, ASN − firstASN: ASes are numbered
+// in creation order, so All()[Slot(n)] == n when g holds n, and a clone
+// keeps every slot. Callers index their own per-AS tables with it, and
+// must bounds-check the result, which is out of range for an ASN g lacks.
+func (g *Graph) Slot(n ASN) int { return int(n) - firstASN }
+
 // Tier1s returns the tier-1 ASNs in creation order.
 func (g *Graph) Tier1s() []ASN { return g.tier1s }
 
