@@ -28,15 +28,14 @@ func resolveScenarioSpec(arg string) (scenario.Spec, error) {
 
 // runScenario evaluates one what-if scenario against the built world and
 // prints the before/after report to stdout. With oracle set it evaluates
-// incrementally a second time, after the first report has resolved the
-// base deployments' routes, so that evaluation seeds the mutated route
-// caches from filled base caches where the first, on a fresh world, may
-// find them empty; it then evaluates via full rebuild and errors unless
-// both incremental reports and campaigns equal the rebuild's byte for
-// byte (the engine's correctness contract). With checkInv set the
-// pipeline invariant checkers run on the mutated world, the second one
-// under oracle; like -check on the base world, their output goes to
-// stderr only.
+// incrementally a second time, on base route caches the first evaluation
+// and its report filled (each evaluation resolves a mutated deployment's
+// base routes over the eyeballs before seeding the variant from them);
+// it then evaluates via full rebuild and errors unless both incremental
+// reports and campaigns equal the rebuild's byte for byte (the engine's
+// correctness contract). With checkInv set the pipeline invariant
+// checkers run on the mutated world, the second one under oracle; like
+// -check on the base world, their output goes to stderr only.
 func runScenario(ctx context.Context, w *anycastctx.World, arg string, oracle, checkInv bool) error {
 	spec, err := resolveScenarioSpec(arg)
 	if err != nil {

@@ -228,7 +228,20 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 	}
 	sort.Ints(app.mutatedLetters)
 
-	_, routes := obs.StartSpanCtx(ctx, "scenario.routes")
+	routesCtx, routes := obs.StartSpanCtx(ctx, "scenario.routes")
+	// derive builds a mutated deployment: from scratch under full, else
+	// seeded from baseDep's routes. The report resolves baseDep over the
+	// base eyeballs anyway (catchmentShift), so resolving them first lets
+	// the variant seed from them even when baseDep's memo starts empty,
+	// as on a fresh or store-loaded world.
+	eyeballs := base.Graph().Eyeballs()
+	derive := func(baseDep *anycastnet.Deployment, sites []bgp.Site) (*anycastnet.Deployment, error) {
+		if full {
+			return anycastnet.NewDeployment(g2, baseDep.Name, sites)
+		}
+		baseDep.WarmRoutesCtx(routesCtx, eyeballs)
+		return anycastnet.Derive(baseDep, g2, baseDep.Name, sites)
+	}
 	for li, baseDep := range base.Letters() {
 		lm := muts[li]
 		switch {
@@ -262,12 +275,7 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 				return nil, err
 			}
 			app.letterRemap[li] = remap
-			var d *anycastnet.Deployment
-			if full {
-				d, err = anycastnet.NewDeployment(g2, baseDep.Name, sites)
-			} else {
-				d, err = anycastnet.Derive(baseDep, g2, baseDep.Name, sites)
-			}
+			d, err := derive(baseDep, sites)
 			if err != nil {
 				return nil, err
 			}
@@ -296,13 +304,7 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 			sites[i] = bgp.Site{ID: i, Loc: base.CDN().PoPs[i], Host: base.CDN().ASN, Global: true}
 			locs[i] = base.CDN().PoPs[i]
 		}
-		var dep *anycastnet.Deployment
-		var err error
-		if full {
-			dep, err = anycastnet.NewDeployment(g2, ring.Name, sites)
-		} else {
-			dep, err = anycastnet.Derive(ring.Deployment, g2, ring.Name, sites)
-		}
+		dep, err := derive(ring.Deployment, sites)
 		if err != nil {
 			return nil, err
 		}

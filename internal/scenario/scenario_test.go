@@ -11,6 +11,7 @@ import (
 
 	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/ditl"
+	"anycastctx/internal/obs"
 	"anycastctx/internal/scenario"
 	"anycastctx/internal/stage"
 	"anycastctx/internal/world"
@@ -392,6 +393,55 @@ func TestScenariosOnWarmWorld(t *testing.T) {
 			if d := campaignDigest(got.World.Campaign()); d != wantDigest {
 				t.Errorf("%s/%s: campaign digest: cold %x, warm %x", warm.name, spec.Name, wantDigest, d)
 			}
+		}
+	}
+}
+
+// TestFirstEvaluationSeeds: a first evaluation resolves each mutated
+// deployment's base routes before deriving the variant, so the variant
+// seeds its memo even where the base memo starts empty — a ring on a
+// freshly built world, a letter on a world loaded from the store — and
+// the report still equals the full rebuild's.
+func TestFirstEvaluationSeeds(t *testing.T) {
+	ctx := context.Background()
+	cfg := world.Config{Seed: 1, Scale: world.ScaleFromEnv(0.05), CacheDir: t.TempDir()}
+	fresh, err := world.Build(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := world.Build(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range loaded.StageStatuses() {
+		if st.ID == stage.Routes && st.Outcome != "loaded" {
+			t.Fatalf("second build's routes stage %q, want loaded", st.Outcome)
+		}
+	}
+	cases := []struct {
+		spec string
+		w    *world.World
+	}{{"ring-r28-resize", fresh}, {"withdraw-f-site", loaded}}
+	for _, tc := range cases {
+		spec, ok := scenario.Builtin(tc.spec)
+		if !ok {
+			t.Fatalf("no builtin %s", tc.spec)
+		}
+		b := scenario.NewBaseline(tc.w)
+		before := obs.TakeSnapshot()
+		inc, err := scenario.Eval(ctx, b, spec, scenario.Options{})
+		if err != nil {
+			t.Fatalf("%s: incremental eval: %v", tc.spec, err)
+		}
+		if seeded := obs.TakeSnapshot().CounterDeltas(before)["bgp.route_cache_seeded"]; seeded == 0 {
+			t.Errorf("%s: first evaluation seeded no route", tc.spec)
+		}
+		full, err := scenario.Eval(ctx, b, spec, scenario.Options{FullRebuild: true})
+		if err != nil {
+			t.Fatalf("%s: full-rebuild eval: %v", tc.spec, err)
+		}
+		if rep, fullRep := inc.Report(ctx), full.Report(ctx); rep != fullRep {
+			t.Errorf("%s: report mismatch:\n--- incremental ---\n%s\n--- full rebuild ---\n%s", tc.spec, rep, fullRep)
 		}
 	}
 }
