@@ -106,9 +106,8 @@ func (c *Campaign) EncodeArtifact() []byte {
 // and validates the payload's column lengths against them, so loading a
 // stale or mismatched artifact fails loudly instead of producing a
 // silently wrong campaign. The caller sets Faults afterwards (it never
-// changes campaign bytes). Unlike Assemble, decoding allocates nothing
-// from pop.Pool: junk /24 blocks are already baked into JunkSources, and
-// nothing downstream reads pool state.
+// changes campaign bytes). Decoding reads no address pool: the junk /24
+// blocks Assemble drew are baked into JunkSources.
 func DecodeCampaignArtifact(blob []byte, t *RouteTable, letters []*anycastnet.Deployment, pop *users.Population,
 	zone *dnssim.Zone, rates []dnssim.Rates, model *latency.Model, cfg Config) (*Campaign, error) {
 	if err := t.fits(letters, len(pop.Recursives)); err != nil {

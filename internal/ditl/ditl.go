@@ -269,8 +269,8 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 // ⟨recursive, letter⟩ (rng.Split/Fork), so the per-recursive assembly
 // fans out under par.DoCtx with byte-identical columns at any worker
 // count, and the junk-source volume folds in index order so the float
-// sum is schedule-independent. Junk /24s come from pop.Pool, so each
-// call draws different blocks.
+// sum is schedule-independent. Junk /24s come from a copy of pop.Pool,
+// so Assemble never writes pop and equal inputs draw equal blocks.
 func Assemble(ctx context.Context, t *RouteTable, letters []*anycastnet.Deployment, pop *users.Population,
 	zone *dnssim.Zone, rates []dnssim.Rates, model *latency.Model, cfg Config, seed int64) (*Campaign, error) {
 	n, nl := len(pop.Recursives), len(letters)
@@ -301,7 +301,8 @@ func Assemble(ctx context.Context, t *RouteTable, letters []*anycastnet.Deployme
 	// parallel; the volume sum folds serially in index order so the float
 	// total is schedule-independent.
 	nJunk := int(junkSlash24sPerRecursive * float64(n))
-	blocks, err := pop.Pool.AllocSlash24s(nJunk)
+	pool := *pop.Pool
+	blocks, err := pool.AllocSlash24s(nJunk)
 	if err != nil {
 		return nil, fmt.Errorf("ditl: allocating junk sources: %w", err)
 	}

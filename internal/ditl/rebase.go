@@ -59,9 +59,8 @@ var (
 // in assembly is keyed by ⟨seed, phase, recursive, letter⟩.
 //
 // Junk sources are shared with base, not re-derived: their draws depend
-// only on ⟨seed, block⟩ and the address-pool allocation Assemble made, and
-// the pool is stateful so allocating again would hand out different
-// blocks.
+// only on ⟨seed, block⟩ and the population's address pool, which Assemble
+// copies and never advances, so re-deriving would draw the same blocks.
 func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployment, rates []dnssim.Rates,
 	reprice bool, seed int64) (*Campaign, error) {
 	ctx, span := obs.StartSpanCtx(ctx, "ditl.rebase")

@@ -162,3 +162,24 @@ func TestBuildCountsReachableCells(t *testing.T) {
 		t.Fatalf("Build advanced the reachable counter by %d, campaign has %d reachable cells", got, want)
 	}
 }
+
+// TestAssembleLeavesPopulationAlone: assembling again on the fixture's
+// population reproduces its campaign byte for byte, junk sources
+// included, and leaves the population's address pool untouched.
+func TestAssembleLeavesPopulationAlone(t *testing.T) {
+	f := buildFixture(t)
+	pool := *f.pop.Pool
+	want := f.camp.EncodeArtifact()
+	for i := 0; i < 2; i++ {
+		c, err := Assemble(context.Background(), f.camp.table, f.letters, f.pop, f.camp.Zone, f.rates, f.camp.Model, Config{}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.EncodeArtifact(), want) {
+			t.Errorf("assembly %d differs from the fixture's campaign", i+1)
+		}
+	}
+	if *f.pop.Pool != pool {
+		t.Errorf("Assemble moved the population's pool from %+v to %+v", pool, *f.pop.Pool)
+	}
+}

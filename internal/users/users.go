@@ -53,8 +53,8 @@ type Population struct {
 	TotalUsers float64
 	Recursives []Recursive
 
-	// Pool continues handing out unallocated space (e.g. for junk traffic
-	// sources added by the capture generator).
+	// Pool is the address space left after the population's own blocks;
+	// ditl.Assemble draws junk traffic sources from a copy of it.
 	Pool *ipaddr.Pool
 	// PublicASNs lists the public DNS services' ASes.
 	PublicASNs []topology.ASN
