@@ -1,10 +1,13 @@
 package anycastctx
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"sync"
 	"testing"
+
+	"anycastctx/internal/ipaddr"
 )
 
 var (
@@ -146,28 +149,45 @@ func TestDITL2020World(t *testing.T) {
 	}
 }
 
+// TestExperimentsDoNotPerturbTheWorld: the experiments that deploy on a
+// clone of the world graph, assemble campaigns on its route table or
+// build a world of their own must leave the shared world's graph, route
+// table, campaign and address pool as they found them.
 func TestExperimentsDoNotPerturbTheWorld(t *testing.T) {
-	// Ablations build their own environments; running any experiment must
-	// not change what another measures afterwards (no hidden graph or
-	// pool mutation).
 	w, err := BuildWorld(TestScaleConfig(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := RunExperimentCtx(context.Background(), w, "fig5a")
-	if err != nil {
-		t.Fatal(err)
+	type state struct {
+		graph            string
+		routes, campaign []byte
+		pool             ipaddr.Pool
 	}
-	for _, id := range []string{"abl-size", "abl-peering", "growth", "fig11", "apps"} {
+	snapshot := func() state {
+		return state{
+			graph:    graphDigest(w.Graph()),
+			routes:   w.Campaign().RouteTable().EncodeArtifact(),
+			campaign: w.Campaign().EncodeArtifact(),
+			pool:     *w.Pop().Pool,
+		}
+	}
+	before := snapshot()
+	for _, id := range []string{"abl-size", "abl-peering", "abl-routing", "abl-tau", "growth", "fig11", "apps"} {
 		if _, err := RunExperimentCtx(context.Background(), w, id); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
-	after, err := RunExperimentCtx(context.Background(), w, "fig5a")
-	if err != nil {
-		t.Fatal(err)
+	after := snapshot()
+	if after.graph != before.graph {
+		t.Error("the world graph changed")
 	}
-	if before.Output != after.Output || before.Measured != after.Measured {
-		t.Error("fig5a changed after running other experiments; world was perturbed")
+	if !bytes.Equal(after.routes, before.routes) {
+		t.Error("the route table changed")
+	}
+	if !bytes.Equal(after.campaign, before.campaign) {
+		t.Error("the campaign changed")
+	}
+	if after.pool != before.pool {
+		t.Errorf("the population's pool moved from %+v to %+v", before.pool, after.pool)
 	}
 }

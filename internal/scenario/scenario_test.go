@@ -108,12 +108,14 @@ func withProcs(t *testing.T, procs int, fn func()) {
 }
 
 // TestScenarioEquivalence is the engine's oracle: for every builtin
-// scenario (all six mutation kinds) and the example specs that compose
-// them, at two scales and two GOMAXPROCS settings, the incremental
-// evaluation must match a from-scratch rebuild byte-for-byte — report
-// text, campaign cells, and catchments. Every base letter and ring is
-// warmed over the eyeballs first, so each mutated deployment seeds its
-// route cache from a full base cache.
+// scenario (all six mutation kinds), the example specs that compose them
+// and a withdrawal that renumbers every surviving site, at two scales and
+// two GOMAXPROCS settings, the incremental evaluation must match a
+// from-scratch rebuild byte-for-byte — report text, campaign cells, and
+// catchments — and the base world's campaign and catchments must be
+// unchanged afterwards. Every base letter and ring is warmed over the
+// eyeballs first, so each mutated deployment seeds its route cache from a
+// full base cache.
 func TestScenarioEquivalence(t *testing.T) {
 	scales := []float64{0.05, 0.12}
 	if testing.Short() {
@@ -127,6 +129,12 @@ func TestScenarioEquivalence(t *testing.T) {
 		}
 		specs = append(specs, spec)
 	}
+	// The builtins withdraw a letter's last site; withdrawing the first
+	// renumbers every site the variant shares with base.
+	specs = append(specs, scenario.Spec{
+		Name:      "withdraw-f-first-site",
+		Mutations: []scenario.Mutation{{Kind: scenario.KindWithdrawSite, Target: "F", Site: 0}},
+	})
 	for _, scale := range scales {
 		w := buildWorld(t, scale)
 		eyeballs := w.Graph().Eyeballs()
@@ -137,7 +145,7 @@ func TestScenarioEquivalence(t *testing.T) {
 			ring.Deployment.WarmRoutesCtx(context.Background(), eyeballs)
 		}
 		b := scenario.NewBaseline(w)
-		baseDigest := campaignDigest(w.Campaign())
+		baseDigest, baseCatchments := campaignDigest(w.Campaign()), catchmentDigest(w)
 		for _, procs := range []int{1, 0} {
 			for _, spec := range specs {
 				spec := spec
@@ -168,6 +176,9 @@ func TestScenarioEquivalence(t *testing.T) {
 		}
 		if d := campaignDigest(w.Campaign()); d != baseDigest {
 			t.Errorf("scale %g: base campaign mutated by scenario evaluation: %x != %x", scale, d, baseDigest)
+		}
+		if d := catchmentDigest(w); d != baseCatchments {
+			t.Errorf("scale %g: base catchments mutated by scenario evaluation: %x != %x", scale, d, baseCatchments)
 		}
 	}
 }

@@ -37,23 +37,21 @@ func TestFig2aDemandsOnlyItsStages(t *testing.T) {
 	}
 }
 
-// TestNeedsDeclared: every experiment that reads world stages must
-// declare Needs, or the CLI's pre-demand (and -explain) lies about what
-// it materializes. Experiments with nil Needs must genuinely touch no
-// stage: run each against a fresh world and verify nothing materialized.
+// TestNeedsDeclared is the sufficiency oracle for Needs: run alone on a
+// fresh world, every experiment must leave each stage outside its
+// declared Needs' closure pending. An under-declared stage would
+// otherwise materialize quietly through its accessor, unseen by the CLI's
+// pre-demand and -explain.
 func TestNeedsDeclared(t *testing.T) {
 	ctx := context.Background()
 	for _, e := range Experiments() {
-		if len(e.Needs) > 0 {
-			for _, id := range e.Needs {
-				if !stage.Valid(id) {
-					t.Errorf("%s: invalid stage %q in Needs", e.ID, id)
-				}
-			}
-			continue
-		}
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
+			for _, id := range e.Needs {
+				if !stage.Valid(id) {
+					t.Fatalf("invalid stage %q in Needs", id)
+				}
+			}
 			w, err := NewWorld(TestScaleConfig(11))
 			if err != nil {
 				t.Fatal(err)
@@ -61,9 +59,13 @@ func TestNeedsDeclared(t *testing.T) {
 			if _, err := RunExperimentCtx(ctx, w, e.ID); err != nil {
 				t.Fatal(err)
 			}
+			declared := map[stage.ID]bool{}
+			for _, id := range stage.Closure(e.Needs...) {
+				declared[id] = true
+			}
 			for _, st := range w.StageStatuses() {
-				if st.Outcome != "pending" {
-					t.Errorf("%s declares no Needs but materialized stage %s", e.ID, st.ID)
+				if !declared[st.ID] && st.Outcome != "pending" {
+					t.Errorf("stage %s %s, but Needs %v does not reach it", st.ID, st.Outcome, e.Needs)
 				}
 			}
 		})
@@ -73,9 +75,7 @@ func TestNeedsDeclared(t *testing.T) {
 // TestDemandDrivenMatchesEagerBuild: every experiment must produce
 // byte-identical output whether its world was eagerly built (the classic
 // monolith behavior, via Build) or materialized lazily from a fresh
-// shell. This is the sufficiency oracle for the Needs declarations — an
-// under-declared stage would still materialize through its accessor, but
-// any ordering dependence between stages would diverge here.
+// shell. Any ordering dependence between stages would diverge here.
 func TestDemandDrivenMatchesEagerBuild(t *testing.T) {
 	ctx := context.Background()
 	eager, err := BuildWorld(TestScaleConfig(11))
