@@ -3,8 +3,10 @@ package anycastctx
 // Ablations for the design choices the paper's analysis rests on: how
 // deployment size, peering breadth, BGP's decision process, recursives'
 // letter preference, and RFC 8806 local-root operation each move the
-// headline numbers. Every ablation builds its own isolated environment so
-// the shared world stays immutable and experiment order never matters.
+// headline numbers. Every ablation measures the world it is given: the
+// sweeps deploy on clones of its graph and abl-tau assembles on its route
+// table, so no experiment writes shared world state and experiment order
+// never matters.
 
 import (
 	"context"
@@ -17,13 +19,11 @@ import (
 	"anycastctx/internal/core"
 	"anycastctx/internal/ditl"
 	"anycastctx/internal/dnssim"
-	"anycastctx/internal/geo"
-	"anycastctx/internal/latency"
 	"anycastctx/internal/report"
+	"anycastctx/internal/rng"
 	"anycastctx/internal/stage"
 	"anycastctx/internal/stats"
 	"anycastctx/internal/topology"
-	"anycastctx/internal/users"
 )
 
 func init() {
@@ -31,24 +31,28 @@ func init() {
 		ID:         "abl-size",
 		Title:      "Ablation: deployment size sweep",
 		PaperClaim: "bigger: lower latency, lower efficiency",
+		Needs:      []stage.ID{stage.Topology},
 		Run:        runAblSize,
 	})
 	register(Experiment{
 		ID:         "abl-peering",
 		Title:      "Ablation: CDN peering breadth sweep",
 		PaperClaim: "wide peering drives direct paths and low inflation",
+		Needs:      []stage.ID{stage.Topology, stage.Locations},
 		Run:        runAblPeering,
 	})
 	register(Experiment{
 		ID:         "abl-routing",
 		Title:      "Ablation: BGP vs optimal vs unicast",
 		PaperClaim: "anycast beats unicast even with BGP's inefficiency",
+		Needs:      []stage.ID{stage.Topology},
 		Run:        runAblRouting,
 	})
 	register(Experiment{
 		ID:         "abl-tau",
 		Title:      "Ablation: recursive letter preference",
 		PaperClaim: "preferential querying suppresses per-query inflation",
+		Needs:      []stage.ID{stage.Campaign, stage.UserCounts},
 		Run:        runAblTau,
 	})
 	register(Experiment{
@@ -60,32 +64,20 @@ func init() {
 	})
 }
 
-// ablGraph builds a dedicated small topology derived from the world's
-// configuration (seed-offset so ablations never perturb the shared graph).
-func ablGraph(w *World, offset int64) (*topology.Graph, *rand.Rand, error) {
-	rng := rand.New(rand.NewSource(w.Cfg.Seed*131 + offset))
-	regions := geo.GenerateRegions(geo.PaperRegionCounts, rng)
-	cfg := topology.DefaultConfig()
-	cfg.Seed = w.Cfg.Seed*131 + offset
-	cfg.NumTransit = int(float64(cfg.NumTransit) * w.Cfg.Scale)
-	if cfg.NumTransit < 20 {
-		cfg.NumTransit = 20
-	}
-	cfg.NumEyeball = int(float64(cfg.NumEyeball) * w.Cfg.Scale)
-	if cfg.NumEyeball < 200 {
-		cfg.NumEyeball = 200
-	}
-	g, err := topology.New(cfg, regions)
-	return g, rng, err
+// ablGraph returns a clone of the world's graph for a sweep to deploy on,
+// and the sweep's site-placement stream, keyed by the world seed and
+// offset.
+func ablGraph(w *World, offset uint64) (*topology.Graph, *rand.Rand) {
+	return w.Graph().Clone(), rng.NewRand(w.Cfg.Seed, rng.PhaseAblation, offset)
 }
 
 // ablDeploy adds every spec's sites to g, in spec order, and only then
 // deploys them, so no resolver reads g before it holds every AS.
-func ablDeploy(g *topology.Graph, specs []anycastnet.LetterSpec, rng *rand.Rand) ([]*anycastnet.Deployment, error) {
+func ablDeploy(g *topology.Graph, specs []anycastnet.LetterSpec, r *rand.Rand) ([]*anycastnet.Deployment, error) {
 	sites := make([][]bgp.Site, len(specs))
 	for i, spec := range specs {
 		var err error
-		if sites[i], err = anycastnet.AddLetterSites(g, spec, rng); err != nil {
+		if sites[i], err = anycastnet.AddLetterSites(g, spec, r); err != nil {
 			return nil, err
 		}
 	}
@@ -100,11 +92,8 @@ func ablDeploy(g *topology.Graph, specs []anycastnet.LetterSpec, rng *rand.Rand)
 }
 
 func runAblSize(ctx context.Context, w *World, _ int64) (Result, error) {
-	g, rng, err := ablGraph(w, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	model := latency.DefaultModel()
+	g, sites := ablGraph(w, 1)
+	model := w.Model()
 	t := report.Table{
 		Title:   "Ablation: a single deployment grown from 2 to 100 sites",
 		Headers: []string{"Sites", "Median RTT (ms)", "At closest site", "Median gap vs optimal (ms)"},
@@ -121,7 +110,7 @@ func runAblSize(ctx context.Context, w *World, _ int64) (Result, error) {
 			Letter: fmt.Sprintf("size%d", n), GlobalSites: n, TotalSites: n, Openness: 0.25,
 		})
 	}
-	deps, err := ablDeploy(g, specs, rng)
+	deps, err := ablDeploy(g, specs, sites)
 	if err != nil {
 		return Result{}, err
 	}
@@ -147,8 +136,8 @@ func runAblSize(ctx context.Context, w *World, _ int64) (Result, error) {
 	}, nil
 }
 
-func runAblPeering(ctx context.Context, w *World, _ int64) (Result, error) {
-	model := latency.DefaultModel()
+func runAblPeering(ctx context.Context, w *World, seed int64) (Result, error) {
+	model := w.Model()
 	t := report.Table{
 		Title:   "Ablation: CDN peering breadth vs direct-path share and inflation",
 		Headers: []string{"Peer base", "2-AS paths", "Zero geo inflation", "Median RTT (ms)"},
@@ -158,13 +147,11 @@ func runAblPeering(ctx context.Context, w *World, _ int64) (Result, error) {
 	}
 	var lo, hi point
 	for i, base := range []float64{0.05, 0.25, 0.45, 0.70} {
-		ablSeed := w.Cfg.Seed*131 + 10 + int64(i)
-		g, _, err := ablGraph(w, 10+int64(i))
-		if err != nil {
-			return Result{}, err
-		}
+		// One seed for every row: the rows share PoPs and per-eyeball
+		// peering rolls, and differ only in PeerBase.
+		g := w.Graph().Clone()
 		cfg := cdn.Config{PeerBase: base}
-		as, err := cdn.AddNetwork(g, cfg, ablSeed)
+		as, err := cdn.AddNetwork(g, cfg, w.Cfg.Seed)
 		if err != nil {
 			return Result{}, err
 		}
@@ -190,8 +177,7 @@ func runAblPeering(ctx context.Context, w *World, _ int64) (Result, error) {
 			}
 			rtts = append(rtts, stats.WeightedValue{Value: model.BaseRTTMs(e, rt), Weight: wgt})
 		}
-		locs := cdn.Locations(g, 1e9)
-		logs := c.ServerSideLogsCtx(ctx, locs, ablSeed)
+		logs := c.ServerSideLogsCtx(ctx, w.Locations(), seed)
 		giObs := core.CDNGeoInflation(logs, big)
 		cdf, err := stats.NewCDF(rtts)
 		if err != nil {
@@ -215,11 +201,8 @@ func runAblPeering(ctx context.Context, w *World, _ int64) (Result, error) {
 }
 
 func runAblRouting(ctx context.Context, w *World, _ int64) (Result, error) {
-	g, rng, err := ablGraph(w, 20)
-	if err != nil {
-		return Result{}, err
-	}
-	model := latency.DefaultModel()
+	g, sites := ablGraph(w, 20)
+	model := w.Model()
 	t := report.Table{
 		Title:   "Ablation: routing baselines per deployment (user-weighted medians)",
 		Headers: []string{"Deployment", "BGP (ms)", "Optimal anycast (ms)", "Best unicast site (ms)"},
@@ -229,7 +212,7 @@ func runAblRouting(ctx context.Context, w *World, _ int64) (Result, error) {
 		{Letter: "small", GlobalSites: 5, TotalSites: 5, Openness: 0.25},
 		{Letter: "large", GlobalSites: 80, TotalSites: 80, Openness: 0.25},
 	}
-	deps, err := ablDeploy(g, specs, rng)
+	deps, err := ablDeploy(g, specs, sites)
 	if err != nil {
 		return Result{}, err
 	}
@@ -256,41 +239,21 @@ func runAblRouting(ctx context.Context, w *World, _ int64) (Result, error) {
 }
 
 func runAblTau(ctx context.Context, w *World, _ int64) (Result, error) {
-	ablSeed := w.Cfg.Seed*131 + 30
-	g, rng, err := ablGraph(w, 30)
-	if err != nil {
-		return Result{}, err
-	}
-	model := latency.DefaultModel()
-	public := users.AddPublicDNS(g)
-	letters, err := ablDeploy(g, anycastnet.Letters2018(), rng)
-	if err != nil {
-		return Result{}, err
-	}
-	pop, err := users.Build(g, public, 1e9, ablSeed)
-	if err != nil {
-		return Result{}, err
-	}
-	zone := dnssim.NewZone(500, ablSeed)
-	rates := dnssim.ComputeRates(pop, zone, ablSeed)
-	// The temperature only weighs letters, so every campaign shares one
-	// route table.
-	routes, err := ditl.BuildRouteTable(ctx, letters, pop, model)
-	if err != nil {
-		return Result{}, err
-	}
+	// The temperature only weighs letters, so every campaign assembles on
+	// the world's route table; the 25 ms row is the world's campaign.
+	routes := w.Campaign().RouteTable()
 	t := report.Table{
 		Title:   "Ablation: letter-preference temperature vs per-query inflation",
 		Headers: []string{"Tau (ms)", "All-Roots median inflation (ms)", ">20ms share"},
 	}
 	var sharp, flat float64
 	for i, tau := range []float64{5, 25, 120, 100000} {
-		camp, err := ditl.Assemble(ctx, routes, letters, pop, zone, rates, model, ditl.Config{TauMs: tau}, ablSeed)
+		camp, err := ditl.Assemble(ctx, routes, w.Letters(), w.Pop(), w.Zone(), w.Rates(), w.Model(),
+			ditl.Config{TauMs: tau}, w.Cfg.Seed)
 		if err != nil {
 			return Result{}, err
 		}
-		cdnCounts := users.BuildCDNCounts(pop, w.Cfg.Seed+int64(i))
-		j := camp.JoinCDNCtx(ctx, cdnCounts, false)
+		j := camp.JoinCDNCtx(ctx, w.CDNCounts(), false)
 		cdf, err := stats.NewCDF(core.GeoInflationAllRoots(camp, j))
 		if err != nil {
 			return Result{}, err

@@ -13,7 +13,6 @@ import (
 	"anycastctx/internal/cdn"
 	"anycastctx/internal/core"
 	"anycastctx/internal/geo"
-	"anycastctx/internal/latency"
 	"anycastctx/internal/report"
 	"anycastctx/internal/stage"
 )
@@ -30,6 +29,7 @@ func init() {
 		ID:         "growth",
 		Title:      "§7.3: root deployment growth",
 		PaperClaim: "sites 516→1367 over five years; more sites buy latency and coverage",
+		Needs:      []stage.ID{stage.Topology, stage.Locations},
 		Run:        runGrowth,
 	})
 }
@@ -73,11 +73,8 @@ var rootGrowthTimeline = []struct {
 }
 
 func runGrowth(ctx context.Context, w *World, _ int64) (Result, error) {
-	g, rng, err := ablGraph(w, 40)
-	if err != nil {
-		return Result{}, err
-	}
-	model := latency.DefaultModel()
+	g, sites := ablGraph(w, 40)
+	model := w.Model()
 	t := report.Table{
 		Title:   "Root DNS growth (scaled to one aggregate deployment, global sites ~ total/4)",
 		Headers: []string{"Year", "Total sites", "Median RTT (ms)", "Users within 500km", "At closest site"},
@@ -98,11 +95,11 @@ func runGrowth(ctx context.Context, w *World, _ int64) (Result, error) {
 			Openness:    0.28,
 		})
 	}
-	deps, err := ablDeploy(g, specs, rng)
+	deps, err := ablDeploy(g, specs, sites)
 	if err != nil {
 		return Result{}, err
 	}
-	locs := cdn.Locations(g, 1e9)
+	locs := w.Locations()
 	for i, d := range deps {
 		yr := rootGrowthTimeline[i]
 		rc, err := core.CompareRouting(g, d, model)

@@ -109,33 +109,6 @@ func TestScenarioGoldenDigests(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "golden", "scenarios.sha256"), got)
 }
 
-// ablGraphOffsets are the seed offsets ablGraph is called with: abl-size
-// (1), abl-peering's four graphs (10–13), abl-routing (20), abl-tau (30)
-// and growth (40).
-var ablGraphOffsets = []int64{1, 10, 11, 12, 13, 20, 30, 40}
-
-// TestAblationGraphDigests pins the AS graph ablGraph builds for every
-// offset in ablGraphOffsets, at scale 0.05 (the floor of 20 transits) and
-// 0.5 (75): one line "<offset> <scale> <sha256>" per graph in
-// testdata/golden/ablgraph.sha256.
-func TestAblationGraphDigests(t *testing.T) {
-	var got []string
-	for _, scale := range []float64{goldenScale, 0.5} {
-		w, err := NewWorld(Config{Seed: goldenSeed, Scale: scale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, off := range ablGraphOffsets {
-			g, _, err := ablGraph(w, off)
-			if err != nil {
-				t.Fatalf("offset %d, scale %v: %v", off, scale, err)
-			}
-			got = append(got, fmt.Sprintf("%d %v %s", off, scale, graphDigest(g)))
-		}
-	}
-	checkGolden(t, filepath.Join("testdata", "golden", "ablgraph.sha256"), got)
-}
-
 // graphDigest hashes g through its exported API, as the graph golden of
 // internal/world does: every AS's fields in All order, then every
 // explicit peering edge.

@@ -55,6 +55,7 @@ const (
 	PhaseMangle        Phase = 26 // faults.Mangler per-record fates
 	PhaseWebModel      Phase = 28 // webmodel page-load draws
 	PhaseScenario      Phase = 29 // scenario mutations (added-site placement)
+	PhaseAblation      Phase = 30 // ablation and growth site placement
 )
 
 // gamma is the Weyl-sequence increment from Steele et al.'s SplitMix64:
