@@ -52,7 +52,7 @@ func init() {
 		ID:         "abl-tau",
 		Title:      "Ablation: recursive letter preference",
 		PaperClaim: "preferential querying suppresses per-query inflation",
-		Needs:      []stage.ID{stage.Campaign, stage.UserCounts},
+		Needs:      []stage.ID{stage.Campaign, stage.UserCounts, stage.Join},
 		Run:        runAblTau,
 	})
 	register(Experiment{
@@ -240,20 +240,27 @@ func runAblRouting(ctx context.Context, w *World, _ int64) (Result, error) {
 
 func runAblTau(ctx context.Context, w *World, _ int64) (Result, error) {
 	// The temperature only weighs letters, so every campaign assembles on
-	// the world's route table; the 25 ms row is the world's campaign.
-	routes := w.Campaign().RouteTable()
+	// the world's route table and shares its site distances; the row at
+	// the world's temperature is the world's campaign and join.
 	t := report.Table{
 		Title:   "Ablation: letter-preference temperature vs per-query inflation",
 		Headers: []string{"Tau (ms)", "All-Roots median inflation (ms)", ">20ms share"},
 	}
 	var sharp, flat float64
 	for i, tau := range []float64{5, 25, 120, 100000} {
-		camp, err := ditl.Assemble(ctx, routes, w.Letters(), w.Pop(), w.Zone(), w.Rates(), w.Model(),
-			ditl.Config{TauMs: tau}, w.Cfg.Seed)
-		if err != nil {
-			return Result{}, err
+		var j *ditl.Join
+		camp := w.Campaign()
+		if tau == camp.Cfg.TauMs {
+			j = w.JoinCtx(ctx)
+		} else {
+			var err error
+			camp, err = ditl.Assemble(ctx, camp.RouteTable(), w.Letters(), w.Pop(), w.Zone(), w.Rates(), w.Model(),
+				ditl.Config{TauMs: tau}, w.Cfg.Seed)
+			if err != nil {
+				return Result{}, err
+			}
+			j = camp.JoinCDNCtx(ctx, w.CDNCounts(), false)
 		}
-		j := camp.JoinCDNCtx(ctx, w.CDNCounts(), false)
 		cdf, err := stats.NewCDF(core.GeoInflationAllRoots(camp, j))
 		if err != nil {
 			return Result{}, err

@@ -9,7 +9,6 @@ package core
 import (
 	"math"
 
-	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/cdn"
 	"anycastctx/internal/ditl"
 	"anycastctx/internal/geo"
@@ -21,15 +20,13 @@ import (
 // sites its queries reach, minus the RTT to the closest global site,
 // scaled by 2/c_f. Observations are weighted by joined user counts.
 func GeoInflationLetter(c *ditl.Campaign, li int, j *ditl.Join) []stats.WeightedValue {
-	letter := c.Letters[li]
 	out := make([]stats.WeightedValue, 0, len(j.Rows))
 	for _, row := range j.Rows {
 		a := c.At(li, row.RecIdx)
 		if !a.Reachable {
 			continue
 		}
-		rec := &c.Pop.Recursives[row.RecIdx]
-		gi := geoInflationMs(geo.Prepare(rec.Loc), &a, letter)
+		gi := geoInflationMs(c, li, row.RecIdx, &a)
 		if gi < 0 {
 			gi = 0
 		}
@@ -38,14 +35,18 @@ func GeoInflationLetter(c *ditl.Campaign, li int, j *ditl.Join) []stats.Weighted
 	return out
 }
 
-// geoInflationMs evaluates Eq. 1's bracket for one assignment of the
-// recursive at q.
-func geoInflationMs(q geo.Point, a *ditl.Assignment, letter *anycastnet.Deployment) float64 {
-	var mean float64
-	for _, s := range a.Sites() {
-		mean += s.Frac * q.DistanceKm(letter.SitePoint(s.SiteID))
+// geoInflationMs evaluates Eq. 1's bracket for assignment a of recursive
+// ri on letter li. The favourite site's distance and the closest global
+// site's come from the campaign's distance columns; only an alternate
+// site is priced here.
+func geoInflationMs(c *ditl.Campaign, li, ri int, a *ditl.Assignment) float64 {
+	favKm, minD := c.SiteDistances(li, ri)
+	sites := a.Sites()
+	mean := sites[0].Frac * favKm
+	if len(sites) > 1 {
+		alt := c.Letters[li].SitePoint(sites[1].SiteID)
+		mean += sites[1].Frac * geo.DistanceKm(c.Pop.Recursives[ri].Loc, alt.Coord)
 	}
-	_, minD := letter.ClosestGlobalSiteTo(q)
 	return geo.GeoRTTMs(mean - minD)
 }
 
@@ -55,14 +56,13 @@ func geoInflationMs(q geo.Point, a *ditl.Assignment, letter *anycastnet.Deployme
 func GeoInflationAllRoots(c *ditl.Campaign, j *ditl.Join) []stats.WeightedValue {
 	out := make([]stats.WeightedValue, 0, len(j.Rows))
 	for _, row := range j.Rows {
-		q := geo.Prepare(c.Pop.Recursives[row.RecIdx].Loc)
 		var mean, wsum float64
 		for li := range c.Letters {
 			a := c.At(li, row.RecIdx)
 			if !a.Reachable || a.LetterWeight <= 0 {
 				continue
 			}
-			gi := geoInflationMs(q, &a, c.Letters[li])
+			gi := geoInflationMs(c, li, row.RecIdx, &a)
 			if gi < 0 {
 				gi = 0
 			}
@@ -82,15 +82,13 @@ func GeoInflationAllRoots(c *ditl.Campaign, j *ditl.Join) []stats.WeightedValue 
 // global site at (2/3)·c_f. Only recursives with ≥10 TCP samples
 // contribute (§3: covers ~40% of volume).
 func LatencyInflationLetter(c *ditl.Campaign, li int, j *ditl.Join) []stats.WeightedValue {
-	letter := c.Letters[li]
 	out := make([]stats.WeightedValue, 0, len(j.Rows))
 	for _, row := range j.Rows {
 		a := c.At(li, row.RecIdx)
 		if !a.Reachable || math.IsNaN(a.TCPMedianRTTMs) {
 			continue
 		}
-		rec := &c.Pop.Recursives[row.RecIdx]
-		v := latencyInflationMs(geo.Prepare(rec.Loc), &a, letter)
+		v := latencyInflationMs(c, li, row.RecIdx, &a)
 		if v < 0 {
 			v = 0
 		}
@@ -99,7 +97,9 @@ func LatencyInflationLetter(c *ditl.Campaign, li int, j *ditl.Join) []stats.Weig
 	return out
 }
 
-func latencyInflationMs(q geo.Point, a *ditl.Assignment, letter *anycastnet.Deployment) float64 {
+// latencyInflationMs evaluates Eq. 2 for assignment a of recursive ri on
+// letter li.
+func latencyInflationMs(c *ditl.Campaign, li, ri int, a *ditl.Assignment) float64 {
 	// Measured latency per site: the favorite carries the TCP median; the
 	// occasional secondary is approximated by the deterministic base RTT.
 	var mean float64
@@ -110,7 +110,7 @@ func latencyInflationMs(q geo.Point, a *ditl.Assignment, letter *anycastnet.Depl
 		}
 		mean += s.Frac * lat
 	}
-	_, minD := letter.ClosestGlobalSiteTo(q)
+	_, minD := c.SiteDistances(li, ri)
 	return mean - geo.RTTLowerBoundMs(minD)
 }
 
@@ -119,7 +119,6 @@ func latencyInflationMs(q geo.Point, a *ditl.Assignment, letter *anycastnet.Depl
 func LatencyInflationAllRoots(c *ditl.Campaign, j *ditl.Join, usable map[string]bool) []stats.WeightedValue {
 	out := make([]stats.WeightedValue, 0, len(j.Rows))
 	for _, row := range j.Rows {
-		q := geo.Prepare(c.Pop.Recursives[row.RecIdx].Loc)
 		var mean, wsum float64
 		for li := range c.Letters {
 			if usable != nil && !usable[c.LetterNames[li]] {
@@ -129,7 +128,7 @@ func LatencyInflationAllRoots(c *ditl.Campaign, j *ditl.Join, usable map[string]
 			if !a.Reachable || math.IsNaN(a.TCPMedianRTTMs) || a.LetterWeight <= 0 {
 				continue
 			}
-			v := latencyInflationMs(q, &a, c.Letters[li])
+			v := latencyInflationMs(c, li, row.RecIdx, &a)
 			if v < 0 {
 				v = 0
 			}

@@ -19,9 +19,9 @@ import (
 // IEEE-754 bits, so decode→encode is byte-identical.
 func (t *RouteTable) EncodeArtifact() []byte {
 	w := artifact.NewWriter(64 + len(t.ix.entry)*4 + len(t.routes)*48)
-	w.U64(uint64(len(t.names)))
-	for _, name := range t.names {
-		w.Str(name)
+	w.U64(uint64(len(t.letters)))
+	for _, l := range t.letters {
+		w.Str(l.Name)
 	}
 	w.U64(uint64(t.ix.nSrc))
 	w.U32s(t.ix.entry)
@@ -41,12 +41,11 @@ func DecodeRouteTable(blob []byte, letters []*anycastnet.Deployment, pop *users.
 	if nl := r.U64(); r.Err() == nil && nl != uint64(len(letters)) {
 		return nil, fmt.Errorf("ditl: decode routes: artifact has %d letters, world has %d", nl, len(letters))
 	}
-	t := &RouteTable{}
+	t := &RouteTable{letters: letters, pop: pop, dist: newSiteDistances(len(letters))}
 	for i, l := range letters {
 		if name := r.Str(); r.Err() == nil && name != l.Name {
 			return nil, fmt.Errorf("ditl: decode routes: artifact letter %d is %q, world has %q", i, name, l.Name)
 		}
-		t.names = append(t.names, l.Name)
 	}
 	srcs, pos := sourcePositions(pop)
 	if ns := r.U64(); r.Err() == nil && ns != uint64(len(srcs)) {
@@ -102,7 +101,7 @@ func (c *Campaign) EncodeArtifact() []byte {
 
 // DecodeCampaignArtifact rebuilds a campaign from an EncodeArtifact
 // payload plus route table t and the live upstream inputs it references.
-// It rejects a table built for other letters or another recursive count,
+// It rejects a table built for other deployments or another population,
 // and validates the payload's column lengths against them, so loading a
 // stale or mismatched artifact fails loudly instead of producing a
 // silently wrong campaign. The caller sets Faults afterwards (it never
@@ -110,7 +109,7 @@ func (c *Campaign) EncodeArtifact() []byte {
 // blocks Assemble drew are baked into JunkSources.
 func DecodeCampaignArtifact(blob []byte, t *RouteTable, letters []*anycastnet.Deployment, pop *users.Population,
 	zone *dnssim.Zone, rates []dnssim.Rates, model *latency.Model, cfg Config) (*Campaign, error) {
-	if err := t.fits(letters, len(pop.Recursives)); err != nil {
+	if err := t.fits(letters, pop); err != nil {
 		return nil, err
 	}
 	r := artifact.NewReader(blob)

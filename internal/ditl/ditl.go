@@ -200,6 +200,18 @@ func (c *Campaign) NumRecursives() int { return c.numRecs }
 // RouteTable returns the route table the campaign was assembled on.
 func (c *Campaign) RouteTable() *RouteTable { return c.table }
 
+// SiteDistances returns the great-circle km from recursive ri to its
+// favourite site on letter li, the site of the route the campaign's
+// table holds, and to the letter's closest global site (Eq. 1 and
+// Eq. 2). Both are NaN when the letter has no route from ri's AS. The
+// first call for a letter fills its columns for every recursive; every
+// campaign on the same table, and a rebase that copies the letter,
+// reads the same columns.
+func (c *Campaign) SiteDistances(li, ri int) (favoriteKm, closestKm float64) {
+	d := c.table.distances(li)
+	return d.favorite[ri], d.closest[ri]
+}
+
 // At materializes the assignment for letter li and recursive ri.
 func (c *Campaign) At(li, ri int) Assignment {
 	k := li*c.numRecs + ri
@@ -260,10 +272,10 @@ func Build(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deploym
 }
 
 // Assemble builds the campaign's columns on route table t, which must be
-// the table of letters and pop. rates must parallel pop.Recursives; zone
-// may be nil when no pcap emission with real referrals is needed. ctx
-// carries the caller's span: a traced assembly records "ditl.assemble"
-// with its "ditl.assemble.shard" workers.
+// the table of these very letters and pop. rates must parallel
+// pop.Recursives; zone may be nil when no pcap emission with real
+// referrals is needed. ctx carries the caller's span: a traced assembly
+// records "ditl.assemble" with its "ditl.assemble.shard" workers.
 //
 // Every random quantity is drawn from a splittable stream keyed by
 // ⟨recursive, letter⟩ (rng.Split/Fork), so the per-recursive assembly
@@ -277,7 +289,7 @@ func Assemble(ctx context.Context, t *RouteTable, letters []*anycastnet.Deployme
 	if len(rates) != n {
 		return nil, fmt.Errorf("ditl: %d rates for %d recursives", len(rates), n)
 	}
-	if err := t.fits(letters, n); err != nil {
+	if err := t.fits(letters, pop); err != nil {
 		return nil, err
 	}
 	ctx, assemble := obs.StartSpanCtx(ctx, "ditl.assemble")

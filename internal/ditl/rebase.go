@@ -29,8 +29,10 @@ var (
 //     base.Letters copies base's route-table cells without a Route call:
 //     a deployment memoizes one decision per source over an immutable
 //     graph and site set, and base's table holds those routes priced by
-//     the same Model. When every letter is copied, the rebased campaign
-//     shares base's table outright.
+//     the same Model. It shares base's site-distance columns too, filled
+//     or not: same sites, same favourite sites, same recursives. When
+//     every letter is copied, the rebased campaign shares base's table
+//     outright.
 //  2. Every other letter is resolved, and a route bit-identical to base's
 //     route for the same letter position and source carries base's RTT,
 //     which is exact because BaseRTTMs is a pure function of (AS, route);
@@ -109,7 +111,7 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 	}
 	if !shared {
 		ns := bt.ix.nSrc
-		t, err := buildRouteTable(ctx, letters, bt.srcs, bt.ix.pos, func(li, s int) routeCell {
+		t, err := buildRouteTable(ctx, letters, bt.pop, bt.srcs, bt.ix.pos, func(li, s int) routeCell {
 			bix := bt.ix.entry[li*ns+s]
 			if as.copies(li) {
 				if bix == noRoute {
@@ -128,6 +130,11 @@ func (base *Campaign) Rebase(ctx context.Context, letters []*anycastnet.Deployme
 		})
 		if err != nil {
 			return nil, err
+		}
+		for li := range letters {
+			if as.copies(li) {
+				t.dist[li] = bt.dist[li]
+			}
 		}
 		c.table = t
 	}

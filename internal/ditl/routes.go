@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/bgp"
+	"anycastctx/internal/geo"
 	"anycastctx/internal/latency"
 	"anycastctx/internal/obs"
 	"anycastctx/internal/par"
@@ -20,12 +22,65 @@ import (
 // the population's recursive ASes in first-appearance order
 // (UniqueSources), and every recursive reads its AS's entries. A table
 // never changes once built: campaigns assembled on it read it in place.
+//
+// The table also keeps the letters and population it was built for, and
+// per letter one pair of site-distance columns over the recursives,
+// filled on first use (Campaign.SiteDistances). The columns are derived
+// data: they are never encoded.
 type RouteTable struct {
-	names  []string       // letter names, in letter order
-	srcs   []topology.ASN // source ASes, by position
-	routes []bgp.Route
-	rtt    []float64
-	ix     routeIndex
+	letters []*anycastnet.Deployment
+	pop     *users.Population
+	srcs    []topology.ASN // source ASes, by position
+	routes  []bgp.Route
+	rtt     []float64
+	ix      routeIndex
+	dist    []*siteDistances // by letter
+}
+
+// siteDistances is one letter's pair of distance columns, indexed by
+// recursive: the great-circle km from each recursive to the site of the
+// route the table holds for it, and to the letter's closest global
+// site. Both are NaN where the letter has no route from the recursive's
+// AS. A rebase that copies the letter shares the pair with its base.
+type siteDistances struct {
+	once              sync.Once
+	favorite, closest []float64
+}
+
+// newSiteDistances returns n unfilled column pairs.
+func newSiteDistances(n int) []*siteDistances {
+	out := make([]*siteDistances, n)
+	for i := range out {
+		out[i] = new(siteDistances)
+	}
+	return out
+}
+
+// distances returns letter li's distance columns, filling them on first
+// use in one parallel pass over the recursives. The pass prices each
+// value as Eq. 1 and Eq. 2 would on the spot (a prepared recursive,
+// Point.DistanceKm, ClosestGlobalSiteTo), so a read equals that bit for
+// bit.
+func (t *RouteTable) distances(li int) *siteDistances {
+	d := t.dist[li]
+	d.once.Do(func() {
+		letter, n := t.letters[li], len(t.ix.pos)
+		d.favorite = make([]float64, n)
+		d.closest = make([]float64, n)
+		par.Do(n, func(lo, hi int) {
+			for ri := lo; ri < hi; ri++ {
+				rix := t.ix.at(li, ri)
+				if rix == noRoute {
+					d.favorite[ri], d.closest[ri] = math.NaN(), math.NaN()
+					continue
+				}
+				q := geo.Prepare(t.pop.Recursives[ri].Loc)
+				d.favorite[ri] = q.DistanceKm(letter.SitePoint(t.routes[rix].SiteID))
+				_, d.closest[ri] = letter.ClosestGlobalSiteTo(q)
+			}
+		})
+	})
+	return d
 }
 
 // routeIndex is the dense index into a route table: entry holds, per
@@ -63,7 +118,7 @@ func BuildRouteTable(ctx context.Context, letters []*anycastnet.Deployment, pop 
 		return nil, fmt.Errorf("ditl: no letters")
 	}
 	srcs, pos := sourcePositions(pop)
-	return buildRouteTable(ctx, letters, srcs, pos, func(li, s int) routeCell {
+	return buildRouteTable(ctx, letters, pop, srcs, pos, func(li, s int) routeCell {
 		rt, ok := letters[li].Route(srcs[s])
 		if !ok {
 			return unreachable
@@ -72,14 +127,14 @@ func BuildRouteTable(ctx context.Context, letters []*anycastnet.Deployment, pop 
 	})
 }
 
-// buildRouteTable builds the table of letters over sources srcs. One
-// parallel pass fills each ⟨letter li, source position s⟩ cell with
+// buildRouteTable builds the table of letters over pop's sources srcs.
+// One parallel pass fills each ⟨letter li, source position s⟩ cell with
 // cell(li, s); a serial pass then writes the reachable cells, in
 // letter-major order with sources in position order, into route and RTT
 // slices allocated at their exact size. pos maps each recursive to its
 // source position.
-func buildRouteTable(ctx context.Context, letters []*anycastnet.Deployment, srcs []topology.ASN, pos []uint32,
-	cell func(li, s int) routeCell) (*RouteTable, error) {
+func buildRouteTable(ctx context.Context, letters []*anycastnet.Deployment, pop *users.Population,
+	srcs []topology.ASN, pos []uint32, cell func(li, s int) routeCell) (*RouteTable, error) {
 	ctx, span := obs.StartSpanCtx(ctx, "ditl.route_tables")
 	defer span.End()
 	ns := len(srcs)
@@ -99,13 +154,13 @@ func buildRouteTable(ctx context.Context, letters []*anycastnet.Deployment, srcs
 		}
 	}
 	t := &RouteTable{
-		srcs:   srcs,
-		routes: make([]bgp.Route, 0, reachable),
-		rtt:    make([]float64, 0, reachable),
-		ix:     routeIndex{entry: make([]uint32, len(cells)), pos: pos, nSrc: ns},
-	}
-	for _, l := range letters {
-		t.names = append(t.names, l.Name)
+		letters: letters,
+		pop:     pop,
+		srcs:    srcs,
+		routes:  make([]bgp.Route, 0, reachable),
+		rtt:     make([]float64, 0, reachable),
+		ix:      routeIndex{entry: make([]uint32, len(cells)), pos: pos, nSrc: ns},
+		dist:    newSiteDistances(len(letters)),
 	}
 	for k := range cells {
 		if math.IsInf(cells[k].rtt, 1) {
@@ -123,19 +178,22 @@ func buildRouteTable(ctx context.Context, letters []*anycastnet.Deployment, srcs
 	return t, nil
 }
 
-// fits errors unless t was built for letters, by name and in order, and
-// for a population of nRecs recursives.
-func (t *RouteTable) fits(letters []*anycastnet.Deployment, nRecs int) error {
-	if len(t.names) != len(letters) {
-		return fmt.Errorf("ditl: route table has %d letters, campaign has %d", len(t.names), len(letters))
+// fits errors unless t was built for these very deployments, in order,
+// and for pop: a campaign reads its site distances from the table.
+func (t *RouteTable) fits(letters []*anycastnet.Deployment, pop *users.Population) error {
+	if len(t.letters) != len(letters) {
+		return fmt.Errorf("ditl: route table has %d letters, campaign has %d", len(t.letters), len(letters))
 	}
 	for i, l := range letters {
-		if t.names[i] != l.Name {
-			return fmt.Errorf("ditl: route table letter %d is %q, campaign has %q", i, t.names[i], l.Name)
+		if t.letters[i] != l {
+			return fmt.Errorf("ditl: route table letter %d is not the campaign's %q deployment", i, l.Name)
 		}
 	}
-	if len(t.ix.pos) != nRecs {
-		return fmt.Errorf("ditl: route table has %d recursives, campaign has %d", len(t.ix.pos), nRecs)
+	if len(t.ix.pos) != len(pop.Recursives) {
+		return fmt.Errorf("ditl: route table has %d recursives, campaign has %d", len(t.ix.pos), len(pop.Recursives))
+	}
+	if t.pop != pop {
+		return fmt.Errorf("ditl: route table was built for another population")
 	}
 	return nil
 }

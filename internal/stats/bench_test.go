@@ -25,6 +25,22 @@ func BenchmarkNewCDF(b *testing.B) {
 	}
 }
 
+// BenchmarkNewCDFFromValues measures unweighted construction on a
+// fig12/fig13-sized latency sample with ties.
+func BenchmarkNewCDFFromValues(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	vals := make([]float64, 75000)
+	for i := range vals {
+		vals[i] = float64(rng.Intn(5000)) * 0.1
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCDFFromValues(vals); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCDFQuantile measures quantile queries.
 func BenchmarkCDFQuantile(b *testing.B) {
 	c, err := NewCDF(benchObs(20000))

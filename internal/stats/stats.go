@@ -75,13 +75,38 @@ func NewCDF(obs []WeightedValue) (*CDF, error) {
 	return c, nil
 }
 
-// NewCDFFromValues builds an unweighted CDF.
+// NewCDFFromValues builds an unweighted CDF: NewCDF with every weight 1,
+// bit for bit, on a sort of plain floats. Each cumulative weight is a
+// count, exact in a float64 whatever order equal values sort in, and
+// slices.Sort runs the same pdqsort as NewCDF's SortFunc, so even which
+// zero of a −0/+0 run is kept agrees. The input slice is not retained.
 func NewCDFFromValues(vals []float64) (*CDF, error) {
-	obs := make([]WeightedValue, len(vals))
-	for i, v := range vals {
-		obs[i] = WeightedValue{Value: v, Weight: 1}
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("stats: non-finite value %v", v)
+		}
 	}
-	return NewCDF(obs)
+	if len(vals) == 0 {
+		return nil, ErrEmpty
+	}
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	c := &CDF{
+		values:  sorted[:0], // runs of equal values merge in place
+		cumul:   make([]float64, 0, len(sorted)),
+		total:   float64(len(sorted)),
+		minimum: sorted[0],
+		maximum: sorted[len(sorted)-1],
+	}
+	for i, v := range sorted {
+		if n := len(c.values); n > 0 && c.values[n-1] == v {
+			c.cumul[n-1] = float64(i + 1)
+			continue
+		}
+		c.values = append(c.values, v)
+		c.cumul = append(c.cumul, float64(i+1))
+	}
+	return c, nil
 }
 
 // Min returns the smallest observed value.

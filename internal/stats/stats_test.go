@@ -343,3 +343,63 @@ func TestNewCDFMatchesSortSlice(t *testing.T) {
 		}
 	}
 }
+
+// TestNewCDFFromValuesMatchesNewCDF: the unweighted constructor builds
+// the CDF NewCDF builds over weight-1 observations, bit for bit, on
+// inputs with many ties (−0 and +0 among them), and fails where NewCDF
+// fails, with the same error.
+func TestNewCDFFromValuesMatchesNewCDF(t *testing.T) {
+	weighed := func(vals []float64) []WeightedValue {
+		obs := make([]WeightedValue, len(vals))
+		for i, v := range vals {
+			obs[i] = WeightedValue{Value: v, Weight: 1}
+		}
+		return obs
+	}
+	bits := math.Float64bits
+	rng := rand.New(rand.NewSource(53))
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{1, 2, 7, 12, 13, 50, 333, 1000, 75000} {
+		for _, distinct := range []int{1, 3, 17, 200, 1 << 30} {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = float64(rng.Intn(distinct)-distinct/2) * 0.1
+				if vals[i] == 0 && rng.Intn(2) == 0 {
+					vals[i] = negZero
+				}
+			}
+			in := append([]float64(nil), vals...)
+			got, err := NewCDFFromValues(vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range vals {
+				if bits(vals[i]) != bits(in[i]) {
+					t.Fatalf("n=%d distinct=%d: input %d changed", n, distinct, i)
+				}
+			}
+			want, err := NewCDF(weighed(vals))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.values) != len(want.values) || bits(got.total) != bits(want.total) ||
+				bits(got.minimum) != bits(want.minimum) || bits(got.maximum) != bits(want.maximum) {
+				t.Fatalf("n=%d distinct=%d: CDF shape differs from NewCDF's", n, distinct)
+			}
+			for i := range want.values {
+				if bits(got.values[i]) != bits(want.values[i]) || bits(got.cumul[i]) != bits(want.cumul[i]) {
+					t.Fatalf("n=%d distinct=%d: entry %d = (%v, %v), NewCDF (%v, %v)",
+						n, distinct, i, got.values[i], got.cumul[i], want.values[i], want.cumul[i])
+				}
+			}
+		}
+	}
+
+	for _, vals := range [][]float64{nil, {}, {math.NaN()}, {1, math.Inf(1)}, {math.Inf(-1), 2}, {3, math.NaN(), math.Inf(1)}} {
+		_, got := NewCDFFromValues(vals)
+		_, want := NewCDF(weighed(vals))
+		if got == nil || want == nil || got.Error() != want.Error() || errors.Is(got, ErrEmpty) != errors.Is(want, ErrEmpty) {
+			t.Errorf("NewCDFFromValues(%v) err = %v, NewCDF's %v", vals, got, want)
+		}
+	}
+}
