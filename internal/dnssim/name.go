@@ -75,36 +75,21 @@ func fnv1a(h uint32, s string) uint32 {
 	return h
 }
 
-// record is the kind of fact a cache entry holds.
-type record uint8
-
-const (
-	recA    record = iota // a name's full answer
-	recNeg                // a name's NXDOMAIN
-	recNS                 // a TLD's NS RRset
-	recAddr               // the address of a name's ns<20+ns> nameserver
-)
-
-// cacheKey names one cache entry without a pointer: the record, the
-// name's typed identity, and for recAddr the nameserver's index in the
-// name's delegation. A recNS key holds only the TLD index.
-type cacheKey struct {
-	rec  record
-	kind nameKind
-	ns   uint16
-	idx  uint32
-	num  uint64
-}
-
-func (n Name) key(rec record, ns int) cacheKey {
-	return cacheKey{rec: rec, kind: n.kind, ns: uint16(ns), idx: n.idx, num: n.num}
+// key packs n's identity into the resolver's cache key, idx<<34 |
+// num<<2 | kind, so the cache map takes Go's 64-bit key fast path. A
+// generated name's number fits the 32 bits between kind and idx:
+// parseName interns any larger one, and the client draws none. An
+// interned ID has idx 0, so its key stays unique below 2^62.
+func (n Name) key() uint64 {
+	return uint64(n.idx)<<34 | n.num<<2 | uint64(n.kind)
 }
 
 // parseName maps a spelled name onto the Name the client would generate
 // for it, so the string API and the client share one cache entry per
 // name. A trailing dot is dropped. "site<n>.<tld>" and "host<n>.<junk
 // suffix>" map to generated names when n is in canonical decimal, the
-// only form the client spells; anything else is interned.
+// only form the client spells, and below 2^32, the bound of the cache
+// key's number field; anything else is interned.
 func (r *Resolver) parseName(domain string) Name {
 	domain = strings.TrimSuffix(domain, ".")
 	dot := strings.LastIndexByte(domain, '.')
@@ -130,14 +115,14 @@ func (r *Resolver) parseName(domain string) Name {
 	return Name{kind: nameOther, num: id, text: domain}
 }
 
-// labelNum parses label as prefix followed by a number in canonical
-// decimal: digits only, with no leading zero.
+// labelNum parses label as prefix followed by a number below 2^32 in
+// canonical decimal: digits only, with no leading zero.
 func labelNum(label, prefix string) (uint64, bool) {
 	digits, ok := strings.CutPrefix(label, prefix)
 	if !ok || digits == "" || (digits[0] == '0' && len(digits) > 1) {
 		return 0, false
 	}
-	n, err := strconv.ParseUint(digits, 10, 64)
+	n, err := strconv.ParseUint(digits, 10, 32)
 	return n, err == nil
 }
 

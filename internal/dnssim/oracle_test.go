@@ -547,7 +547,7 @@ func TestResolverMatchesStringOracle(t *testing.T) {
 
 // stringAPINames are string-API queries: tab5's names, bare, invalid and
 // trailing-dot names, and spellings next to the generated forms that must
-// not alias them.
+// not alias them, in the string oracle or in the typed cache's packed key.
 var stringAPINames = []struct {
 	name  string
 	force bool
@@ -568,6 +568,11 @@ var stringAPINames = []struct {
 	{"site.org", false},
 	{"site-1.org", false},
 	{"site18446744073709551616.com", false},
+	// site0.net's cache key is 1<<34 (net is zone index 1); without the
+	// key's 32-bit number bound, site4294967296.com would fold onto it.
+	{"site0.net", false},
+	{"site4294967296.com", false},
+	{"site4294967295.com", true},
 	{"Site12.net", false},
 	{"host7.local", false},
 	{"host7.local.", true},
@@ -582,7 +587,8 @@ var stringAPINames = []struct {
 
 // TestStringAPIMatchesStringOracle resolves stringAPINames through
 // ResolveA and ResolveAForceTimeout on both resolvers, traced, then again
-// after a client run has filled the caches, and once more after every TTL
+// after a client run has filled the caches and forced timeouts have
+// re-run the bug path every 20 minutes, and once more after every TTL
 // has expired.
 func TestStringAPIMatchesStringOracle(t *testing.T) {
 	z := NewZone(1000, 22)
@@ -623,6 +629,21 @@ func TestStringAPIMatchesStringOracle(t *testing.T) {
 					fmt.Sprintf("host%d.corp", k)} {
 					if g, w := r.ResolveA(name), ref.ResolveA(name); g != w {
 						t.Fatalf("after client run: %q = %+v, want %+v", name, g, w)
+					}
+				}
+			}
+			// Forced timeouts on one set of names every 20 minutes: a name
+			// whose answer TTL is shorter re-runs the bug path while its
+			// out-of-glue addresses are still cached, and again once they
+			// have expired, so their expiry must be neither extended nor
+			// cut short.
+			for step := 0; step < 8; step++ {
+				r.AdvanceTo(r.Now() + 1200)
+				ref.AdvanceTo(ref.now + 1200)
+				for k := 0; k < 40; k++ {
+					name := fmt.Sprintf("site%d.org", k)
+					if g, w := r.ResolveAForceTimeout(name), ref.ResolveAForceTimeout(name); g != w {
+						t.Fatalf("timeout step %d: %q = %+v, want %+v", step, name, g, w)
 					}
 				}
 			}
