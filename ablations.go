@@ -4,9 +4,9 @@ package anycastctx
 // deployment size, peering breadth, BGP's decision process, recursives'
 // letter preference, and RFC 8806 local-root operation each move the
 // headline numbers. Every ablation measures the world it is given: the
-// sweeps deploy on clones of its graph and abl-tau assembles on its route
-// table, so no experiment writes shared world state and experiment order
-// never matters.
+// sweeps deploy on clones of its graph and abl-tau rebases its campaign,
+// so no experiment writes shared world state and experiment order never
+// matters.
 
 import (
 	"context"
@@ -17,7 +17,6 @@ import (
 	"anycastctx/internal/bgp"
 	"anycastctx/internal/cdn"
 	"anycastctx/internal/core"
-	"anycastctx/internal/ditl"
 	"anycastctx/internal/dnssim"
 	"anycastctx/internal/report"
 	"anycastctx/internal/rng"
@@ -52,7 +51,7 @@ func init() {
 		ID:         "abl-tau",
 		Title:      "Ablation: recursive letter preference",
 		PaperClaim: "preferential querying suppresses per-query inflation",
-		Needs:      []stage.ID{stage.Campaign, stage.UserCounts, stage.Join},
+		Needs:      []stage.ID{stage.Campaign, stage.Join},
 		Run:        runAblTau,
 	})
 	register(Experiment{
@@ -136,7 +135,7 @@ func runAblSize(ctx context.Context, w *World, _ int64) (Result, error) {
 	}, nil
 }
 
-func runAblPeering(ctx context.Context, w *World, seed int64) (Result, error) {
+func runAblPeering(ctx context.Context, w *World, _ int64) (Result, error) {
 	model := w.Model()
 	t := report.Table{
 		Title:   "Ablation: CDN peering breadth vs direct-path share and inflation",
@@ -177,13 +176,14 @@ func runAblPeering(ctx context.Context, w *World, seed int64) (Result, error) {
 			}
 			rtts = append(rtts, stats.WeightedValue{Value: model.BaseRTTMs(e, rt), Weight: wgt})
 		}
-		logs := c.ServerSideLogsCtx(ctx, w.Locations(), seed)
-		giObs := core.CDNGeoInflation(logs, big)
 		cdf, err := stats.NewCDF(rtts)
 		if err != nil {
 			return Result{}, err
 		}
-		eff := core.Efficiency(giObs, 1)
+		// Eq. 1 reads only each location's front-end, so the fault-free
+		// CDN's catchments give the server-side logs' observations
+		// without sampling a median RTT for any ring.
+		eff := core.Efficiency(core.CDNGeoInflationRoutes(big, w.Locations()), 1)
 		t.AddRow(fmt.Sprintf("%.2f", base),
 			fmt.Sprintf("%.1f%%", 100*direct/total),
 			fmt.Sprintf("%.1f%%", 100*eff),
@@ -239,27 +239,25 @@ func runAblRouting(ctx context.Context, w *World, _ int64) (Result, error) {
 }
 
 func runAblTau(ctx context.Context, w *World, _ int64) (Result, error) {
-	// The temperature only weighs letters, so every campaign assembles on
-	// the world's route table and shares its site distances; the row at
-	// the world's temperature is the world's campaign and join.
+	// The temperature only weighs letters, so a row off the world's
+	// temperature rebases the world's campaign on its own deployments: the
+	// rebase shares the route table, site shares, egress store and junk
+	// sources, and draws only the softmax and the TCP medians of cells
+	// that newly pass the volume gate. The /24 join reads no weight, so
+	// every row reads the world's.
 	t := report.Table{
 		Title:   "Ablation: letter-preference temperature vs per-query inflation",
 		Headers: []string{"Tau (ms)", "All-Roots median inflation (ms)", ">20ms share"},
 	}
+	base, j := w.Campaign(), w.JoinCtx(ctx)
 	var sharp, flat float64
 	for i, tau := range []float64{5, 25, 120, 100000} {
-		var j *ditl.Join
-		camp := w.Campaign()
-		if tau == camp.Cfg.TauMs {
-			j = w.JoinCtx(ctx)
-		} else {
+		camp := base
+		if tau != base.Cfg.TauMs {
 			var err error
-			camp, err = ditl.Assemble(ctx, camp.RouteTable(), w.Letters(), w.Pop(), w.Zone(), w.Rates(), w.Model(),
-				ditl.Config{TauMs: tau}, w.Cfg.Seed)
-			if err != nil {
+			if camp, err = base.Rebase(ctx, base.Letters, nil, tau, false, w.Cfg.Seed); err != nil {
 				return Result{}, err
 			}
-			j = camp.JoinCDNCtx(ctx, w.CDNCounts(), false)
 		}
 		cdf, err := stats.NewCDF(core.GeoInflationAllRoots(camp, j))
 		if err != nil {

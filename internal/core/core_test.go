@@ -251,6 +251,35 @@ func TestFig5CDNInflationSmall(t *testing.T) {
 	}
 }
 
+// TestCDNGeoInflationRoutesMatchesLogs: on a fault-free CDN every
+// location with a route logs one row per ring, served by its catchment's
+// front-end, so Eq. 1 from the catchments gives the logs' observations in
+// the same order, value and weight bit for bit, for every ring.
+// abl-peering reads it so.
+func TestCDNGeoInflationRoutesMatchesLogs(t *testing.T) {
+	w := buildWorld(t)
+	logs := w.cdnNet.ServerSideLogsCtx(context.Background(), w.locs, 17)
+	for _, ring := range w.cdnNet.Rings {
+		want, got := CDNGeoInflation(logs, ring), CDNGeoInflationRoutes(ring, w.locs)
+		if len(got) != len(want) {
+			t.Fatalf("ring %s: %d observations from routes, %d from logs", ring.Name, len(got), len(want))
+		}
+		inflated := 0
+		for i := range want {
+			if math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) ||
+				math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) {
+				t.Fatalf("ring %s observation %d: %+v from routes, %+v from logs", ring.Name, i, got[i], want[i])
+			}
+			if want[i].Value > 0 {
+				inflated++
+			}
+		}
+		if inflated == 0 {
+			t.Fatalf("ring %s: no observation is inflated; the test shows too little", ring.Name)
+		}
+	}
+}
+
 func TestFig7aEfficiencyVsSize(t *testing.T) {
 	// Within the CDN rings: bigger ring, lower efficiency but lower
 	// median latency.

@@ -169,6 +169,9 @@ func CDNGeoInflation(rows []cdn.ServerLogRow, ring *cdn.Ring) []stats.WeightedVa
 // it involves no server-side log sampling (whose noise streams are keyed
 // by ring index, not ring identity), so it is comparable across worlds
 // that renumber rings — the scenario engine's before/after deltas use it.
+// On a CDN that drops no log row it gives CDNGeoInflation's observations
+// over the server-side logs, in the same order, so abl-peering samples no
+// logs.
 func CDNGeoInflationRoutes(ring *cdn.Ring, locs []cdn.Location) []stats.WeightedValue {
 	out := make([]stats.WeightedValue, 0, len(locs))
 	sites := geo.NewIndex(ring.SiteLocs)

@@ -107,7 +107,7 @@ func TestSiteDistanceColumns(t *testing.T) {
 	letters := append([]*anycastnet.Deployment(nil), f.letters...)
 	letters[li] = withdrawSite(t, f, li, f.camp.At(li, ri).Route.SiteID)
 	for _, reprice := range []bool{false, true} {
-		reb, err := f.camp.Rebase(ctx, letters, nil, reprice, 5)
+		reb, err := f.camp.Rebase(ctx, letters, nil, f.camp.Cfg.TauMs, reprice, 5)
 		if err != nil {
 			t.Fatalf("reprice=%v: rebase: %v", reprice, err)
 		}

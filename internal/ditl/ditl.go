@@ -344,14 +344,18 @@ type assembler struct {
 	c    *Campaign
 	seed int64
 	// base, when set, is the campaign Rebase derives c from, built with
-	// the same seed, config and latency model. Cells whose inputs it
-	// shares bit for bit are carried from it instead of redrawn (Rebase
-	// lists the rules). Assemble and the full rebuild leave it nil.
+	// the same seed and latency model and c's config but for its
+	// temperature. Cells whose inputs it shares bit for bit are carried
+	// from it instead of redrawn (Rebase lists the rules). Assemble and
+	// the full rebuild leave it nil.
 	base *Campaign
 	// sameRates is set when base is set and c keeps base's rates: the
 	// egress store is then base's, and a recursive that carries its
 	// letter weights carries its TCP medians too.
 	sameRates bool
+	// sameTau is set when base is set and c keeps base's temperature, the
+	// only case in which a recursive can carry its letter weights.
+	sameTau bool
 }
 
 // copies reports whether letter li is base's own deployment at that
@@ -443,10 +447,10 @@ func (as *assembler) recursive(ri int, rtts, weights []float64) (reachable int, 
 	}
 
 	// Letter preference: softmax over per-recursive jittered RTTs. The
-	// jitter is keyed by ⟨seed, recursive, letter⟩ and the temperature is
-	// the base's, so weights over bit-identical RTTs are base's weights;
-	// on base's rates every TCP gate then sees base's inputs as well.
-	if b != nil && b.sameRTTs(ri, rtts) {
+	// jitter is keyed by ⟨seed, recursive, letter⟩, so at base's
+	// temperature weights over bit-identical RTTs are base's weights; on
+	// base's rates every TCP gate then sees base's inputs as well.
+	if as.sameTau && b.sameRTTs(ri, rtts) {
 		for li := range c.Letters {
 			c.letterWeight[li*n+ri] = b.letterWeight[li*n+ri]
 		}

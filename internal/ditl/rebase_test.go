@@ -1,6 +1,7 @@
 package ditl
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -85,7 +86,7 @@ func requireSameCampaign(t *testing.T, want, got *Campaign) {
 // without any scenario on top.
 func TestRebaseFreshLettersEqualsBuild(t *testing.T) {
 	f := buildFixture(t)
-	reb, err := f.camp.Rebase(context.Background(), freshLetters(t, f), nil, false, 5)
+	reb, err := f.camp.Rebase(context.Background(), freshLetters(t, f), nil, f.camp.Cfg.TauMs, false, 5)
 	if err != nil {
 		t.Fatalf("rebase: %v", err)
 	}
@@ -98,7 +99,7 @@ func TestRebaseFreshLettersEqualsBuild(t *testing.T) {
 func TestRebaseBaseLettersShareTable(t *testing.T) {
 	f := buildFixture(t)
 	for _, reprice := range []bool{false, true} {
-		reb, err := f.camp.Rebase(context.Background(), f.letters, nil, reprice, 5)
+		reb, err := f.camp.Rebase(context.Background(), f.letters, nil, f.camp.Cfg.TauMs, reprice, 5)
 		if err != nil {
 			t.Fatalf("reprice=%v: rebase: %v", reprice, err)
 		}
@@ -106,6 +107,63 @@ func TestRebaseBaseLettersShareTable(t *testing.T) {
 		if shared := reb.table == f.camp.table; shared == reprice {
 			t.Fatalf("reprice=%v: rebase shares the base route table: %v", reprice, shared)
 		}
+	}
+}
+
+// TestRebaseAtOtherTemperatures: a rebase on base's own deployments at
+// another temperature equals, byte for byte, the campaign Assemble builds
+// on the same table and rates at that temperature, with reprice or
+// without, and its /24 join is base's, since the join reads no letter
+// weight. On the fixture's rates every cell passes the TCP volume gate at
+// any weight, so a second base runs on rates cut sixteenfold, where
+// cells newly pass the gate and draw a median, or fall below it.
+func TestRebaseAtOtherTemperatures(t *testing.T) {
+	f := buildFixture(t)
+	ctx := context.Background()
+	low := append([]dnssim.Rates(nil), f.rates...)
+	for i := range low {
+		low[i].RootValidPerDay /= 16
+	}
+	lowCamp, err := f.camp.Rebase(ctx, f.letters, low, f.camp.Cfg.TauMs, true, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drawn, dropped := 0, 0
+	for _, base := range []*Campaign{f.camp, lowCamp} {
+		baseJoin := EncodeJoin(base.JoinCDNCtx(ctx, f.cdn, false))
+		for _, tau := range []float64{5, 120, 100000} {
+			want, err := Assemble(ctx, base.table, f.letters, f.pop, base.Zone, base.Rates, base.Model, Config{TauMs: tau}, 5)
+			if err != nil {
+				t.Fatalf("tau %v: assemble: %v", tau, err)
+			}
+			for k, m := range base.tcpMedian {
+				switch {
+				case math.IsNaN(m) && !math.IsNaN(want.tcpMedian[k]):
+					drawn++
+				case !math.IsNaN(m) && math.IsNaN(want.tcpMedian[k]):
+					dropped++
+				}
+			}
+			for _, reprice := range []bool{false, true} {
+				got, err := base.Rebase(ctx, f.letters, nil, tau, reprice, 5)
+				if err != nil {
+					t.Fatalf("tau %v, reprice=%v: rebase: %v", tau, reprice, err)
+				}
+				if got.Cfg != want.Cfg {
+					t.Fatalf("tau %v, reprice=%v: config %+v, want %+v", tau, reprice, got.Cfg, want.Cfg)
+				}
+				if !bytes.Equal(got.EncodeArtifact(), want.EncodeArtifact()) {
+					requireSameCampaign(t, want, got)
+					t.Fatalf("tau %v, reprice=%v: campaign artifact differs from Assemble's", tau, reprice)
+				}
+				if !bytes.Equal(EncodeJoin(got.JoinCDNCtx(ctx, f.cdn, false)), baseJoin) {
+					t.Fatalf("tau %v, reprice=%v: join differs from base's", tau, reprice)
+				}
+			}
+		}
+	}
+	if drawn == 0 || dropped == 0 {
+		t.Fatalf("%d cells newly drew a TCP median and %d dropped one; the test shows too little", drawn, dropped)
 	}
 }
 
@@ -148,11 +206,11 @@ func TestRebaseWithdrawnAlternateRedraws(t *testing.T) {
 	letters := append([]*anycastnet.Deployment(nil), f.letters...)
 	letters[li] = withdrawSite(t, f, li, site)
 	ctx := context.Background()
-	want, err := f.camp.Rebase(ctx, letters, nil, true, 5)
+	want, err := f.camp.Rebase(ctx, letters, nil, f.camp.Cfg.TauMs, true, 5)
 	if err != nil {
 		t.Fatalf("reprice: %v", err)
 	}
-	got, err := f.camp.Rebase(ctx, letters, nil, false, 5)
+	got, err := f.camp.Rebase(ctx, letters, nil, f.camp.Cfg.TauMs, false, 5)
 	if err != nil {
 		t.Fatalf("rebase: %v", err)
 	}
@@ -163,10 +221,10 @@ func TestRebaseWithdrawnAlternateRedraws(t *testing.T) {
 func TestRebaseValidation(t *testing.T) {
 	f := buildFixture(t)
 	ctx := context.Background()
-	if _, err := f.camp.Rebase(ctx, f.letters[:1], nil, false, 5); err == nil {
+	if _, err := f.camp.Rebase(ctx, f.letters[:1], nil, f.camp.Cfg.TauMs, false, 5); err == nil {
 		t.Error("short letter slice accepted")
 	}
-	if _, err := f.camp.Rebase(ctx, f.letters, f.rates[:1], false, 5); err == nil {
+	if _, err := f.camp.Rebase(ctx, f.letters, f.rates[:1], f.camp.Cfg.TauMs, false, 5); err == nil {
 		t.Error("short rates slice accepted")
 	}
 }
@@ -216,7 +274,7 @@ func TestRebaseCarriesRTTOnlyForIdenticalRoutes(t *testing.T) {
 	// without a resolve (TestRebaseCopiesBaseDeploymentCells).
 	letters := freshLetters(t, f)
 	for _, reprice := range []bool{false, true} {
-		reb, err := base.Rebase(context.Background(), letters, nil, reprice, 5)
+		reb, err := base.Rebase(context.Background(), letters, nil, base.Cfg.TauMs, reprice, 5)
 		if err != nil {
 			t.Fatalf("reprice=%v: rebase: %v", reprice, err)
 		}
@@ -266,7 +324,7 @@ func TestRebaseCopiesBaseDeploymentCells(t *testing.T) {
 		{"fresh deployment", fresh, false, false},
 		{"base deployment, reprice", mixed, true, false},
 	} {
-		reb, err := base.Rebase(context.Background(), tc.letters, nil, tc.reprice, 5)
+		reb, err := base.Rebase(context.Background(), tc.letters, nil, base.Cfg.TauMs, tc.reprice, 5)
 		if err != nil {
 			t.Fatalf("%s: rebase: %v", tc.name, err)
 		}
@@ -313,7 +371,7 @@ func TestRebaseCarriesMediansAndWeightsForUnchangedRTTs(t *testing.T) {
 	}
 
 	before := obsRebaseAssembly.Value()
-	reb, err := base.Rebase(context.Background(), freshLetters(t, f), nil, false, 5)
+	reb, err := base.Rebase(context.Background(), freshLetters(t, f), nil, base.Cfg.TauMs, false, 5)
 	if err != nil {
 		t.Fatalf("rebase: %v", err)
 	}
@@ -353,7 +411,7 @@ func TestRebaseCarriesMediansAndWeightsForUnchangedRTTs(t *testing.T) {
 	}
 
 	for _, letters := range [][]*anycastnet.Deployment{f.letters, freshLetters(t, f)} {
-		reb, err := base.Rebase(context.Background(), letters, nil, true, 5)
+		reb, err := base.Rebase(context.Background(), letters, nil, base.Cfg.TauMs, true, 5)
 		if err != nil {
 			t.Fatalf("reprice: rebase: %v", err)
 		}
@@ -373,7 +431,7 @@ func TestRebaseMediansFollowTheGate(t *testing.T) {
 	for i := range low {
 		low[i].RootValidPerDay /= 16
 	}
-	lowCamp, err := f.camp.Rebase(ctx, f.letters, low, true, 5)
+	lowCamp, err := f.camp.Rebase(ctx, f.letters, low, f.camp.Cfg.TauMs, true, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +443,7 @@ func TestRebaseMediansFollowTheGate(t *testing.T) {
 		{"down", f.camp, low},
 		{"up", lowCamp, f.rates},
 	} {
-		want, err := tc.base.Rebase(ctx, f.letters, tc.rates, true, 5)
+		want, err := tc.base.Rebase(ctx, f.letters, tc.rates, tc.base.Cfg.TauMs, true, 5)
 		if err != nil {
 			t.Fatalf("%s: reprice: %v", tc.name, err)
 		}
@@ -398,7 +456,7 @@ func TestRebaseMediansFollowTheGate(t *testing.T) {
 		if crossed == 0 {
 			t.Fatalf("%s: no cell crossed the TCP volume gate", tc.name)
 		}
-		got, err := tc.base.Rebase(ctx, f.letters, tc.rates, false, 5)
+		got, err := tc.base.Rebase(ctx, f.letters, tc.rates, tc.base.Cfg.TauMs, false, 5)
 		if err != nil {
 			t.Fatalf("%s: rebase: %v", tc.name, err)
 		}
@@ -448,11 +506,11 @@ func TestRebaseCarriesSiteSharesMediansAndEgress(t *testing.T) {
 		{"cut rates", f.letters, cut, false, true, false, true, false},
 		{"reprice", f.letters, nil, true, false, false, false, false},
 	} {
-		want, err := f.camp.Rebase(ctx, tc.letters, tc.rates, true, 5)
+		want, err := f.camp.Rebase(ctx, tc.letters, tc.rates, f.camp.Cfg.TauMs, true, 5)
 		if err != nil {
 			t.Fatalf("%s: reprice: %v", tc.name, err)
 		}
-		got, err := base.Rebase(ctx, tc.letters, tc.rates, tc.reprice, 5)
+		got, err := base.Rebase(ctx, tc.letters, tc.rates, base.Cfg.TauMs, tc.reprice, 5)
 		if err != nil {
 			t.Fatalf("%s: rebase: %v", tc.name, err)
 		}

@@ -329,7 +329,7 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 			rates = surged
 		}
 		campCtx, campSpan := obs.StartSpanCtx(ctx, "scenario.campaign")
-		camp, err = camp.Rebase(campCtx, app.letters, surged, full, seed)
+		camp, err = camp.Rebase(campCtx, app.letters, surged, camp.Cfg.TauMs, full, seed)
 		campSpan.End()
 		if err != nil {
 			return nil, err
