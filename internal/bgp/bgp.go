@@ -496,12 +496,20 @@ func (r *Resolver) diff(base *Resolver) ([]int, func(topology.ASN, *cachedRoute)
 	}
 }
 
-// hostView is what one source sees of one host, settled once per
-// resolution: visible reports that the source can use some site of the
-// host; all, that it can use every one (the source peers with the host
-// or shares its region, or the host has no local site).
+// hostView is what a source that peers with no host sees of one host
+// (phase 2 alone asks: a peered host ends the resolution in phase 1):
+// visible reports that the source can use some site of the host; all,
+// that it can use every one (the source shares the host's region, or the
+// host has no local site).
 type hostView struct {
 	visible, all bool
+}
+
+// view returns what a source in region sees of hosts[h].
+func (r *Resolver) view(h, region int) hostView {
+	hs := &r.hosts[h]
+	local := hs.as.Region >= 0 && hs.as.Region == region
+	return hostView{visible: hs.hasGlobal || local, all: !hs.hasLocal || local}
 }
 
 // better reports whether a candidate site with key beats the incumbent
@@ -553,24 +561,18 @@ func (r *Resolver) firstSite(h int, all bool) int {
 func (r *Resolver) resolveRoute(src topology.ASN) (Route, outcome) {
 	S := r.g.AS(src) // Route checked that src has a slot
 
-	// One pass over the hosts settles what the source sees of each and
-	// runs phase 1: direct peer routes (path length 2), which BGP prefers
-	// on local-pref and length. The source exits at its nearest
-	// interconnect with the host; inside the host network the anycast
-	// address is routed to the nearest site in the deployment
-	// (near-optimal WAN, §6). A peered host's local sites are always in
-	// view.
+	// Phase 1: direct peer routes (path length 2), which BGP prefers on
+	// local-pref and length. The source exits at its nearest interconnect
+	// with the host; inside the host network the anycast address is
+	// routed to the nearest site in the deployment (near-optimal WAN, §6).
+	// A peered host's local sites are always in view.
 	home := S.Point()
-	views := make([]hostView, len(r.hosts))
 	best, bestKey := -1, 0.0
 	var bestVia topology.ASN
 	var bestEntry geo.Coord
 	for h := range r.hosts {
 		hs := &r.hosts[h]
-		peered := r.g.Peered(src, hs.as.ASN)
-		local := peered || (hs.as.Region >= 0 && hs.as.Region == S.Region)
-		views[h] = hostView{visible: hs.hasGlobal || local, all: !hs.hasLocal || local}
-		if !peered {
+		if !r.g.Peered(src, hs.as.ASN) {
 			continue
 		}
 		entry := hs.as.NearestPoint(home)
@@ -603,7 +605,7 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, outcome) {
 			continue
 		}
 		for h, d := range dists {
-			if d < bestLen && views[h].visible {
+			if d < bestLen && r.view(h, S.Region).visible {
 				chosen, bestLen = p, d
 			}
 		}
@@ -615,16 +617,16 @@ func (r *Resolver) resolveRoute(src topology.ASN) (Route, outcome) {
 	if bestLen >= 2 {
 		o = viaProviderDeep
 	}
-	return r.routeViaTransit(S, views, chosen, bestLen), o
+	return r.routeViaTransit(S, chosen, bestLen), o
 }
 
 // routeViaTransit picks the site reached through provider p among the
-// sites the source sees on hosts at transit distance d, applying
-// hot-potato selection at each stage.
-func (r *Resolver) routeViaTransit(S *topology.AS, views []hostView, p topology.ASN, d uint8) Route {
+// sites source S, which peers with no host, sees on hosts at transit
+// distance d, applying hot-potato selection at each stage.
+func (r *Resolver) routeViaTransit(S *topology.AS, p topology.ASN, d uint8) Route {
 	entry := r.g.AS(p).NearestPoint(S.Point())
 	dists := r.tables()[p]
-	candidate := func(h int) bool { return dists[h] == d && views[h].visible }
+	candidate := func(h int) bool { return dists[h] == d && r.view(h, S.Region).visible }
 
 	switch d {
 	case 0, 1:
@@ -639,7 +641,7 @@ func (r *Resolver) routeViaTransit(S *topology.AS, views []hostView, p topology.
 				continue
 			}
 			egress := r.hosts[h].as.NearestPoint(entry)
-			site, dSite := r.nearestSite(h, egress, views[h].all)
+			site, dSite := r.nearestSite(h, egress, r.view(h, S.Region).all)
 			if key := entry.DistanceKm(egress) + dSite; better(key, site, bestKey, best) {
 				best, bestKey, bestEgress = site, key, egress.Coord
 			}
@@ -694,7 +696,7 @@ func (r *Resolver) routeViaTransit(S *topology.AS, views []hostView, p topology.
 					continue
 				}
 				ix := H.NearestPoint(uEntry)
-				site, dSite := r.nearestSite(h, ix, views[h].all)
+				site, dSite := r.nearestSite(h, ix, r.view(h, S.Region).all)
 				if key := uEntry.DistanceKm(ix) + dSite; better(key, site, bestKey, best) {
 					best, bestKey, bestIx = site, key, ix.Coord
 				}
@@ -719,7 +721,7 @@ func (r *Resolver) routeViaTransit(S *topology.AS, views []hostView, p topology.
 			if !candidate(h) {
 				continue
 			}
-			site := r.firstSite(h, views[h].all)
+			site := r.firstSite(h, r.view(h, S.Region).all)
 			if tie := r.g.PairUnit(p, r.hosts[h].as.ASN); better(tie, site, bestTie, best) {
 				best, bestTie, bestHost = site, tie, h
 			}
