@@ -4,36 +4,12 @@ import (
 	"math"
 
 	"anycastctx/internal/anycastnet"
-	"anycastctx/internal/bgp"
 	"anycastctx/internal/geo"
 	"anycastctx/internal/latency"
 	"anycastctx/internal/par"
 	"anycastctx/internal/stats"
 	"anycastctx/internal/topology"
 )
-
-// OptimalRoute returns the best-case route from src to a deployment: the
-// geographically closest global site reached at the propagation lower
-// bound. This is the comparator both inflation metrics measure against
-// (§3: "we find it valuable to compare latency to a theoretical lower
-// bound"), and the baseline for the routing ablation.
-func OptimalRoute(g *topology.Graph, d *anycastnet.Deployment, src topology.ASN) (bgp.Route, bool) {
-	S := g.AS(src)
-	if S == nil {
-		return bgp.Route{}, false
-	}
-	id, _ := d.ClosestGlobalSiteTo(S.Point())
-	if id < 0 {
-		return bgp.Route{}, false
-	}
-	return bgp.Route{
-		SiteID:    id,
-		PathLen:   2,
-		Direct:    true,
-		Via:       d.Sites[id].Host,
-		Waypoints: []geo.Coord{S.Loc, d.Sites[id].Loc},
-	}, true
-}
 
 // RoutingComparison quantifies what BGP leaves on the table for one
 // deployment: per source (user-weighted), the actual RTT versus the
@@ -50,10 +26,12 @@ type RoutingComparison struct {
 }
 
 // CompareRouting evaluates BGP against the optimal baseline over all
-// eyeball ASes, weighting by user share. Per-source rows are computed
-// across one worker per CPU into a pre-sized slice, then folded serially
-// in eyeball order, so weighted sums and CDF inputs are byte-identical to
-// a serial pass.
+// eyeball ASes, weighting by user share. The optimal route reaches the
+// geographically closest global site at the propagation lower bound (§3:
+// "we find it valuable to compare latency to a theoretical lower
+// bound"). Per-source rows are computed across one worker per CPU into a
+// pre-sized slice, then folded serially in eyeball order, so weighted
+// sums and CDF inputs are byte-identical to a serial pass.
 func CompareRouting(g *topology.Graph, d *anycastnet.Deployment, model *latency.Model) (RoutingComparison, error) {
 	eyeballs := g.Eyeballs()
 	type row struct {
@@ -74,22 +52,22 @@ func CompareRouting(g *topology.Graph, d *anycastnet.Deployment, model *latency.
 			if !ok {
 				continue
 			}
-			opt, ok := OptimalRoute(g, d, e)
-			if !ok {
-				continue
-			}
 			// Optimal latency excludes circuity and hop penalties beyond
 			// the minimum 2-AS handoff, keeping only access delay (which
 			// no routing change removes).
+			optSite, optKm := d.ClosestGlobalSiteTo(as.Point())
+			if optSite < 0 {
+				continue
+			}
 			aMs := model.BaseRTTMs(e, rt)
-			oMs := geo.RTTLowerBoundMs(opt.Dist()) + model.AccessDelayMs(e)
+			oMs := geo.RTTLowerBoundMs(optKm) + model.AccessDelayMs(e)
 			gap := aMs - oMs
 			if gap < 0 {
 				gap = 0
 			}
 			rows[i] = row{
 				ok: true, aMs: aMs, oMs: oMs, gapMs: gap,
-				w: as.UserWeight, atOpt: rt.SiteID == opt.SiteID,
+				w: as.UserWeight, atOpt: rt.SiteID == optSite,
 			}
 		}
 	})

@@ -4,34 +4,7 @@ import (
 	"testing"
 
 	"anycastctx/internal/latency"
-	"anycastctx/internal/topology"
 )
-
-func TestOptimalRoute(t *testing.T) {
-	w := buildWorld(t)
-	d := w.camp.Letters[w.camp.LetterIndex("K")]
-	for _, e := range w.g.Eyeballs()[:100] {
-		opt, ok := OptimalRoute(w.g, d, e)
-		if !ok {
-			t.Fatalf("no optimal route for %d", e)
-		}
-		if !opt.Direct || opt.PathLen != 2 {
-			t.Fatal("optimal route should be a direct 2-AS path")
-		}
-		// It must be at the closest global site.
-		src := w.g.AS(e)
-		id, minD := d.ClosestGlobalSite(src.Loc)
-		if opt.SiteID != id {
-			t.Fatalf("optimal site %d != closest %d", opt.SiteID, id)
-		}
-		if got := opt.Dist(); got > minD+1 {
-			t.Fatalf("optimal dist %f > closest %f", got, minD)
-		}
-	}
-	if _, ok := OptimalRoute(w.g, d, topology.ASN(99999999)); ok {
-		t.Error("optimal route for unknown AS")
-	}
-}
 
 func TestCompareRoutingBGPNeverBeatsOptimal(t *testing.T) {
 	w := buildWorld(t)
