@@ -103,8 +103,8 @@ func (c *Client) sampleDomain() Name {
 	return Name{kind: nameSite, idx: uint32(tld), num: site, text: c.zone.TLDs[tld].Name}
 }
 
-// SampleChromiumProbe draws a random single-label probe name.
-func (c *Client) SampleChromiumProbe() string {
+// sampleChromiumProbe draws a random single-label probe name.
+func (c *Client) sampleChromiumProbe() string {
 	var b [15]byte
 	n := 7 + c.rng.Intn(9)
 	for i := 0; i < n; i++ {
@@ -249,7 +249,7 @@ func (c *Client) generate(now, end float64, free <-chan []draw, full chan<- []dr
 			u := c.rng.Float64()
 			switch {
 			case u < pProbe:
-				d.kind, d.name = QueryProbe, Name{kind: nameOther, text: c.SampleChromiumProbe()}
+				d.kind, d.name = QueryProbe, Name{kind: nameOther, text: c.sampleChromiumProbe()}
 			case u < pProbe+pJunk:
 				d.kind, d.name = QueryJunk, c.sampleJunk()
 			default:

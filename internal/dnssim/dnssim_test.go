@@ -342,7 +342,7 @@ func TestClientSamplers(t *testing.T) {
 		if got := r.parseName(d.String()); got != d {
 			t.Fatalf("%q parses to %+v, want %+v", d, got, d)
 		}
-		p := c.SampleChromiumProbe()
+		p := c.sampleChromiumProbe()
 		if _, ok := z.Lookup(p); ok {
 			t.Fatalf("probe %q is a valid TLD", p)
 		}

@@ -118,7 +118,7 @@ func TestRootServerAgainstRandomQueries(t *testing.T) {
 		case 0:
 			name = client.sampleDomain().String()
 		case 1:
-			name = client.SampleChromiumProbe()
+			name = client.sampleChromiumProbe()
 		default:
 			name = client.sampleJunk().String()
 		}
