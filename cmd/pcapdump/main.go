@@ -85,21 +85,21 @@ func main() {
 			printed++
 			return nil
 		}
-		ip := pkt.IPv4()
+		ip := pkt.IPv4
 		proto := "?"
 		var sport, dport uint16
 		switch {
-		case pkt.UDP() != nil:
+		case pkt.UDP != nil:
 			proto = "UDP"
-			sport, dport = pkt.UDP().SrcPort, pkt.UDP().DstPort
-		case pkt.TCP() != nil:
+			sport, dport = pkt.UDP.SrcPort, pkt.UDP.DstPort
+		case pkt.TCP != nil:
 			proto = "TCP"
-			sport, dport = pkt.TCP().SrcPort, pkt.TCP().DstPort
+			sport, dport = pkt.TCP.SrcPort, pkt.TCP.DstPort
 		}
 		line := fmt.Sprintf("%s  %s %s:%d > %s:%d",
 			rec.Time.Format("15:04:05.000000"), proto, ip.Src, sport, ip.Dst, dport)
-		if payload := pkt.Payload(); len(payload) > 0 {
-			if msg, err := dnswire.Decode(payload); err == nil && len(msg.Questions) > 0 {
+		if len(pkt.Payload) > 0 {
+			if msg, err := dnswire.Decode(pkt.Payload); err == nil && len(msg.Questions) > 0 {
 				dir := "query"
 				if msg.Header.Response {
 					dir = "resp " + msg.Header.RCode.String()

@@ -448,8 +448,8 @@ func SummarizeCapture(r io.Reader) (*CaptureSummary, error) {
 			return nil
 		}
 		var msg *dnswire.Message
-		if payload := pkt.Payload(); len(payload) > 0 {
-			if msg, err = dnswire.Decode(payload); err != nil {
+		if len(pkt.Payload) > 0 {
+			if msg, err = dnswire.Decode(pkt.Payload); err != nil {
 				s.MalformedDNS++
 				obsSumMalformedDNS.Inc()
 				return nil
@@ -462,7 +462,7 @@ func SummarizeCapture(r io.Reader) (*CaptureSummary, error) {
 		if rec.Time.After(last) {
 			last = rec.Time
 		}
-		if pkt.TCP() != nil {
+		if pkt.TCP != nil {
 			s.TCPPackets++
 		}
 		if msg == nil {
@@ -475,10 +475,10 @@ func SummarizeCapture(r io.Reader) (*CaptureSummary, error) {
 			}
 			return nil
 		}
-		if pkt.UDP() != nil {
+		if pkt.UDP != nil {
 			s.UDPQueries++
 		}
-		s.Sources[ipaddr.Key24(pkt.IPv4().Src)]++
+		s.Sources[ipaddr.Key24(pkt.IPv4.Src)]++
 		if len(msg.Questions) > 0 && msg.Questions[0].Type == dnswire.TypePTR {
 			s.PTRQueries++
 		}

@@ -23,7 +23,7 @@ func benchPacket(b *testing.B) []byte {
 	return pkt
 }
 
-// BenchmarkDecodePacket measures the layered decode path.
+// BenchmarkDecodePacket measures the packet decode path.
 func BenchmarkDecodePacket(b *testing.B) {
 	pkt := benchPacket(b)
 	b.SetBytes(int64(len(pkt)))

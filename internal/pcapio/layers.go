@@ -1,7 +1,7 @@
 // Package pcapio provides packet capture I/O for the DITL-style captures:
 // a classic pcap file writer/reader (LINKTYPE_RAW, packets begin at the
-// IPv4 header) and a small gopacket-style layered codec for
-// IPv4/UDP/TCP+payload packets, with real header checksums.
+// IPv4 header) and a codec for IPv4/UDP/TCP+payload packets, with real
+// header checksums.
 package pcapio
 
 import (
@@ -10,38 +10,6 @@ import (
 
 	"anycastctx/internal/ipaddr"
 )
-
-// LayerType identifies a decoded protocol layer.
-type LayerType uint8
-
-// Layer types understood by the codec.
-const (
-	LayerTypeIPv4 LayerType = iota
-	LayerTypeUDP
-	LayerTypeTCP
-	LayerTypePayload
-)
-
-// String implements fmt.Stringer.
-func (t LayerType) String() string {
-	switch t {
-	case LayerTypeIPv4:
-		return "IPv4"
-	case LayerTypeUDP:
-		return "UDP"
-	case LayerTypeTCP:
-		return "TCP"
-	case LayerTypePayload:
-		return "Payload"
-	default:
-		return fmt.Sprintf("LayerType(%d)", uint8(t))
-	}
-}
-
-// Layer is one decoded protocol layer.
-type Layer interface {
-	LayerType() LayerType
-}
 
 // IP protocol numbers.
 const (
@@ -65,16 +33,10 @@ type IPv4 struct {
 	ID       uint16
 }
 
-// LayerType implements Layer.
-func (*IPv4) LayerType() LayerType { return LayerTypeIPv4 }
-
 // UDP is the UDP transport layer.
 type UDP struct {
 	SrcPort, DstPort uint16
 }
-
-// LayerType implements Layer.
-func (*UDP) LayerType() LayerType { return LayerTypeUDP }
 
 // TCP flag bits.
 const (
@@ -92,61 +54,15 @@ type TCP struct {
 	Flags            uint8
 }
 
-// LayerType implements Layer.
-func (*TCP) LayerType() LayerType { return LayerTypeTCP }
-
-// Payload is the application-layer bytes (a DNS message in this system).
-type Payload []byte
-
-// LayerType implements Layer.
-func (Payload) LayerType() LayerType { return LayerTypePayload }
-
-// Packet is a decoded packet: an IPv4 layer, a transport layer, and an
-// optional payload.
+// Packet is a decoded packet: the IPv4 header, at most one transport
+// header (UDP and TCP are nil for any other protocol), and the bytes
+// after them. Payload aliases the buffer passed to DecodePacket, which
+// is safe for records from Reader.Next: it allocates each record's data.
 type Packet struct {
-	layers []Layer
-}
-
-// Layer returns the first layer of the given type, or nil.
-func (p *Packet) Layer(t LayerType) Layer {
-	for _, l := range p.layers {
-		if l.LayerType() == t {
-			return l
-		}
-	}
-	return nil
-}
-
-// IPv4 returns the network layer (never nil for a decoded packet).
-func (p *Packet) IPv4() *IPv4 {
-	if l := p.Layer(LayerTypeIPv4); l != nil {
-		return l.(*IPv4)
-	}
-	return nil
-}
-
-// UDP returns the UDP layer or nil.
-func (p *Packet) UDP() *UDP {
-	if l := p.Layer(LayerTypeUDP); l != nil {
-		return l.(*UDP)
-	}
-	return nil
-}
-
-// TCP returns the TCP layer or nil.
-func (p *Packet) TCP() *TCP {
-	if l := p.Layer(LayerTypeTCP); l != nil {
-		return l.(*TCP)
-	}
-	return nil
-}
-
-// Payload returns the application payload (nil if none).
-func (p *Packet) Payload() []byte {
-	if l := p.Layer(LayerTypePayload); l != nil {
-		return []byte(l.(Payload))
-	}
-	return nil
+	IPv4    IPv4
+	UDP     *UDP
+	TCP     *TCP
+	Payload []byte
 }
 
 // checksum computes the Internet checksum over b with an initial sum.
@@ -260,8 +176,8 @@ func writeIPv4Header(b []byte, ip *IPv4, proto uint8, total int) {
 	be16(b[10:], checksum(b[:20], 0))
 }
 
-// DecodePacket parses an IPv4 packet into layers, verifying the IPv4
-// header checksum and length consistency.
+// DecodePacket parses an IPv4 packet, verifying the IPv4 header
+// checksum and length consistency. The packet's Payload aliases data.
 func DecodePacket(data []byte) (*Packet, error) {
 	if len(data) < 20 {
 		return nil, ErrShortPacket
@@ -280,17 +196,16 @@ func DecodePacket(data []byte) (*Packet, error) {
 	if total < ihl || total > len(data) {
 		return nil, ErrBadLength
 	}
-	ip := &IPv4{
+	pkt := &Packet{IPv4: IPv4{
 		Src:      ipaddr.Addr(u32(data[12:])),
 		Dst:      ipaddr.Addr(u32(data[16:])),
 		Protocol: data[9],
 		TTL:      data[8],
 		ID:       u16(data[4:]),
-	}
-	pkt := &Packet{layers: []Layer{ip}}
-	rest := data[ihl:total]
+	}}
+	rest := data[ihl:total:total]
 
-	switch ip.Protocol {
+	switch pkt.IPv4.Protocol {
 	case ProtoUDP:
 		if len(rest) < 8 {
 			return nil, ErrShortPacket
@@ -299,12 +214,8 @@ func DecodePacket(data []byte) (*Packet, error) {
 		if udpLen < 8 || udpLen > len(rest) {
 			return nil, ErrBadLength
 		}
-		pkt.layers = append(pkt.layers, &UDP{SrcPort: u16(rest[0:]), DstPort: u16(rest[2:])})
-		if udpLen > 8 {
-			pl := make(Payload, udpLen-8)
-			copy(pl, rest[8:udpLen])
-			pkt.layers = append(pkt.layers, pl)
-		}
+		pkt.UDP = &UDP{SrcPort: u16(rest[0:]), DstPort: u16(rest[2:])}
+		rest = rest[8:udpLen:udpLen]
 	case ProtoTCP:
 		if len(rest) < 20 {
 			return nil, ErrShortPacket
@@ -313,25 +224,18 @@ func DecodePacket(data []byte) (*Packet, error) {
 		if off < 20 || off > len(rest) {
 			return nil, ErrBadLength
 		}
-		pkt.layers = append(pkt.layers, &TCP{
+		pkt.TCP = &TCP{
 			SrcPort: u16(rest[0:]),
 			DstPort: u16(rest[2:]),
 			Seq:     u32(rest[4:]),
 			Ack:     u32(rest[8:]),
 			Flags:   rest[13],
-		})
-		if len(rest) > off {
-			pl := make(Payload, len(rest)-off)
-			copy(pl, rest[off:])
-			pkt.layers = append(pkt.layers, pl)
 		}
-	default:
-		// Unknown transport: keep raw bytes as payload.
-		if len(rest) > 0 {
-			pl := make(Payload, len(rest))
-			copy(pl, rest)
-			pkt.layers = append(pkt.layers, pl)
-		}
+		rest = rest[off:]
+	}
+	// An unknown transport keeps its raw bytes as the payload.
+	if len(rest) > 0 {
+		pkt.Payload = rest
 	}
 	return pkt, nil
 }

@@ -36,22 +36,19 @@ func TestUDPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip := pkt.IPv4()
-	if ip == nil || ip.Src != src || ip.Dst != dst || ip.Protocol != ProtoUDP || ip.ID != 77 {
+	ip := pkt.IPv4
+	if ip.Src != src || ip.Dst != dst || ip.Protocol != ProtoUDP || ip.ID != 77 {
 		t.Errorf("ip = %+v", ip)
 	}
-	udp := pkt.UDP()
+	udp := pkt.UDP
 	if udp == nil || udp.SrcPort != 4096 || udp.DstPort != 53 {
 		t.Errorf("udp = %+v", udp)
 	}
-	if !bytes.Equal(pkt.Payload(), payload) {
-		t.Errorf("payload = %q", pkt.Payload())
+	if !bytes.Equal(pkt.Payload, payload) {
+		t.Errorf("payload = %q", pkt.Payload)
 	}
-	if pkt.TCP() != nil {
+	if pkt.TCP != nil {
 		t.Error("unexpected TCP layer")
-	}
-	if len(pkt.layers) != 3 {
-		t.Errorf("layers = %d", len(pkt.layers))
 	}
 }
 
@@ -67,14 +64,14 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp := pkt.TCP()
+	tcp := pkt.TCP
 	if tcp == nil || tcp.Seq != 1000 || tcp.Ack != 2000 || tcp.Flags != FlagSYN|FlagACK {
 		t.Errorf("tcp = %+v", tcp)
 	}
-	if pkt.IPv4().TTL != 50 {
-		t.Errorf("ttl = %d", pkt.IPv4().TTL)
+	if pkt.IPv4.TTL != 50 {
+		t.Errorf("ttl = %d", pkt.IPv4.TTL)
 	}
-	if pkt.Payload() != nil {
+	if pkt.Payload != nil {
 		t.Error("expected empty payload")
 	}
 	// With payload.
@@ -86,8 +83,8 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(pkt2.Payload()) != "data" {
-		t.Errorf("payload = %q", pkt2.Payload())
+	if string(pkt2.Payload) != "data" {
+		t.Errorf("payload = %q", pkt2.Payload)
 	}
 }
 
@@ -105,7 +102,7 @@ func TestDNSInsideUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := dnswire.Decode(pkt.Payload())
+	msg, err := dnswire.Decode(pkt.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +180,11 @@ func TestUnknownProtocolKeptAsPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pkt.UDP() != nil || pkt.TCP() != nil {
+	if pkt.UDP != nil || pkt.TCP != nil {
 		t.Error("unexpected transport layer")
 	}
-	if len(pkt.Payload()) != 4 {
-		t.Errorf("payload len = %d", len(pkt.Payload()))
+	if len(pkt.Payload) != 4 {
+		t.Errorf("payload len = %d", len(pkt.Payload))
 	}
 }
 
@@ -299,16 +296,6 @@ func TestSerializeRejectsHuge(t *testing.T) {
 	}
 	if _, err := SerializeTCP(&IPv4{}, &TCP{}, make([]byte, 70000)); err == nil {
 		t.Error("oversized TCP accepted")
-	}
-}
-
-func TestLayerTypeString(t *testing.T) {
-	if LayerTypeIPv4.String() != "IPv4" || LayerTypeTCP.String() != "TCP" ||
-		LayerTypeUDP.String() != "UDP" || LayerTypePayload.String() != "Payload" {
-		t.Error("layer type names wrong")
-	}
-	if LayerType(9).String() != "LayerType(9)" {
-		t.Error("unknown layer type string wrong")
 	}
 }
 

@@ -117,7 +117,7 @@ func TestCaptureReferralsCarryGlue(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		payload := pkt.Payload()
+		payload := pkt.Payload
 		if len(payload) == 0 {
 			return nil
 		}
