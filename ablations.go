@@ -149,12 +149,11 @@ func runAblPeering(ctx context.Context, w *World, _ int64) (Result, error) {
 		// One seed for every row: the rows share PoPs and per-eyeball
 		// peering rolls, and differ only in PeerBase.
 		g := w.Graph().Clone()
-		cfg := cdn.Config{PeerBase: base}
-		as, err := cdn.AddNetwork(g, cfg, w.Cfg.Seed)
+		as, err := cdn.AddNetwork(g, cdn.Config{PeerBase: base}, w.Cfg.Seed)
 		if err != nil {
 			return Result{}, err
 		}
-		c, err := cdn.Build(ctx, g, as, model, cfg)
+		c, err := cdn.Build(ctx, g, as, model)
 		if err != nil {
 			return Result{}, err
 		}

@@ -35,7 +35,6 @@ var exportAllowlist = map[string]string{
 // exportAllowlist, an entry whose field is written outside tests after
 // all, or no longer exists, fails the test.
 var configFieldAllowlist = map[string]string{
-	"anycastctx/internal/cdn.Config.Rings":                         "the ring-sort and validation tests pass their own ring sets",
 	"anycastctx/internal/topology.Config.NumTier1":                 "package tests build small graphs with 3 to 12 tier-1s",
 	"anycastctx/internal/dnssim.ClientConfig.QueriesPerUserPerDay": "resolver tests set the per-user query rate their expectations assume",
 	"anycastctx/internal/dnssim.ResolverConfig.TruncationProb":     "TestTCPFallbackCountsAndCosts uses it to force the TCP path",

@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"anycastctx/internal/anycastnet"
 	"anycastctx/internal/bgp"
@@ -45,15 +44,16 @@ var (
 	obsClientRowsLost = obs.NewCounter("cdn.client_rows_dropped")
 )
 
-// RingSpec names one ring and its front-end count.
-type RingSpec struct {
+// ringSpec names one ring and its front-end count.
+type ringSpec struct {
 	Name string
 	Size int
 }
 
-// PaperRings is the ring inventory in Fig 1.
-func PaperRings() []RingSpec {
-	return []RingSpec{
+// paperRings is the ring inventory in Fig 1, smallest to largest; the
+// largest defines the PoP set.
+func paperRings() []ringSpec {
+	return []ringSpec{
 		{Name: "R28", Size: 28},
 		{Name: "R47", Size: 47},
 		{Name: "R74", Size: 74},
@@ -64,8 +64,6 @@ func PaperRings() []RingSpec {
 
 // Config tunes CDN construction.
 type Config struct {
-	// Rings lists the rings in any order; the largest defines the PoP set.
-	Rings []RingSpec
 	// PeerBase and peerRichnessBoost set each eyeball's peering
 	// probability: min(0.95, PeerBase + peerRichnessBoost·richness),
 	// calibrated so roughly 69% of paths are direct (Fig 6a).
@@ -77,20 +75,6 @@ type Config struct {
 const peerRichnessBoost float64 = 1.0
 
 func (c Config) withDefaults() Config {
-	if len(c.Rings) == 0 {
-		c.Rings = PaperRings()
-	}
-	// Sort a copy (the caller's slice stays untouched), stably, with a
-	// name tie-break: two equal-size rings must order the same way every
-	// run, or ring construction order — and with it stdout — wobbles.
-	rings := append([]RingSpec(nil), c.Rings...)
-	sort.SliceStable(rings, func(i, j int) bool {
-		if rings[i].Size != rings[j].Size {
-			return rings[i].Size < rings[j].Size
-		}
-		return rings[i].Name < rings[j].Name
-	})
-	c.Rings = rings
 	if c.PeerBase == 0 {
 		c.PeerBase = 0.45
 	}
@@ -133,10 +117,8 @@ type CDN struct {
 // eyeball order.
 func AddNetwork(g *topology.Graph, cfg Config, seed int64) (*topology.AS, error) {
 	cfg = cfg.withDefaults()
-	maxSize := cfg.Rings[len(cfg.Rings)-1].Size
-	if maxSize < 1 {
-		return nil, fmt.Errorf("cdn: largest ring has no sites")
-	}
+	rings := paperRings()
+	maxSize := rings[len(rings)-1].Size
 
 	// Front-end locations: heaviest regions first, deduplicated by metro,
 	// so smaller rings keep global coverage of the biggest populations.
@@ -170,13 +152,12 @@ func AddNetwork(g *topology.Graph, cfg Config, seed int64) (*topology.AS, error)
 // that AddNetwork added to g: the AS's presence points are the PoPs, and
 // each ring's front-ends are the first Size of them. The span context
 // parents a "cdn.build" span under the caller's trace.
-func Build(ctx context.Context, g *topology.Graph, as *topology.AS, model *latency.Model, cfg Config) (*CDN, error) {
+func Build(ctx context.Context, g *topology.Graph, as *topology.AS, model *latency.Model) (*CDN, error) {
 	_, span := obs.StartSpanCtx(ctx, "cdn.build")
 	defer span.End()
-	cfg = cfg.withDefaults()
 	pops := as.Presence
 	c := &CDN{ASN: as.ASN, PoPs: pops, g: g, model: model}
-	for _, spec := range cfg.Rings {
+	for _, spec := range paperRings() {
 		if spec.Size > len(pops) {
 			return nil, fmt.Errorf("cdn: ring %s larger than PoP set", spec.Name)
 		}

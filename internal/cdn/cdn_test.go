@@ -23,7 +23,7 @@ func buildWorld(t *testing.T) (*topology.Graph, *CDN) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Build(context.Background(), g, as, latency.DefaultModel(), Config{})
+	c, err := Build(context.Background(), g, as, latency.DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,19 +255,13 @@ func TestBuildValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// More front-ends than regions must fail.
-	if _, err := AddNetwork(g, Config{Rings: []RingSpec{{Name: "R10", Size: 10}}}, 2); err == nil {
-		t.Error("oversized ring accepted")
-	}
-	if _, err := AddNetwork(g, Config{Rings: []RingSpec{{Name: "R0", Size: 0}}}, 2); err == nil {
-		t.Error("empty ring accepted")
+	// More front-ends than regions must fail: the largest ring has 110.
+	if _, err := AddNetwork(g, Config{}, 2); err == nil {
+		t.Error("110 front-ends accepted on 5 regions")
 	}
 	// So must a ring with more front-ends than the network has PoPs.
-	as, err := AddNetwork(g, Config{Rings: []RingSpec{{Name: "R3", Size: 3}}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Build(context.Background(), g, as, latency.DefaultModel(), Config{Rings: []RingSpec{{Name: "R4", Size: 4}}}); err == nil {
+	as := g.AddCDNAS("cdn", []geo.Coord{regions[0].Center, regions[1].Center, regions[2].Center})
+	if _, err := Build(context.Background(), g, as, latency.DefaultModel()); err == nil {
 		t.Error("ring larger than the PoP set accepted")
 	}
 }

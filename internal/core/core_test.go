@@ -75,7 +75,7 @@ func buildWorld(t *testing.T) *world {
 	}
 	cdnC := users.BuildCDNCounts(pop, 9)
 	apnic := users.BuildAPNICCounts(g, pop, 9)
-	cdnNet, err := cdn.Build(context.Background(), g, cdnAS, model, cdn.Config{})
+	cdnNet, err := cdn.Build(context.Background(), g, cdnAS, model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,7 +241,7 @@ func (w *World) computeStage(ctx context.Context, id stage.ID) error {
 		w.campaign = camp
 
 	case stage.CDN:
-		cdnNet, err := cdn.Build(ctx, w.graph, w.cdnAS, w.model, cdn.Config{})
+		cdnNet, err := cdn.Build(ctx, w.graph, w.cdnAS, w.model)
 		if err != nil {
 			return fmt.Errorf("world: cdn: %w", err)
 		}
