@@ -39,10 +39,9 @@ const (
 
 // NewWorld constructs a world shell without materializing any stage:
 // stage keys are computed, the artifact store (if cfg.CacheDir is set) is
-// opened, and every stage is left pending. Stages materialize on first
-// access — via World.Demand, an experiment's declared Needs, or any
-// accessor — so callers that touch a subset of the world never pay for
-// the rest.
+// opened, and every stage is left pending. Stages materialize only when
+// demanded — through World.Demand or an experiment's declared Needs — so
+// callers that touch a subset of the world never pay for the rest.
 func NewWorld(cfg Config) (*World, error) {
 	return world.New(cfg)
 }

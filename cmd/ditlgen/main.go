@@ -4,12 +4,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"anycastctx"
+	"anycastctx/internal/stage"
 )
 
 func main() {
@@ -27,7 +29,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	w, err := anycastctx.BuildWorld(anycastctx.Config{Seed: *seed, Scale: *scale})
+	w, err := anycastctx.NewWorld(anycastctx.Config{Seed: *seed, Scale: *scale})
+	if err == nil {
+		err = w.Demand(context.Background(), stage.Letters, stage.Campaign)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

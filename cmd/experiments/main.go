@@ -43,6 +43,7 @@ import (
 	"anycastctx/internal/check"
 	"anycastctx/internal/faults"
 	"anycastctx/internal/obs"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/world"
 )
 
@@ -176,12 +177,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Demand-driven build: materialize only the stages this invocation
-	// needs. A single experiment pulls in just its declared Needs;
-	// scenario and -check runs walk the whole world, so they demand the
-	// full classic set up front.
+	// Demand-driven build: materialize only the stages the selected
+	// experiments declare. Scenario mode runs no experiment: its
+	// evaluation, like the invariant checkers, demands what it reads.
+	var needs []stage.ID
+	if *scnName == "" {
+		needs = neededStages(*run)
+	}
 	buildCtx, buildSpan := obs.StartSpanCtx(ctx, "run.build_world")
-	err = w.Demand(buildCtx, neededStages(*run, *scnName != "", *checkInv)...)
+	err = w.Demand(buildCtx, needs...)
 	buildSpan.End()
 	if err != nil {
 		fatal(err)
@@ -189,12 +193,16 @@ func main() {
 
 	// Invariant checks run against the quiescent world: once right after
 	// the build, once after the experiments (which may have filled caches
-	// like the DITL∩CDN join). Output goes to stderr so checked runs stay
+	// like the route memos). Output goes to stderr so checked runs stay
 	// byte-identical on stdout.
 	checkFailed := false
-	runChecks := func(stage string) {
-		vs := check.Run(ctx, w)
-		fmt.Fprintf(os.Stderr, "invariants %s: %s", stage, check.Render(vs, len(check.All())))
+	runChecks := func(when string) {
+		// check.Run demands the stages it reads: their spans, if any
+		// compute, land under this one.
+		cctx, span := obs.StartSpanCtx(ctx, "run.check")
+		vs := check.Run(cctx, w)
+		span.End()
+		fmt.Fprintf(os.Stderr, "invariants %s: %s", when, check.Render(vs, len(check.All())))
 		if len(vs) > 0 {
 			checkFailed = true
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"anycastctx"
 	"anycastctx/internal/ditl"
 	"anycastctx/internal/obs"
+	"anycastctx/internal/stage"
 )
 
 func TestResolveWorkers(t *testing.T) {
@@ -175,13 +177,17 @@ func TestResolveScenarioSpec(t *testing.T) {
 // TestCompareWithRebuildComparesCampaigns: the scenario oracle fails two
 // campaigns whose reports agree but whose encodings differ in one TCP
 // median, or whose columns agree but whose route tables differ in one
-// base RTT, and passes two equal ones.
+// base RTT, fails two joins one user count apart, and passes two equal
+// campaigns and joins.
 func TestCompareWithRebuildComparesCampaigns(t *testing.T) {
 	w, err := anycastctx.NewWorld(anycastctx.TestScaleConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := w.Campaign()
+	if err := w.Demand(context.Background(), stage.Campaign, stage.Join); err != nil {
+		t.Fatal(err)
+	}
+	c, j := w.Campaign(), w.JoinCtx(context.Background())
 	li, ri := -1, -1
 	for l := range c.Letters {
 		for r := 0; r < c.NumRecursives() && li < 0; r++ {
@@ -235,16 +241,26 @@ func TestCompareWithRebuildComparesCampaigns(t *testing.T) {
 	}
 
 	const rep = "scenario report\n"
-	if err := compareWithRebuild(rep, rep, c, decode(blob, c.RouteTable())); err != nil {
+	if err := compareWithRebuild(rep, rep, c, decode(blob, c.RouteTable()), j, j); err != nil {
 		t.Errorf("equal campaigns: %v", err)
 	}
 	for _, tc := range []struct {
 		name  string
 		other *ditl.Campaign
 	}{{"one TCP median apart", other}, {"one base RTT apart", moved}} {
-		err := compareWithRebuild(rep, rep, c, tc.other)
+		err := compareWithRebuild(rep, rep, c, tc.other, j, j)
 		if err == nil || !strings.Contains(err.Error(), "incremental campaign differs from full rebuild") {
 			t.Errorf("campaigns %s: err = %v", tc.name, err)
 		}
+	}
+
+	if len(j.Rows) == 0 {
+		t.Fatal("empty join")
+	}
+	shifted := &ditl.Join{Rows: append([]ditl.JoinedRow(nil), j.Rows...)}
+	shifted.Rows[0].Users++
+	err = compareWithRebuild(rep, rep, c, c, j, shifted)
+	if err == nil || !strings.Contains(err.Error(), "incremental join differs from full rebuild") {
+		t.Errorf("joins one user count apart: err = %v", err)
 	}
 }

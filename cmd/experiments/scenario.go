@@ -32,8 +32,8 @@ func resolveScenarioSpec(arg string) (scenario.Spec, error) {
 // and its report filled (each evaluation resolves a mutated deployment's
 // base routes over the eyeballs before seeding the variant from them);
 // it then evaluates via full rebuild and errors unless both incremental
-// reports and campaigns equal the rebuild's byte for byte (the engine's
-// correctness contract). With checkInv set the pipeline invariant
+// reports, campaigns and joins equal the rebuild's byte for byte (the
+// engine's correctness contract). With checkInv set the pipeline invariant
 // checkers run on the mutated world, the second one under oracle; like
 // -check on the base world, their output goes to stderr only.
 func runScenario(ctx context.Context, w *anycastctx.World, arg string, oracle, checkInv bool) error {
@@ -56,9 +56,13 @@ func runScenario(ctx context.Context, w *anycastctx.World, arg string, oracle, c
 			return fmt.Errorf("scenario %s (full rebuild): %w", spec.Name, err)
 		}
 		fullRep := full.Report(ctx)
-		err = compareWithRebuild(rep, fullRep, first.World.Campaign(), full.World.Campaign())
+		compare := func(rep string, ov *anycastctx.World) error {
+			return compareWithRebuild(rep, fullRep, ov.Campaign(), full.World.Campaign(),
+				ov.JoinCtx(ctx), full.World.JoinCtx(ctx))
+		}
+		err = compare(rep, first.World)
 		if err == nil {
-			err = compareWithRebuild(res.Report(ctx), fullRep, res.World.Campaign(), full.World.Campaign())
+			err = compare(res.Report(ctx), res.World)
 		}
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", spec.Name, err)
@@ -76,12 +80,13 @@ func runScenario(ctx context.Context, w *anycastctx.World, arg string, oracle, c
 	return nil
 }
 
-// compareWithRebuild errors unless an incremental evaluation's report
-// and campaign equal the full rebuild's byte for byte. The report renders
-// no base RTT, TCP median or letter weight, so the artifact encodings of
-// the campaigns and of the route tables they were assembled on are
-// compared too.
-func compareWithRebuild(rep, fullRep string, camp, fullCamp *ditl.Campaign) error {
+// compareWithRebuild errors unless an incremental evaluation's report,
+// campaign and join equal the full rebuild's byte for byte. The report
+// renders no base RTT, TCP median or letter weight, so the artifact
+// encodings of the campaigns and of the route tables they were assembled
+// on are compared too. The join's encoding is compared because an
+// overlay may share the base's join instead of computing its own.
+func compareWithRebuild(rep, fullRep string, camp, fullCamp *ditl.Campaign, join, fullJoin *ditl.Join) error {
 	if rep != fullRep {
 		fmt.Fprintf(os.Stderr, "--- incremental ---\n%s--- full rebuild ---\n%s", rep, fullRep)
 		return fmt.Errorf("incremental report differs from full rebuild")
@@ -89,6 +94,9 @@ func compareWithRebuild(rep, fullRep string, camp, fullCamp *ditl.Campaign) erro
 	if !bytes.Equal(camp.EncodeArtifact(), fullCamp.EncodeArtifact()) ||
 		!bytes.Equal(camp.RouteTable().EncodeArtifact(), fullCamp.RouteTable().EncodeArtifact()) {
 		return fmt.Errorf("incremental campaign differs from full rebuild")
+	}
+	if !bytes.Equal(ditl.EncodeJoin(join), ditl.EncodeJoin(fullJoin)) {
+		return fmt.Errorf("incremental join differs from full rebuild")
 	}
 	return nil
 }

@@ -8,39 +8,27 @@ import (
 
 	"anycastctx"
 	"anycastctx/internal/stage"
-	"anycastctx/internal/world"
 )
 
-// neededStages picks which stages to materialize before the run starts.
-// A scenario evaluation or invariant check walks the whole world, so it
-// needs the full classic set; otherwise the union of the selected
-// experiments' declared Needs is enough, and anything an experiment
-// forgot to declare still materializes lazily through its accessor.
+// neededStages is the union of the selected experiments' declared Needs,
+// the stages to materialize before the run starts. Scenario evaluation
+// and the invariant checkers demand what they read themselves.
 //
 // Deliberately NOT closed over dependencies: the demand engine recurses
 // itself, and when a persisted stage loads from the store it demands only
 // its load-deps — pre-demanding the full closure would force stages (like
 // usercounts behind a join hit) that a warm run never needs.
-func neededStages(run string, scenario, check bool) []stage.ID {
+func neededStages(run string) []stage.ID {
 	var ids []stage.ID
 	seen := make(map[stage.ID]bool)
-	add := func(id stage.ID) {
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
+	for _, e := range anycastctx.Experiments() {
+		if run != "all" && e.ID != run {
+			continue
 		}
-	}
-	if scenario || check {
-		for _, id := range world.ClassicStages() {
-			add(id)
-		}
-	}
-	if !scenario {
-		for _, e := range anycastctx.Experiments() {
-			if run == "all" || e.ID == run {
-				for _, id := range e.Needs {
-					add(id)
-				}
+		for _, id := range e.Needs {
+			if !seen[id] {
+				seen[id] = true
+				ids = append(ids, id)
 			}
 		}
 	}

@@ -11,17 +11,21 @@ import (
 	"anycastctx"
 	"anycastctx/internal/cdn"
 	"anycastctx/internal/core"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/stats"
 )
 
 const rttsPerPage = 10 // Appendix C lower bound
 
 func main() {
-	w, err := anycastctx.BuildWorld(anycastctx.TestScaleConfig(9))
+	ctx := context.Background()
+	w, err := anycastctx.NewWorld(anycastctx.TestScaleConfig(9))
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctx := context.Background()
+	if err := w.Demand(ctx, stage.CDN, stage.Locations); err != nil {
+		log.Fatal(err)
+	}
 	logs := w.CDN().ServerSideLogsCtx(ctx, w.Locations(), 99)
 	client := w.CDN().ClientMeasurementsCtx(ctx, w.Locations(), 99)
 

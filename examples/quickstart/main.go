@@ -10,14 +10,21 @@ import (
 
 	"anycastctx"
 	"anycastctx/internal/core"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/stats"
 )
 
 func main() {
 	// A scaled-down world builds in a few seconds and preserves every
 	// qualitative behavior; Scale: 1 is the paper-scale environment.
-	w, err := anycastctx.BuildWorld(anycastctx.TestScaleConfig(1))
+	// Stages materialize only when demanded: this program reads these.
+	ctx := context.Background()
+	w, err := anycastctx.NewWorld(anycastctx.TestScaleConfig(1))
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := w.Demand(ctx, stage.Topology, stage.Population, stage.Letters, stage.Campaign,
+		stage.Join, stage.CDN, stage.Locations); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("world: %d ASes, %d root letters, CDN with %d rings, %.0fM users\n\n",
@@ -25,7 +32,6 @@ func main() {
 
 	// Root DNS: geographic inflation per query, averaged over each
 	// recursive's letter preference (Fig 2a's All Roots line).
-	ctx := context.Background()
 	join := w.JoinCtx(ctx)
 	rootObs := core.GeoInflationAllRoots(w.Campaign(), join)
 	rootCDF, err := stats.NewCDF(rootObs)

@@ -11,15 +11,20 @@ import (
 
 	"anycastctx"
 	"anycastctx/internal/core"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/stats"
 )
 
 func main() {
-	w, err := anycastctx.BuildWorld(anycastctx.TestScaleConfig(7))
+	ctx := context.Background()
+	w, err := anycastctx.NewWorld(anycastctx.TestScaleConfig(7))
 	if err != nil {
 		log.Fatal(err)
 	}
-	j := w.JoinCtx(context.Background())
+	if err := w.Demand(ctx, stage.Campaign, stage.UserCounts, stage.Join); err != nil {
+		log.Fatal(err)
+	}
+	j := w.JoinCtx(ctx)
 
 	fmt.Println("per-letter geographic inflation (Eq. 1), user-weighted:")
 	fmt.Printf("  %-8s %6s %12s %12s %12s\n", "letter", "sites", "zero-infl", "median(ms)", ">20ms")

@@ -51,12 +51,13 @@ type Experiment struct {
 	ID         string
 	Title      string
 	PaperClaim string
-	// Needs declares which world stages the experiment reads, so a
-	// demand-driven world materializes exactly those (plus their
-	// transitive dependencies) before Run starts. An experiment that
-	// touches no world stage — or builds its own world, like fig11 —
-	// leaves Needs nil. runMeasured demands these before the
-	// measurement snapshot, so stage build work never pollutes an
+	// Needs declares every world stage the experiment reads. Accessors
+	// only read, so a stage left out reads as nil: it may stay pending
+	// even when a declared stage depends on it, because a persisted
+	// stage loaded from the store materializes only its load-deps. An
+	// experiment that touches no world stage — or builds its own world,
+	// like fig11 — leaves Needs nil. runMeasured demands these before
+	// the measurement snapshot, so stage build work never pollutes an
 	// experiment's counter deltas.
 	Needs []stage.ID
 	// Run executes the experiment on a built world. ctx carries the
@@ -274,10 +275,18 @@ func logGrid() []float64 {
 	return []float64{0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100, 300, 1000}
 }
 
-// build2020 constructs the companion 2020-DITL world at the same scale.
+// build2020 constructs the companion 2020-DITL world at the same scale,
+// with the two stages fig11 reads.
 func build2020(ctx context.Context, w *World) (*World, error) {
 	cfg := w.Cfg
 	cfg.Year = world.DITL2020
 	cfg.Seed = w.Cfg.Seed + 202000
-	return world.Build(ctx, cfg)
+	w20, err := world.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := w20.Demand(ctx, stage.Campaign, stage.Join); err != nil {
+		return nil, err
+	}
+	return w20, nil
 }

@@ -175,10 +175,7 @@ func runFig4a(ctx context.Context, w *World, seed int64) (Result, error) {
 }
 
 func runFig4b(ctx context.Context, w *World, seed int64) (Result, error) {
-	rows, err := w.ClientRowsCtx(ctx)
-	if err != nil {
-		return Result{}, err
-	}
+	rows := w.ClientRows()
 	names := make([]string, len(w.CDN().Rings))
 	for i, r := range w.CDN().Rings {
 		names[i] = r.Name
@@ -217,10 +214,7 @@ func runFig4b(ctx context.Context, w *World, seed int64) (Result, error) {
 }
 
 func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
-	logs, err := w.ServerLogsCtx(ctx)
-	if err != nil {
-		return Result{}, err
-	}
+	logs := w.ServerLogs()
 	var series []report.Series
 	var r110Eff float64
 	for _, ring := range w.CDN().Rings {
@@ -250,10 +244,7 @@ func runFig5a(ctx context.Context, w *World, seed int64) (Result, error) {
 }
 
 func runFig5b(ctx context.Context, w *World, seed int64) (Result, error) {
-	logs, err := w.ServerLogsCtx(ctx)
-	if err != nil {
-		return Result{}, err
-	}
+	logs := w.ServerLogs()
 	var series []report.Series
 	var r110 *stats.CDF
 	for _, ring := range w.CDN().Rings {
@@ -446,10 +437,7 @@ func runFig7a(ctx context.Context, w *World, seed int64) (Result, error) {
 		eff := core.Efficiency(core.GeoInflationLetter(w.Campaign(), li, j), 1)
 		rows = append(rows, row{"root " + letter.Name, letter.NumGlobalSites(), stats.Median(vals), eff})
 	}
-	logs, err := w.ServerLogsCtx(ctx)
-	if err != nil {
-		return Result{}, err
-	}
+	logs := w.ServerLogs()
 	for _, ring := range w.CDN().Rings {
 		var obs []stats.WeightedValue
 		for _, lr := range logs {
@@ -512,10 +500,7 @@ func runFig7b(ctx context.Context, w *World, seed int64) (Result, error) {
 
 func runFig14(ctx context.Context, w *World, seed int64) (Result, error) {
 	big := w.CDN().Rings[len(w.CDN().Rings)-1]
-	rows, err := w.ClientRowsCtx(ctx)
-	if err != nil {
-		return Result{}, err
-	}
+	rows := w.ClientRows()
 	// Aggregate per region: user-weighted mean of medians to R110.
 	type agg struct {
 		lat, users float64

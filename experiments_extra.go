@@ -171,10 +171,7 @@ func init() {
 }
 
 func runContinents(ctx context.Context, w *World, seed int64) (Result, error) {
-	logs, err := w.ServerLogsCtx(ctx)
-	if err != nil {
-		return Result{}, err
-	}
+	logs := w.ServerLogs()
 	big := w.CDN().Rings[len(w.CDN().Rings)-1]
 	rootObs := core.GeoInflationAllRoots(w.Campaign(), w.JoinCtx(ctx))
 

@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"anycastctx/internal/report"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/world"
 )
 
@@ -90,8 +91,14 @@ func All() []Checker {
 }
 
 // Run executes the given checkers (all of them when none are passed)
-// against w and concatenates their violations in checker order.
+// against w and concatenates their violations in checker order. It first
+// demands the stages the checkers read, the classic set and the join; a
+// demand error comes back as the only violation, so a caller that reads
+// nothing but the violations still sees it.
 func Run(ctx context.Context, w *world.World, checkers ...Checker) []Violation {
+	if err := w.Demand(ctx, append(world.ClassicStages(), stage.Join)...); err != nil {
+		return []Violation{{Checker: "world", Detail: err.Error()}}
+	}
 	if len(checkers) == 0 {
 		checkers = All()
 	}

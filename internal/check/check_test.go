@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"anycastctx/internal/faults"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/world"
 )
 
@@ -31,6 +32,9 @@ func testWorld(t testing.TB, cfg world.Config) *world.World {
 		return w
 	}
 	w, err := world.Build(context.Background(), cfg)
+	if err == nil {
+		err = w.Demand(context.Background(), stage.Join)
+	}
 	if err != nil {
 		t.Fatalf("world %+v: %v", cfg, err)
 	}
@@ -136,6 +140,9 @@ func TestScaleMonotonicityAndFunnelStability(t *testing.T) {
 func TestSeedPermutationInvariance(t *testing.T) {
 	build := func(seed int64) fingerprint {
 		w, err := world.Build(context.Background(), world.Config{Seed: seed, Scale: 0.05})
+		if err == nil {
+			err = w.Demand(context.Background(), stage.Join)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"anycastctx/internal/ditl"
 	"anycastctx/internal/geo"
 	"anycastctx/internal/scenario"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/stats"
 	"anycastctx/internal/world"
 )
@@ -176,6 +177,9 @@ func requireInflationMatchesReference(t *testing.T, c *ditl.Campaign, j *ditl.Jo
 func TestInflationMatchesPerRowReference(t *testing.T) {
 	ctx := context.Background()
 	w, err := world.Build(ctx, world.Config{Seed: 1, Scale: world.ScaleFromEnv(0.05)})
+	if err == nil {
+		err = w.Demand(ctx, stage.Join)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

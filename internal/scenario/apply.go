@@ -312,14 +312,18 @@ func apply(ctx context.Context, base *world.World, spec Spec, full bool) (*appli
 	}
 	routes.End()
 
-	// Campaign: ring-only scenarios leave it untouched — share it, and
-	// the join with it. Anything touching letters or rates rebases, and
-	// the rebase decides from its inputs which cells it can reuse.
+	// Campaign: ring-only scenarios leave it untouched — share it.
+	// Anything touching letters or rates rebases, and the rebase decides
+	// from its inputs which cells it can reuse. The /24 join reads only
+	// the population, the rates and the CDN counts, so on base's rates
+	// the overlay shares base's join too.
 	rates, camp := base.Rates(), base.Campaign()
 	var join *ditl.Join
+	if surge == 0 && !full {
+		join = base.JoinCtx(ctx)
+	}
 	var err error
 	if len(app.mutatedLetters) == 0 && surge == 0 && !full {
-		join = base.JoinCtx(ctx)
 		app.campaignShared = true
 		obsCampaignShare.Inc()
 	} else {

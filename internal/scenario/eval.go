@@ -9,6 +9,7 @@ import (
 	"anycastctx/internal/core"
 	"anycastctx/internal/obs"
 	"anycastctx/internal/report"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/stats"
 	"anycastctx/internal/topology"
 	"anycastctx/internal/world"
@@ -86,12 +87,17 @@ type Result struct {
 // and campaign cell the mutations provably cannot change; with
 // opts.FullRebuild everything is recomputed from scratch. Both paths
 // must produce byte-identical reports — that is the engine's contract.
+// Eval first demands the base stages that evaluations and reports read:
+// the classic set and the join.
 func Eval(ctx context.Context, b *Baseline, spec Spec, opts Options) (*Result, error) {
 	ctx, span := obs.StartSpanCtx(ctx, "scenario.eval")
 	defer span.End()
 	obsEvals.Inc()
 	if opts.FullRebuild {
 		obsFullRebuilds.Inc()
+	}
+	if err := b.W.Demand(ctx, append(world.ClassicStages(), stage.Join)...); err != nil {
+		return nil, err
 	}
 	app, err := apply(ctx, b.W, spec, opts.FullRebuild)
 	if err != nil {

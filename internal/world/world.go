@@ -152,7 +152,7 @@ func TestScale(seed int64) Config {
 
 // ClassicStages is the stage set the historical monolithic build
 // materialized eagerly: everything except the CDN telemetry tables and
-// the DITL∩CDN join, which were always computed on first use.
+// the DITL∩CDN join.
 func ClassicStages() []stage.ID {
 	return []stage.ID{
 		stage.Regions, stage.Topology, stage.Population, stage.Zone,
@@ -170,9 +170,9 @@ type cell struct {
 }
 
 // World is the simulated environment, materialized stage by stage. Zero
-// or more stages are live at any time; accessors demand what they return,
-// so a caller holding a *World can always read any field — the demand
-// machinery decides whether that is a cache load or a compute.
+// or more stages are live at any time. Demand is the only way to make a
+// stage live, and it reports the stage's errors; the accessors only read,
+// so a caller demands every stage it reads first.
 type World struct {
 	// Cfg is the (defaulted) configuration the world was created from.
 	Cfg Config
@@ -293,103 +293,73 @@ func (w *World) Store() *artifact.Store { return w.store }
 func (w *World) materialize(ctx context.Context, id stage.ID) error {
 	c := w.cells[id]
 	c.once.Do(func() { c.err = w.runStage(ctx, id) })
-	if c.err != nil {
-		return c.err
-	}
-	return nil
+	return c.err
 }
 
-// must backs the accessors: every error-capable stage is demanded through
-// Build or Demand first, whose errors callers handle, so an accessor
-// reaching a failed or unreachable stage is a programming error.
-func (w *World) must(id stage.ID) {
-	if err := w.materialize(context.Background(), id); err != nil {
-		panic(fmt.Sprintf("world: stage %s: %v", id, err))
-	}
-}
-
-// Accessors. Each demands the stage it returns (a no-op when live).
+// Accessors. Each reads its stage's output: nil until the stage is
+// demanded, since only Demand materializes a stage.
 
 // Regions returns the geographic regions.
-func (w *World) Regions() []geo.Region { w.must(stage.Regions); return w.regions }
+func (w *World) Regions() []geo.Region { return w.regions }
 
 // Graph returns the AS topology: every AS and explicit peering edge of
 // the world, whatever else has been demanded.
-func (w *World) Graph() *topology.Graph { w.must(stage.Topology); return w.graph }
+func (w *World) Graph() *topology.Graph { return w.graph }
 
 // Model returns the latency model (not a stage: it is a pure value
 // derived from no inputs).
 func (w *World) Model() *latency.Model { return w.model }
 
 // Pop returns the user population.
-func (w *World) Pop() *users.Population { w.must(stage.Population); return w.pop }
+func (w *World) Pop() *users.Population { return w.pop }
 
 // Zone returns the root zone.
-func (w *World) Zone() *dnssim.Zone { w.must(stage.Zone); return w.zone }
+func (w *World) Zone() *dnssim.Zone { return w.zone }
 
 // Rates returns the per-recursive daily query-rate profiles.
-func (w *World) Rates() []dnssim.Rates { w.must(stage.Rates); return w.rates }
+func (w *World) Rates() []dnssim.Rates { return w.rates }
 
 // Letters returns the root letter deployments.
-func (w *World) Letters() []*anycastnet.Deployment { w.must(stage.Letters); return w.letters }
+func (w *World) Letters() []*anycastnet.Deployment { return w.letters }
 
 // Campaign returns the DITL measurement campaign.
-func (w *World) Campaign() *ditl.Campaign { w.must(stage.Campaign); return w.campaign }
+func (w *World) Campaign() *ditl.Campaign { return w.campaign }
 
 // CDN returns the CDN network.
-func (w *World) CDN() *cdn.CDN { w.must(stage.CDN); return w.cdnNet }
+func (w *World) CDN() *cdn.CDN { return w.cdnNet }
 
 // CDNCounts returns the CDN-observed user counts.
-func (w *World) CDNCounts() *users.CDNCounts { w.must(stage.UserCounts); return w.cdnCounts }
+func (w *World) CDNCounts() *users.CDNCounts { return w.cdnCounts }
 
 // APNIC returns the APNIC-style per-AS user counts.
-func (w *World) APNIC() *users.APNICCounts { w.must(stage.UserCounts); return w.apnic }
+func (w *World) APNIC() *users.APNICCounts { return w.apnic }
 
 // Atlas returns the probe platform.
-func (w *World) Atlas() *atlas.Platform { w.must(stage.Atlas); return w.atlasPlat }
+func (w *World) Atlas() *atlas.Platform { return w.atlasPlat }
 
 // Locations returns the ⟨region, AS⟩ user locations.
-func (w *World) Locations() []cdn.Location { w.must(stage.Locations); return w.locations }
+func (w *World) Locations() []cdn.Location { return w.locations }
 
-// ServerLogsCtx returns the server-side CDN telemetry table (the
-// server_logs stage), computed or loaded on first use.
-func (w *World) ServerLogsCtx(ctx context.Context) ([]cdn.ServerLogRow, error) {
-	if err := w.Demand(ctx, stage.ServerLogs); err != nil {
-		return nil, err
-	}
-	return w.serverLogs, nil
-}
+// ServerLogs returns the server-side CDN telemetry table (the
+// server_logs stage).
+func (w *World) ServerLogs() []cdn.ServerLogRow { return w.serverLogs }
 
-// ClientRowsCtx returns the client-side CDN telemetry table (the
-// client_rows stage), computed or loaded on first use.
-func (w *World) ClientRowsCtx(ctx context.Context) ([]cdn.ClientMeasurementRow, error) {
-	if err := w.Demand(ctx, stage.ClientRows); err != nil {
-		return nil, err
-	}
-	return w.clientRows, nil
-}
+// ClientRows returns the client-side CDN telemetry table (the
+// client_rows stage).
+func (w *World) ClientRows() []cdn.ClientMeasurementRow { return w.clientRows }
 
-// JoinCtx returns the /24-level DITL∩CDN join, computed lazily and
-// cached, with the caller's span context carried into the join
-// computation when this caller is the one that fills the cell. The stage
-// cell makes the lazy fill safe when experiments run concurrently; the
-// join itself is deterministic, so which caller computes it never affects
-// results.
-func (w *World) JoinCtx(ctx context.Context) *ditl.Join {
-	if err := w.materialize(ctx, stage.Join); err != nil {
-		panic(fmt.Sprintf("world: stage %s: %v", stage.Join, err))
-	}
-	return w.join
-}
+// JoinCtx returns the /24-level DITL∩CDN join (the join stage). ctx is
+// unused: the join materializes only through Demand.
+func (w *World) JoinCtx(ctx context.Context) *ditl.Join { return w.join }
 
 // Overlay returns a copy of w for scenario evaluation with g, letters, c,
 // rates, camp and camp's route table in place of the base's outputs, and
-// join, when non-nil, as the copy's join (one already computed for an
-// identical campaign).
-// The classic stages are forced live on the base first and everything
-// not replaced is shared with it; the copy's telemetry stages, and its
-// join unless given, start fresh so they never alias the base's. The copy
-// has no artifact store — a mutated world must never write into the
+// join, when non-nil, as the copy's join (one already computed on the
+// same population, rates and CDN counts).
+// The classic stages are demanded on the base first and everything not
+// replaced is shared with it. The copy's join is demanded unless given;
+// its telemetry stages start pending so they never alias the base's. The
+// copy has no artifact store — a mutated world must never write into the
 // base's cache.
 func (w *World) Overlay(ctx context.Context, g *topology.Graph, letters []*anycastnet.Deployment, c *cdn.CDN,
 	rates []dnssim.Rates, camp *ditl.Campaign, join *ditl.Join) (*World, error) {
@@ -427,6 +397,9 @@ func (w *World) Overlay(ctx context.Context, g *topology.Graph, letters []*anyca
 	}
 	for _, id := range live {
 		ov.cells[id].once.Do(func() {})
+	}
+	if err := ov.Demand(ctx, stage.Join); err != nil {
+		return nil, err
 	}
 	return ov, nil
 }

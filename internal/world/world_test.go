@@ -3,6 +3,8 @@ package world
 import (
 	"context"
 	"testing"
+
+	"anycastctx/internal/stage"
 )
 
 func TestBuildTestScale(t *testing.T) {
@@ -56,13 +58,19 @@ func TestBuild2020(t *testing.T) {
 }
 
 func TestJoinCachedAndNonEmpty(t *testing.T) {
-	w, err := Build(context.Background(), TestScale(4))
+	ctx := context.Background()
+	w, err := Build(ctx, TestScale(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1 := w.JoinCtx(context.Background())
-	j2 := w.JoinCtx(context.Background())
-	if j1 != j2 {
+	if err := w.Demand(ctx, stage.Join); err != nil {
+		t.Fatal(err)
+	}
+	j1 := w.JoinCtx(ctx)
+	if err := w.Demand(ctx, stage.Join); err != nil {
+		t.Fatal(err)
+	}
+	if w.JoinCtx(ctx) != j1 {
 		t.Error("join not cached")
 	}
 	if len(j1.Rows) == 0 {

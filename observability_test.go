@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"anycastctx/internal/obs"
+	"anycastctx/internal/stage"
 )
 
 // TestInstrumentationDoesNotChangeResults is the obs determinism
@@ -102,8 +103,10 @@ func TestPipelineMetricsRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Touch the measurement planes that experiments exercise lazily.
-	w.JoinCtx(context.Background())
+	// The join too, which the classic build leaves pending.
+	if err := w.Demand(context.Background(), stage.Join); err != nil {
+		t.Fatal(err)
+	}
 
 	snap := obs.TakeSnapshot()
 	var names []string

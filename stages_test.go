@@ -37,13 +37,25 @@ func TestFig2aDemandsOnlyItsStages(t *testing.T) {
 	}
 }
 
-// TestNeedsDeclared is the sufficiency oracle for Needs: run alone on a
+// TestNeedsDeclared is the sufficiency oracle for Needs. Run alone on a
 // fresh world, every experiment must leave each stage outside its
-// declared Needs' closure pending. An under-declared stage would
-// otherwise materialize quietly through its accessor, unseen by the CLI's
-// pre-demand and -explain.
+// declared Needs' closure pending, and must print what it prints on a
+// world with every stage demanded. Accessors only read, so a stage the
+// experiment reads but does not declare reads as empty there and shows as
+// a diff. Each experiment runs alone twice: on a cold world, which
+// computes the closure, and on a warm one, where a persisted stage loads
+// without the deps it does not need to load.
 func TestNeedsDeclared(t *testing.T) {
 	ctx := context.Background()
+	cfg := TestScaleConfig(11)
+	cfg.CacheDir = t.TempDir()
+	full, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Demand(ctx, stage.All()...); err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -52,55 +64,38 @@ func TestNeedsDeclared(t *testing.T) {
 					t.Fatalf("invalid stage %q in Needs", id)
 				}
 			}
-			w, err := NewWorld(TestScaleConfig(11))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := RunExperimentCtx(ctx, w, e.ID); err != nil {
-				t.Fatal(err)
-			}
 			declared := map[stage.ID]bool{}
 			for _, id := range stage.Closure(e.Needs...) {
 				declared[id] = true
 			}
-			for _, st := range w.StageStatuses() {
-				if !declared[st.ID] && st.Outcome != "pending" {
-					t.Errorf("stage %s %s, but Needs %v does not reach it", st.ID, st.Outcome, e.Needs)
+			want, err := RunExperimentCtx(ctx, full, e.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range []struct{ name, dir string }{{"cold", ""}, {"warm", cfg.CacheDir}} {
+				alone := cfg
+				alone.CacheDir = run.dir
+				w, err := NewWorld(alone)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RunExperimentCtx(ctx, w, e.ID)
+				if err != nil {
+					t.Fatalf("%s: %v", run.name, err)
+				}
+				for _, st := range w.StageStatuses() {
+					if !declared[st.ID] && st.Outcome != "pending" {
+						t.Errorf("%s: stage %s %s, but Needs %v does not reach it", run.name, st.ID, st.Outcome, e.Needs)
+					}
+				}
+				if got.Measured != want.Measured {
+					t.Errorf("%s: Measured differs from the full world's\nalone: %s\nfull:  %s", run.name, got.Measured, want.Measured)
+				}
+				if got.Output != want.Output {
+					t.Errorf("%s: Output differs from the full world's", run.name)
 				}
 			}
 		})
-	}
-}
-
-// TestDemandDrivenMatchesEagerBuild: every experiment must produce
-// byte-identical output whether its world was eagerly built (the classic
-// monolith behavior, via Build) or materialized lazily from a fresh
-// shell. Any ordering dependence between stages would diverge here.
-func TestDemandDrivenMatchesEagerBuild(t *testing.T) {
-	ctx := context.Background()
-	eager, err := BuildWorld(TestScaleConfig(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := NewWorld(TestScaleConfig(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range Experiments() {
-		re, err := RunExperimentCtx(ctx, eager, e.ID)
-		if err != nil {
-			t.Fatalf("%s on eager world: %v", e.ID, err)
-		}
-		rl, err := RunExperimentCtx(ctx, lazy, e.ID)
-		if err != nil {
-			t.Fatalf("%s on lazy world: %v", e.ID, err)
-		}
-		if re.Measured != rl.Measured {
-			t.Errorf("%s: Measured differs\neager: %s\nlazy:  %s", e.ID, re.Measured, rl.Measured)
-		}
-		if re.Output != rl.Output {
-			t.Errorf("%s: Output differs between eager and lazy worlds", e.ID)
-		}
 	}
 }
 
