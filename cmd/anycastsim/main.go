@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 
 	"anycastctx"
+	"anycastctx/internal/stage"
 	"anycastctx/internal/stats"
 )
 
@@ -35,7 +36,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *dump != "" {
-		if err := dumpDatasets(w, *dump); err != nil {
+		if err := dumpDatasets(context.Background(), w, *dump); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -114,7 +115,13 @@ func min(a, b int) int {
 // dumpDatasets writes the world's measurement datasets as CSV files, the
 // shape a downstream analyst would consume: user locations, per-letter
 // catchment assignments, CDN server-side logs, and recursive query rates.
-func dumpDatasets(w *anycastctx.World, dir string) error {
+// It demands the stages it writes, so the server-side logs are the
+// world's server_logs stage, the rows the experiments read.
+func dumpDatasets(ctx context.Context, w *anycastctx.World, dir string) error {
+	if err := w.Demand(ctx, stage.Regions, stage.Population, stage.Rates, stage.Campaign,
+		stage.Locations, stage.ServerLogs); err != nil {
+		return err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -156,10 +163,9 @@ func dumpDatasets(w *anycastctx.World, dir string) error {
 	}
 
 	// CDN server-side logs.
-	logs := w.CDN().ServerSideLogsCtx(context.Background(), w.Locations(), w.Cfg.Seed*13)
 	var lg []byte
 	lg = append(lg, "ring,asn,region,front_end,path_len,direct,median_rtt_ms,users\n"...)
-	for _, r := range logs {
+	for _, r := range w.ServerLogs() {
 		lg = append(lg, fmt.Sprintf("%s,%d,%s,%d,%d,%t,%.2f,%.0f\n",
 			r.Ring, r.Location.ASN, w.Regions()[r.Location.Region].Name,
 			r.FrontEnd, r.PathLen, r.Direct, r.MedianRTTMs, r.Location.Users)...)

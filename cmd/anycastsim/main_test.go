@@ -1,11 +1,16 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"anycastctx"
 )
 
 // TestMain runs main instead of the tests when the test binary is
@@ -57,6 +62,35 @@ func TestValidateFlags(t *testing.T) {
 		}
 		if err != nil && !strings.HasPrefix(err.Error(), "-scale ") {
 			t.Errorf("validateFlags(%v) = %q, does not name -scale", tc.scale, err)
+		}
+	}
+}
+
+// TestDumpWritesServerLogsStage: serverlogs.csv holds one line per row of
+// the world's server_logs stage, the table fig5a, fig5b, fig7a and
+// continents read, in the stage's order.
+func TestDumpWritesServerLogsStage(t *testing.T) {
+	w, err := anycastctx.NewWorld(anycastctx.Config{Seed: 1, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := dumpDatasets(context.Background(), w, dir); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "serverlogs.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	rows := w.ServerLogs()
+	if len(rows) == 0 || len(lines) != 1+len(rows) {
+		t.Fatalf("serverlogs.csv has %d lines for %d stage rows plus a header", len(lines), len(rows))
+	}
+	for i, r := range rows {
+		f := strings.Split(lines[1+i], ",")
+		if f[0] != r.Ring || f[1] != fmt.Sprint(r.Location.ASN) || f[6] != fmt.Sprintf("%.2f", r.MedianRTTMs) {
+			t.Fatalf("line %d is %q, stage row is %+v", 1+i, lines[1+i], r)
 		}
 	}
 }
